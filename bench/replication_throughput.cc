@@ -5,15 +5,19 @@
 //   - steady-state replication lag: the round-trip from a primary commit
 //     to that commit being visible at the follower, in milliseconds.
 //
-// The follower runs over the in-process transport, so the numbers bound
-// the pipeline itself (encode → publish → apply through the public
-// GraphDb API) without socket noise.
+// The follower connects to the primary's ReplicationListener over a unix
+// socket, exactly as a fleet follower does, so the numbers cover the
+// whole pipeline: encode → publish → wire → apply through the public
+// GraphDb API → ack.
 //
 // Scale knob: NEPAL_BENCH_REPLICATION_ELEMENTS (default 2000 elements).
 // Results land in BENCH_replication_throughput.json as counter records.
 
+#include <unistd.h>
+
 #include <chrono>
 #include <filesystem>
+#include <memory>
 #include <thread>
 
 #include <benchmark/benchmark.h>
@@ -21,8 +25,8 @@
 #include "bench/bench_util.h"
 #include "obs/metrics.h"
 #include "persist/durable_store.h"
+#include "replication/listener.h"
 #include "replication/replica_store.h"
-#include "replication/transport.h"
 #include "schema/dsl_parser.h"
 
 namespace nepal::bench {
@@ -77,6 +81,30 @@ void Ingest(storage::GraphDb& db, int elements) {
   }
 }
 
+/// A primary's listener on a unix socket and one follower connected to
+/// it. Destroy it before the primary: the listener serves the store.
+struct Standby {
+  std::unique_ptr<replication::ReplicationListener> listener;
+  std::unique_ptr<replication::ReplicaStore> follower;
+};
+
+Result<Standby> StartStandby(persist::DurableStore& primary,
+                             const std::string& fdir) {
+  replication::SocketAddress addr;
+  addr.is_unix = true;
+  addr.path = (fs::temp_directory_path() /
+               ("nepal_bench_repl_" + std::to_string(::getpid()) + ".sock"))
+                  .string();
+  Standby standby;
+  NEPAL_ASSIGN_OR_RETURN(
+      standby.listener, replication::ReplicationListener::Start(primary, addr));
+  NEPAL_ASSIGN_OR_RETURN(
+      standby.follower,
+      replication::ReplicaStore::Connect(fdir, ReplicationSchema(), Factory(),
+                                         standby.listener->address()));
+  return standby;
+}
+
 bool WaitForCatchUp(const persist::DurableStore& primary,
                     const replication::ReplicaStore& follower) {
   const auto deadline =
@@ -114,34 +142,30 @@ void BM_ShipApply(benchmark::State& state) {
       state.SkipWithError(primary.status().ToString().c_str());
       return;
     }
-    auto transport = replication::InProcessTransport::Connect(**primary);
-    if (!transport.ok()) {
-      state.SkipWithError(transport.status().ToString().c_str());
+    auto standby = StartStandby(**primary, fdir);
+    if (!standby.ok()) {
+      state.SkipWithError(standby.status().ToString().c_str());
       return;
     }
-    auto follower = replication::ReplicaStore::Open(
-        fdir, ReplicationSchema(), Factory(), std::move(*transport));
-    if (!follower.ok()) {
-      state.SkipWithError(follower.status().ToString().c_str());
-      return;
-    }
+    replication::ReplicaStore& follower = *standby->follower;
     const uint64_t bytes_before = shipped_bytes->Value();
     state.ResumeTiming();
 
     const auto t0 = std::chrono::steady_clock::now();
     Ingest((*primary)->db(), elements);
-    if (!WaitForCatchUp(**primary, **follower)) {
+    if (!WaitForCatchUp(**primary, follower)) {
       state.SkipWithError("follower never caught up");
       return;
     }
     seconds +=
         std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
             .count();
-    records += (*follower)->records_applied();
+    records += follower.records_applied();
     bytes += shipped_bytes->Value() - bytes_before;
 
     state.PauseTiming();
-    follower->reset();
+    standby->follower.reset();
+    standby->listener.reset();
     primary->reset();
     fs::remove_all(pdir);
     fs::remove_all(fdir);
@@ -180,20 +204,15 @@ void BM_SteadyLag(benchmark::State& state) {
     state.SkipWithError(primary.status().ToString().c_str());
     return;
   }
-  auto transport = replication::InProcessTransport::Connect(**primary);
-  if (!transport.ok()) {
-    state.SkipWithError(transport.status().ToString().c_str());
+  auto standby = StartStandby(**primary, fdir);
+  if (!standby.ok()) {
+    state.SkipWithError(standby.status().ToString().c_str());
     return;
   }
-  auto follower = replication::ReplicaStore::Open(
-      fdir, ReplicationSchema(), Factory(), std::move(*transport));
-  if (!follower.ok()) {
-    state.SkipWithError(follower.status().ToString().c_str());
-    return;
-  }
+  replication::ReplicaStore& follower = *standby->follower;
   // Warm the pipeline so the measurement sees steady state, not bootstrap.
   Ingest((*primary)->db(), 64);
-  if (!WaitForCatchUp(**primary, **follower)) {
+  if (!WaitForCatchUp(**primary, follower)) {
     state.SkipWithError("follower never caught up");
     return;
   }
@@ -213,8 +232,8 @@ void BM_SteadyLag(benchmark::State& state) {
     }
     ++i;
     const uint64_t target = (*primary)->records_appended();
-    while ((*follower)->records_applied() < target) {
-      if (!(*follower)->status().ok()) {
+    while (follower.records_applied() < target) {
+      if (!follower.status().ok()) {
         state.SkipWithError("apply loop failed");
         return;
       }
@@ -232,7 +251,8 @@ void BM_SteadyLag(benchmark::State& state) {
     BenchJson::Instance().Counter("SteadyLag", "samples",
                                   static_cast<double>(samples));
   }
-  follower->reset();
+  standby->follower.reset();
+  standby->listener.reset();
   primary->reset();
   fs::remove_all(pdir);
   fs::remove_all(fdir);

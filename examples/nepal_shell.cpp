@@ -12,7 +12,7 @@
 //   .stats              node/edge/version counts and memory use
 //   .load <feed-file>   replay another feed file
 //   .export             dump the current snapshot as a feed
-//   .explain <query>;   show anchor choice, programs and backend trace
+//   .explain <query>;   show anchor choice, programs and backend SQL
 //   .quit               exit
 // Observability commands:
 //   \metrics [json]     dump the process-wide metrics registry
@@ -30,12 +30,11 @@
 // --fsync always|interval|none picks the commit durability policy.
 // Replication commands (src/replication):
 //   --ship <addr>       (primary, needs --data-dir) serve the WAL to any
-//                       number of followers. unix:<path> / tcp:<host>:<port>
-//                       starts the fleet listener (resume, acks); a bare
-//                       path keeps the legacy single-follower FIFO stream
+//                       number of followers: starts the fleet listener
+//                       (resume, acks) on unix:<path> / tcp:<host>:<port>
 //   --follow <addr>     (follower, needs --data-dir) bootstrap + tail the
-//                       stream; socket addresses reconnect and resume,
-//                       FIFO paths are single-shot. The shell is read-only
+//                       stream; reconnects and resumes across primary
+//                       restarts. The shell is read-only
 //   --name <name>       this follower's identity on the primary
 //   --quorum <k>        (primary) semi-sync: each commit waits for k
 //                       follower acks (degrades to async on timeout)
@@ -50,10 +49,6 @@
 //   SERVE VIEW <name>;  answer from the cache (also: any matching query)
 //   \views              list views with freshness/staleness and counters
 // And EXPLAIN ANALYZE <query>; runs the query with per-operator stats.
-
-#include <fcntl.h>
-#include <signal.h>
-#include <unistd.h>
 
 #include <chrono>
 #include <cstdio>
@@ -73,7 +68,6 @@
 #include "replication/listener.h"
 #include "replication/replica_store.h"
 #include "replication/socket_util.h"
-#include "replication/transport.h"
 #include "schema/dsl_parser.h"
 #include "storage/graphdb.h"
 #include "views/view_catalog.h"
@@ -84,7 +78,7 @@ void PrintHelp() {
   std::printf(
       "Enter NQL queries terminated by ';'. Dot-commands:\n"
       "  .help / .schema / .stats / .load <file> / .export / .quit\n"
-      "  .explain <query>;   show the plan and executor trace\n"
+      "  .explain <query>;   show the plan (and backend SQL)\n"
       "Observability:\n"
       "  \\metrics [json]     dump the metrics registry (text or JSON)\n"
       "  \\timing             toggle per-query timing output\n"
@@ -154,8 +148,7 @@ int main(int argc, char** argv) {
                  "[--fsync always|interval|none] "
                  "[--ship <addr>] [--follow <addr>] "
                  "[--name <follower>] [--quorum <k>]\n"
-                 "  <addr>: unix:<path> | tcp:<host>:<port> (fleet) or a "
-                 "FIFO path (legacy single stream)\n");
+                 "  <addr>: unix:<path> | tcp:<host>:<port>\n");
     return 2;
   }
   if ((!ship_path.empty() || !follow_path.empty()) && data_dir.empty()) {
@@ -166,9 +159,16 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "--ship and --follow are mutually exclusive\n");
     return 2;
   }
-  // The shipper writes into a pipe/FIFO; a follower hanging up must surface
-  // as a write error on the pump thread, not kill the shell.
-  if (!ship_path.empty()) signal(SIGPIPE, SIG_IGN);
+  replication::SocketAddress repl_address;
+  if (!ship_path.empty() || !follow_path.empty()) {
+    auto address = replication::ParseSocketAddress(
+        ship_path.empty() ? follow_path : ship_path);
+    if (!address.ok()) {
+      std::fprintf(stderr, "%s\n", address.status().ToString().c_str());
+      return 2;
+    }
+    repl_address = std::move(*address);
+  }
 
   // Interactive volume is human-scale, so trace every request — the
   // `\trace` commands need material, and commit annotations must ride the
@@ -219,59 +219,29 @@ int main(int argc, char** argv) {
   std::unique_ptr<storage::GraphDb> mem_db;              // in-memory mode
   std::unique_ptr<persist::DurableStore> store;          // durable mode
   std::unique_ptr<replication::ReplicaStore> replica;    // follower mode
-  std::unique_ptr<replication::WalShipper> shipper;      // legacy FIFO ship
   std::unique_ptr<replication::ReplicationListener> listener;  // fleet ship
   // Declared after `store`: the catalog tails the store's WAL and must be
   // destroyed (thread joined, subscription dropped) before the store.
   std::unique_ptr<views::ViewCatalog> views_catalog;     // durable mode
   storage::GraphDb* db = nullptr;
   if (!follow_path.empty()) {
-    if (replication::LooksLikeSocketAddress(follow_path)) {
-      auto address = replication::ParseSocketAddress(follow_path);
-      if (!address.ok()) {
-        std::fprintf(stderr, "%s\n", address.status().ToString().c_str());
-        return 2;
-      }
-      std::printf("follower '%s': connecting to %s ...\n",
-                  follower_name.c_str(), follow_path.c_str());
-      std::fflush(stdout);
-      replication::ConnectOptions connect_options;
-      connect_options.replica.durable = durable_options;
-      connect_options.name = follower_name;
-      auto opened = replication::ReplicaStore::Connect(
-          data_dir, *schema, make_backend, *address, connect_options);
-      if (!opened.ok()) {
-        std::fprintf(stderr, "%s\n", opened.status().ToString().c_str());
-        return 1;
-      }
-      replica = std::move(*opened);
-      std::printf("follower '%s': bootstrapped from the primary's "
-                  "checkpoint; resumes across disconnects; read-only until "
-                  "\\promote\n",
-                  follower_name.c_str());
-    } else {
-      std::printf("follower: waiting for a primary on %s ...\n",
-                  follow_path.c_str());
-      std::fflush(stdout);
-      int fd = ::open(follow_path.c_str(), O_RDONLY);
-      if (fd < 0) {
-        std::fprintf(stderr, "cannot open %s for reading\n",
-                     follow_path.c_str());
-        return 1;
-      }
-      replication::ReplicaOptions replica_options;
-      replica_options.durable = durable_options;
-      auto opened = replication::ReplicaStore::Open(
-          data_dir, *schema, make_backend,
-          std::make_unique<replication::FdTransport>(fd), replica_options);
-      if (!opened.ok()) {
-        std::fprintf(stderr, "%s\n", opened.status().ToString().c_str());
-        return 1;
-      }
-      replica = std::move(*opened);
-      std::printf("follower: bootstrapped from the primary's checkpoint; "
-                  "read-only until \\promote\n");
+    std::printf("follower '%s': connecting to %s ...\n",
+                follower_name.c_str(), follow_path.c_str());
+    std::fflush(stdout);
+    replication::ConnectOptions connect_options;
+    connect_options.replica.durable = durable_options;
+    connect_options.name = follower_name;
+    auto opened = replication::ReplicaStore::Connect(
+        data_dir, *schema, make_backend, repl_address, connect_options);
+    if (!opened.ok()) {
+      std::fprintf(stderr, "%s\n", opened.status().ToString().c_str());
+      return 1;
     }
+    replica = std::move(*opened);
+    std::printf("follower '%s': bootstrapped from the primary's "
+                "checkpoint; resumes across disconnects; read-only until "
+                "\\promote\n",
+                follower_name.c_str());
     db = &replica->db();
   } else if (!data_dir.empty()) {
     auto opened = persist::DurableStore::Open(data_dir, *schema, make_backend,
@@ -284,46 +254,22 @@ int main(int argc, char** argv) {
     db = &store->db();
     print_recovery(*store);
     if (!ship_path.empty()) {
-      if (replication::LooksLikeSocketAddress(ship_path)) {
-        auto address = replication::ParseSocketAddress(ship_path);
-        if (!address.ok()) {
-          std::fprintf(stderr, "%s\n", address.status().ToString().c_str());
-          return 2;
-        }
-        auto started = replication::ReplicationListener::Start(*store,
-                                                               *address);
-        if (!started.ok()) {
-          std::fprintf(stderr, "%s\n", started.status().ToString().c_str());
-          return 1;
-        }
-        listener = std::move(*started);
-        std::printf("primary: replication listener on %s\n",
-                    listener->address().ToString().c_str());
-        if (quorum > 0) {
-          persist::DurableStore::SemiSyncOptions semisync;
-          semisync.quorum = quorum;
-          store->SetSemiSync(semisync);
-          std::printf("primary: semi-sync commits, quorum=%d (degrades to "
-                      "async after %d ms)\n",
-                      quorum, semisync.timeout_ms);
-        }
-      } else {
-        std::printf("primary: waiting for a follower on %s ...\n",
-                    ship_path.c_str());
-        std::fflush(stdout);
-        int fd = ::open(ship_path.c_str(), O_WRONLY);
-        if (fd < 0) {
-          std::fprintf(stderr, "cannot open %s for writing\n",
-                       ship_path.c_str());
-          return 1;
-        }
-        auto started = replication::WalShipper::Start(*store, fd);
-        if (!started.ok()) {
-          std::fprintf(stderr, "%s\n", started.status().ToString().c_str());
-          return 1;
-        }
-        shipper = std::move(*started);
-        std::printf("primary: shipping the WAL to %s\n", ship_path.c_str());
+      auto started =
+          replication::ReplicationListener::Start(*store, repl_address);
+      if (!started.ok()) {
+        std::fprintf(stderr, "%s\n", started.status().ToString().c_str());
+        return 1;
+      }
+      listener = std::move(*started);
+      std::printf("primary: replication listener on %s\n",
+                  listener->address().ToString().c_str());
+      if (quorum > 0) {
+        persist::DurableStore::SemiSyncOptions semisync;
+        semisync.quorum = quorum;
+        store->SetSemiSync(semisync);
+        std::printf("primary: semi-sync commits, quorum=%d (degrades to "
+                    "async after %d ms)\n",
+                    quorum, semisync.timeout_ms);
       }
     }
   } else {
@@ -539,13 +485,6 @@ int main(int argc, char** argv) {
                           f.staleness_ms);
             }
           }
-        } else if (shipper != nullptr) {
-          std::printf("role: primary (shipping)\n");
-          std::printf("shipped: %llu frame(s), %.1f MB\n",
-                      static_cast<unsigned long long>(
-                          shipper->frames_shipped()),
-                      static_cast<double>(shipper->bytes_shipped()) / 1e6);
-          std::printf("link: %s\n", shipper->status().ToString().c_str());
         } else {
           std::printf("role: standalone (no --ship/--follow)\n");
         }
@@ -580,13 +519,15 @@ int main(int argc, char** argv) {
       } else if (line == "\\promote" || line.rfind("\\promote ", 0) == 0) {
         const std::string listen_addr =
             line.size() > 9 ? line.substr(9) : std::string();
+        Result<replication::SocketAddress> address =
+            listen_addr.empty() ? replication::SocketAddress{}
+                                : replication::ParseSocketAddress(listen_addr);
         if (replica == nullptr) {
-          std::printf("not a follower; start with --follow <path>\n");
+          std::printf("not a follower; start with --follow <addr>\n");
         } else if (replica->promoted()) {
           std::printf("already promoted\n");
-        } else if (!listen_addr.empty() &&
-                   !replication::LooksLikeSocketAddress(listen_addr)) {
-          std::printf("usage: \\promote [unix:<path> | tcp:<host>:<port>]\n");
+        } else if (!address.ok()) {
+          std::printf("error: %s\n", address.status().ToString().c_str());
         } else {
           auto s = replica->Promote();
           if (!s.ok()) {
@@ -599,22 +540,15 @@ int main(int argc, char** argv) {
             // With an address, the new primary immediately serves the
             // rest of the fleet — survivors \repoint here.
             if (!listen_addr.empty()) {
-              auto address = replication::ParseSocketAddress(listen_addr);
-              if (!address.ok()) {
+              auto started = replication::ReplicationListener::Start(
+                  replica->store(), *address);
+              if (!started.ok()) {
                 std::printf("error: %s\n",
-                            address.status().ToString().c_str());
+                            started.status().ToString().c_str());
               } else {
-                auto started = replication::ReplicationListener::Start(
-                    replica->store(), *address);
-                if (!started.ok()) {
-                  std::printf("error: %s\n",
-                              started.status().ToString().c_str());
-                } else {
-                  listener = std::move(*started);
-                  std::printf("promoted primary: replication listener "
-                              "on %s\n",
-                              listener->address().ToString().c_str());
-                }
+                listener = std::move(*started);
+                std::printf("promoted primary: replication listener on %s\n",
+                            listener->address().ToString().c_str());
               }
             }
           }
@@ -623,8 +557,6 @@ int main(int argc, char** argv) {
         const std::string target = line.substr(9);
         if (replica == nullptr) {
           std::printf("not a follower; start with --follow <addr>\n");
-        } else if (!replication::LooksLikeSocketAddress(target)) {
-          std::printf("usage: \\repoint unix:<path> | tcp:<host>:<port>\n");
         } else {
           auto address = replication::ParseSocketAddress(target);
           if (!address.ok()) {
@@ -632,11 +564,7 @@ int main(int argc, char** argv) {
             continue;
           }
           const uint64_t before = replica->rebootstraps();
-          auto s = replica->Repoint(*address);
-          if (!s.ok()) {
-            std::printf("error: %s\n", s.ToString().c_str());
-            continue;
-          }
+          replica->Repoint(*address);
           // Re-pointing always re-bootstraps (the old position means
           // nothing against a different primary's WAL); wait for the new
           // generation so the shell can rebind to its database.

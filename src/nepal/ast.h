@@ -94,9 +94,9 @@ enum class TemporalAgg { kNone, kFirstTime, kLastTime, kWhenExists };
 ///    runs at full PlanOptions::parallelism.
 ///  - kAnalyze (`EXPLAIN ANALYZE`): per-operator execution stats
 ///    (obs::QueryStats); runs at full parallelism.
-///  - kVerbose (`EXPLAIN VERBOSE`): adds the legacy backend string trace
-///    (operator/SQL lines); trace buffers are order-sensitive, so the run
-///    is forced serial (see storage/pathset.h).
+///  - kVerbose (`EXPLAIN VERBOSE`): kPlan plus the backend SQL of every
+///    plan operator (PathOperatorExecutor::ToSql), rendered from the plan
+///    that ran; runs at full parallelism and never serves a view.
 enum class ExplainMode { kNone, kPlan, kAnalyze, kVerbose };
 
 struct Query {

@@ -235,7 +235,7 @@ Result<QueryResult> QueryEngine::RunQuery(const Query& query) const {
 }
 
 Result<std::string> QueryEngine::Explain(const std::string& nql) const {
-  // `SERVE VIEW <name>` has no cold plan to trace — the one-line served
+  // `SERVE VIEW <name>` has no cold plan to render — the one-line served
   // plan is the whole story, so it explains under kPlan (which may serve)
   // rather than kVerbose (which never does).
   NEPAL_ASSIGN_OR_RETURN(std::optional<ViewDdl> ddl, ParseViewDdl(nql));
@@ -287,7 +287,7 @@ Result<QueryResult> QueryEngine::RunParsed(const Query& query,
   if (query.explain == ExplainMode::kPlan ||
       query.explain == ExplainMode::kVerbose) {
     capture.lines = &lines;
-    capture.trace = query.explain == ExplainMode::kVerbose;
+    capture.verbose = query.explain == ExplainMode::kVerbose;
   }
 
   // ---- Read routing ----
@@ -295,7 +295,7 @@ Result<QueryResult> QueryEngine::RunParsed(const Query& query,
   // the router pins the replica's commit epoch at decision time and the
   // query runs in snapshot mode there — it never observes state older than
   // the staleness bound, and never straddles replica apply batches. EXPLAIN
-  // stays on the primary (its plan/trace capture is the point), as do
+  // stays on the primary (its plan capture is the point), as do
   // queries the materialized-view provider might serve: the view cache is
   // primary-bound, and a provider-registered view *name* only resolves
   // through it.
@@ -421,13 +421,102 @@ struct VarState {
   bool has_rpe = false;
   /// Extra constraint from a named pathway view (resolved), if any.
   std::optional<RpeNode> view_rpe;
-  double structural_cost = -1;  // < 0: no structural anchor
+  /// The plan of `rpe`, built once: it costs the anchor, EXPLAIN prints
+  /// it and ExecuteMatch runs it. Unset without a structural anchor.
+  std::optional<MatchPlan> plan;
   bool evaluated = false;
   PathSet paths;
   /// Operator-stats group for this variable (null when not collected).
   /// Pre-created in declaration order so snapshots are deterministic even
   /// when variables evaluate as a parallel batch.
   obs::QueryStatsGroup* stats = nullptr;
+
+  /// Estimated anchor scan rows; < 0 when there is no structural anchor.
+  double structural_cost() const { return plan ? plan->total_cost : -1; }
+};
+
+/// EXPLAIN VERBOSE's SQL section for one plan: each operator's backend SQL
+/// under its plan step, in execution order — the anchor Select, the
+/// forwards (suffix) steps, then the backwards (reversed prefix) steps,
+/// descending into Union branches, repetition bodies and automaton
+/// transition atoms. TEMP tables are numbered in rendering order; every
+/// alternative of a step reads the step's input table. Renders nothing
+/// when the backend has no SQL form.
+class PlanSql {
+ public:
+  PlanSql(const storage::PathOperatorExecutor& exec, const TimeView& view)
+      : exec_(exec), view_(view) {}
+
+  std::vector<std::string> Render(const MatchPlan& plan) {
+    for (const AnchoredPlan& anchored : plan.anchors) {
+      lines_.push_back("Select " + anchored.anchor.ToString() + ":");
+      int table = Atom(anchored.anchor, storage::Direction::kOut, 0, "  ");
+      table = Steps(anchored.suffix, storage::Direction::kOut, table, "",
+                    "forwards ");
+      Steps(anchored.reversed_prefix, storage::Direction::kIn, table, "",
+            "backwards ");
+    }
+    if (!any_sql_) lines_.clear();
+    return std::move(lines_);
+  }
+
+ private:
+  /// One operator reading TEMP table `input` (0: the anchor Select);
+  /// returns the TEMP table it creates.
+  int Atom(const storage::CompiledAtom& atom, storage::Direction dir,
+           int input, const std::string& indent) {
+    const int output = ++temps_;
+    for (const std::string& sql :
+         exec_.ToSql(atom, dir, view_, input, output)) {
+      any_sql_ = true;
+      lines_.push_back(indent + sql);
+    }
+    return output;
+  }
+
+  /// Each step's header with its operators beneath; returns the TEMP
+  /// table the program's last operator creates.
+  int Steps(const Program& program, storage::Direction dir, int input,
+            const std::string& indent, const std::string& label) {
+    for (const Step& step : program) {
+      lines_.push_back(indent + label + step.ToString() + ":");
+      const std::string inner = indent + "  ";
+      const int step_input = input;
+      switch (step.kind) {
+        case Step::Kind::kAtom:
+          input = Atom(step.atom, dir, step_input, inner);
+          break;
+        case Step::Kind::kUnion:
+          for (const Program& branch : step.branches) {
+            input = Steps(branch, dir, step_input, inner, "");
+          }
+          break;
+        case Step::Kind::kLoop:
+          input = Steps(step.body, dir, step_input, inner, "");
+          break;
+        case Step::Kind::kAutomaton: {
+          // RunAutomaton extends a path once per distinct transition atom.
+          if (step.nfa == nullptr) break;
+          std::set<std::string> seen;
+          for (const auto& transitions : step.nfa->states) {
+            for (const NfaTransition& tr : transitions) {
+              if (seen.insert(tr.atom.ToString()).second) {
+                input = Atom(tr.atom, dir, step_input, inner);
+              }
+            }
+          }
+          break;
+        }
+      }
+    }
+    return input;
+  }
+
+  const storage::PathOperatorExecutor& exec_;
+  const TimeView& view_;
+  std::vector<std::string> lines_;
+  int temps_ = 0;
+  bool any_sql_ = false;
 };
 
 /// True when the expression is a bare source()/target() endpoint reference
@@ -482,12 +571,12 @@ Result<QueryResult> QueryEngine::RunInternal(
   // freshness epoch, so every other clause (compare predicates, EXISTS
   // subqueries, Select expressions) evaluates at exactly the epoch the
   // cached rows are exact at — the result is byte-identical to cold
-  // evaluation there. EXPLAIN VERBOSE always runs cold (its serial
-  // executor trace is the point); EXPLAIN / EXPLAIN ANALYZE may serve and
+  // evaluation there. EXPLAIN VERBOSE always runs cold (the SQL of its
+  // plan operators is the point); EXPLAIN / EXPLAIN ANALYZE may serve and
   // report a one-line ServeView plan.
   std::optional<ServedView> served;
   if (view_provider_ != nullptr && !locks_held && outer_epochs == nullptr &&
-      !capture.trace && query.range_vars.size() == 1) {
+      !capture.verbose && query.range_vars.size() == 1) {
     const RangeVarDecl& decl = query.range_vars[0];
     Result<storage::GraphDb*> src = SourceFor(decl, run_db);
     const std::optional<TimeSpec>& spec =
@@ -530,12 +619,11 @@ Result<QueryResult> QueryEngine::RunInternal(
   // ---- Snapshot mode ----
   // A subquery whose parent evaluated in snapshot mode inherits the
   // parent's pinned epochs (it holds no locks to fall back on). A
-  // top-level call enters snapshot mode when enabled, except under
-  // EXPLAIN / EXPLAIN VERBOSE whose serial plan/trace capture goes through
-  // the raw backend.
+  // top-level call enters snapshot mode when enabled — EXPLAIN modes
+  // included, so they explain the read mode they would run in.
   const bool snapshot_mode =
       served.has_value() || outer_epochs != nullptr ||
-      (!locks_held && options_.snapshot_reads && capture.lines == nullptr);
+      (!locks_held && options_.snapshot_reads);
   std::map<storage::GraphDb*, uint64_t> epoch_map;
   const std::map<storage::GraphDb*, uint64_t>* epochs = outer_epochs;
   if (snapshot_mode && epochs == nullptr) {
@@ -598,10 +686,6 @@ Result<QueryResult> QueryEngine::RunInternal(
       vars[i].backend = &vars[i].db->backend();
     }
     vars[i].exec = vars[i].backend->CreateExecutor();
-    // Only EXPLAIN VERBOSE turns the legacy string trace on (and thereby
-    // forces serial evaluation); EXPLAIN and EXPLAIN ANALYZE rely on the
-    // structured stats and keep full parallelism.
-    if (explain != nullptr && capture.trace) vars[i].exec->EnableTrace(true);
     if (stats != nullptr) {
       vars[i].stats = stats->AddGroup("var " + decl.name);
     }
@@ -699,12 +783,15 @@ Result<QueryResult> QueryEngine::RunInternal(
     obs::MetricsRegistry::Global().GetCounter("nepal.views.served")->Add(1);
   }
 
-  // ---- Structural anchor costs ----
+  // ---- Structural anchor plans ----
+  // Each variable's RPE is planned exactly once per query: the plan costs
+  // the structural anchor here, and is the one EXPLAIN prints and
+  // ExecuteMatch runs.
   for (VarState& vs : vars) {
     if (vs.evaluated) continue;
     Result<MatchPlan> plan = PlanMatch(vs.rpe, *vs.backend,
                                        options_.plan, vs.view);
-    vs.structural_cost = plan.ok() ? plan->total_cost : -1;
+    if (plan.ok()) vs.plan = std::move(*plan);
   }
 
   // Looks for an equality predicate that can seed `vi`'s anchor from an
@@ -811,7 +898,7 @@ Result<QueryResult> QueryEngine::RunInternal(
     if (effective_parallelism > 1 && explain == nullptr) {
       std::vector<size_t> batch;
       for (size_t i = 0; i < vars.size(); ++i) {
-        if (vars[i].evaluated || vars[i].structural_cost < 0) continue;
+        if (vars[i].evaluated || !vars[i].plan) continue;
         std::vector<Uid> seeds;
         SeedSide side;
         if (find_seed(i, &seeds, &side)) continue;
@@ -821,8 +908,8 @@ Result<QueryResult> QueryEngine::RunInternal(
         // Deterministic evaluation order: cheapest first, index breaking
         // ties — the same order the serial loop would have produced.
         std::sort(batch.begin(), batch.end(), [&](size_t a, size_t b) {
-          if (vars[a].structural_cost != vars[b].structural_cost) {
-            return vars[a].structural_cost < vars[b].structural_cost;
+          if (vars[a].structural_cost() != vars[b].structural_cost()) {
+            return vars[a].structural_cost() < vars[b].structural_cost();
           }
           return a < b;
         });
@@ -833,13 +920,8 @@ Result<QueryResult> QueryEngine::RunInternal(
           VarState& vs = vars[batch[k]];
           Status& status = statuses[k];
           tasks.push_back([this, &vs, &status, &finish_var] {
-            auto paths = EvaluateMatch(*vs.exec, *vs.backend, vs.rpe,
-                                       vs.view, options_.plan, vs.stats);
-            if (!paths.ok()) {
-              status = paths.status();
-              return;
-            }
-            vs.paths = *std::move(paths);
+            vs.paths = ExecuteMatch(*vs.exec, *vs.plan, vs.view,
+                                    options_.plan, vs.stats);
             status = finish_var(vs);
           });
         }
@@ -848,7 +930,9 @@ Result<QueryResult> QueryEngine::RunInternal(
         for (size_t vi : batch) {
           vars[vi].evaluated = true;
           eval_order.push_back(vi);
-          if (stats != nullptr) stats->AddPlanCost(vars[vi].structural_cost);
+          if (stats != nullptr) {
+            stats->AddPlanCost(vars[vi].structural_cost());
+          }
         }
         remaining -= batch.size();
         continue;
@@ -866,7 +950,7 @@ Result<QueryResult> QueryEngine::RunInternal(
       bool seedable = find_seed(i, &seeds, &side);
       double cost = -1;
       bool seeded = false;
-      if (vars[i].structural_cost >= 0) cost = vars[i].structural_cost;
+      if (vars[i].plan) cost = vars[i].structural_cost();
       if (seedable &&
           (cost < 0 || static_cast<double>(seeds.size()) < cost)) {
         cost = static_cast<double>(seeds.size());
@@ -902,15 +986,12 @@ Result<QueryResult> QueryEngine::RunInternal(
                                      options_.plan, vs.stats);
     } else {
       if (explain != nullptr) {
-        NEPAL_ASSIGN_OR_RETURN(MatchPlan plan,
-                               PlanMatch(vs.rpe, *vs.backend,
-                                         options_.plan, vs.view));
-        explain->push_back("var " + vs.decl->name + ":\n" + plan.ToString());
+        explain->push_back("var " + vs.decl->name + ":\n" +
+                           vs.plan->ToString());
       }
-      NEPAL_ASSIGN_OR_RETURN(vs.paths,
-                             EvaluateMatch(*vs.exec, *vs.backend, vs.rpe,
-                                           vs.view, options_.plan, vs.stats));
-      if (stats != nullptr) stats->AddPlanCost(vs.structural_cost);
+      vs.paths = ExecuteMatch(*vs.exec, *vs.plan, vs.view, options_.plan,
+                              vs.stats);
+      if (stats != nullptr) stats->AddPlanCost(vs.structural_cost());
     }
     NEPAL_RETURN_NOT_OK(finish_var(vs));
     vs.evaluated = true;
@@ -919,10 +1000,12 @@ Result<QueryResult> QueryEngine::RunInternal(
     if (explain != nullptr) {
       explain->push_back("var " + vs.decl->name + ": " +
                          std::to_string(vs.paths.size()) + " pathway(s)");
-      for (const std::string& line : vs.exec->trace()) {
-        explain->push_back("  " + line);
+      if (capture.verbose && !best_seeded) {
+        for (const std::string& line :
+             PlanSql(*vs.exec, vs.view).Render(*vs.plan)) {
+          explain->push_back("  " + line);
+        }
       }
-      vs.exec->ClearTrace();
     }
   }
 

@@ -89,9 +89,8 @@ struct EngineOptions {
   /// read still takes the lock briefly, but writers interleave between
   /// operator calls instead of waiting out the whole query, so batched
   /// ingest and long analytical reads stop serializing each other. Results
-  /// match a fully-locked read at capture time. EXPLAIN / EXPLAIN VERBOSE
-  /// fall back to locked evaluation (their serial trace bypasses the
-  /// decorators); EXPLAIN ANALYZE runs in snapshot mode. Off by default:
+  /// match a fully-locked read at capture time. Every EXPLAIN mode runs in
+  /// the read mode it explains, snapshot included. Off by default:
   /// an insert+delete at the same transaction instant collapses to "never
   /// existed" in the version store, which a snapshot pinned between the
   /// two epochs cannot reproduce — enable when writers always advance time
@@ -146,18 +145,16 @@ class QueryEngine {
   EngineOptions& options() { return options_; }
 
   /// Parses and runs an NQL query. An `EXPLAIN [ANALYZE|VERBOSE]` prefix
-  /// returns the plan / per-operator stats / backend trace as
+  /// returns the plan / per-operator stats / plan plus backend SQL as
   /// QueryResult::explain_text (see ExplainMode in ast.h).
   Result<QueryResult> Run(const std::string& nql) const;
 
   /// Runs a pre-built AST (programmatic clients, subqueries).
   Result<QueryResult> RunQuery(const Query& query) const;
 
-  /// Parses and plans the query, returning the anchor choices, per-variable
-  /// programs, and (for the relational backend) the generated SQL.
-  /// Equivalent to Run("EXPLAIN VERBOSE " + nql): the run is serial (the
-  /// string trace is order-sensitive) — prefer EXPLAIN ANALYZE for runtime
-  /// numbers under parallelism.
+  /// Run("EXPLAIN VERBOSE " + nql): the anchor choices and programs of the
+  /// plans that ran, plus (relational backend) each plan operator's SQL,
+  /// rendered from those plans at any parallelism and read mode.
   Result<std::string> Explain(const std::string& nql) const;
 
   /// Per-operator stats of the most recent successful top-level query run
@@ -182,11 +179,11 @@ class QueryEngine {
   using OuterEnv = std::map<std::string, OuterBinding>;
 
   /// Plan-line capture for EXPLAIN modes. `lines` collects the per-variable
-  /// plan text; `trace` additionally turns on the executors' legacy string
-  /// trace (EXPLAIN VERBOSE only — forces serial evaluation).
+  /// plan text; `verbose` (EXPLAIN VERBOSE) adds the backend SQL of every
+  /// plan operator and keeps the query off the materialized-view cache.
   struct ExplainCapture {
     std::vector<std::string>* lines = nullptr;
-    bool trace = false;
+    bool verbose = false;
   };
 
   /// Top-level entry shared by Run/RunQuery/Explain: routes the explain

@@ -44,16 +44,9 @@ struct ParallelContext {
   bool enabled() const { return pool != nullptr && parallelism > 1; }
 };
 
-ParallelContext ContextFor(const storage::PathOperatorExecutor& exec,
-                           const PlanOptions& options) {
+ParallelContext ContextFor(const PlanOptions& options) {
   ParallelContext ctx;
   ctx.parallelism = EffectiveParallelism(options);
-  // The legacy string trace (EXPLAIN VERBOSE) appends to a shared
-  // per-executor buffer; keep traced runs serial so the rendered
-  // operator/SQL sequence stays coherent. Structured stats (EXPLAIN /
-  // EXPLAIN ANALYZE) merge associatively and put no such restriction on
-  // parallelism.
-  if (exec.trace_enabled()) ctx.parallelism = 1;
   if (ctx.parallelism > 1) ctx.pool = &common::ThreadPool::Shared();
   return ctx;
 }
@@ -510,14 +503,12 @@ PathSet RecordedCall(obs::QueryStatsGroup* stats, int op_id, size_t rows_in,
   return out;
 }
 
-/// One anchored plan, end to end: Select the anchor, grow the suffix
-/// forwards, then the prefix backwards over the reversed states.
-PathSet RunAnchoredPlan(storage::PathOperatorExecutor& exec,
-                        const AnchoredPlan& anchored, const TimeView& view,
-                        const ParallelContext& ctx, const AnchorOpIds& ids) {
-  PathSet current = RecordedCall(ctx.stats, ids.select, 0, [&] {
-    return exec.Select(anchored.anchor, view);
-  });
+/// The seeds-in half of an anchored plan: grow the suffix forwards, then
+/// the prefix backwards over the reversed states.
+PathSet RunFromSeeds(storage::PathOperatorExecutor& exec,
+                     const AnchoredPlan& anchored, PathSet current,
+                     const TimeView& view, const ParallelContext& ctx,
+                     const AnchorOpIds& ids) {
   current = RunProgramCtx(exec, anchored.suffix, std::move(current),
                           Direction::kOut, view, ctx);
   size_t in = current.size();
@@ -535,12 +526,23 @@ PathSet RunAnchoredPlan(storage::PathOperatorExecutor& exec,
   return current;
 }
 
+/// One anchored plan, end to end: Select the anchor, then RunFromSeeds.
+PathSet RunAnchoredPlan(storage::PathOperatorExecutor& exec,
+                        const AnchoredPlan& anchored, const TimeView& view,
+                        const ParallelContext& ctx, const AnchorOpIds& ids) {
+  PathSet current = RecordedCall(ctx.stats, ids.select, 0, [&] {
+    return exec.Select(anchored.anchor, view);
+  });
+  return RunFromSeeds(exec, anchored, std::move(current), view, ctx, ids);
+}
+
 }  // namespace
 
-PathSet RunProgram(storage::PathOperatorExecutor& exec, const Program& program,
-                   PathSet frontier, Direction dir, const TimeView& view) {
-  return RunProgramCtx(exec, program, std::move(frontier), dir, view,
-                       ParallelContext{});
+PathSet RunAnchoredFrom(storage::PathOperatorExecutor& exec,
+                        const AnchoredPlan& anchored, PathSet seeds,
+                        const TimeView& view) {
+  return RunFromSeeds(exec, anchored, std::move(seeds), view,
+                      ParallelContext{}, AnchorOpIds{});
 }
 
 Result<PathSet> EvaluateMatch(storage::PathOperatorExecutor& exec,
@@ -551,12 +553,18 @@ Result<PathSet> EvaluateMatch(storage::PathOperatorExecutor& exec,
                               obs::QueryStatsGroup* stats) {
   NEPAL_ASSIGN_OR_RETURN(MatchPlan plan,
                          PlanMatch(resolved_rpe, backend, options, view));
-  ParallelContext ctx = ContextFor(exec, options);
+  return ExecuteMatch(exec, plan, view, options, stats);
+}
+
+PathSet ExecuteMatch(storage::PathOperatorExecutor& exec, MatchPlan& plan,
+                     const TimeView& view, const PlanOptions& options,
+                     obs::QueryStatsGroup* stats) {
+  ParallelContext ctx = ContextFor(options);
   ctx.stats = stats;
 
-  // Register every operator node up front — ids live in this call's own
-  // MatchPlan, and registration must be sequenced before any (possibly
-  // concurrent) recording.
+  // Register every operator node up front — ids live in the plan's steps,
+  // and registration must be sequenced before any (possibly concurrent)
+  // recording.
   std::vector<AnchorOpIds> ids(plan.anchors.size());
   int merge_id = -1;
   if (stats != nullptr) {
@@ -648,7 +656,7 @@ PathSet EvaluateMatchSeeded(storage::PathOperatorExecutor& exec,
     final_est = AnnotateProgram(&program, static_cast<double>(seeds.size()),
                                 dir, &st, est, &work);
   }
-  ParallelContext ctx = ContextFor(exec, options);
+  ParallelContext ctx = ContextFor(options);
   ctx.stats = stats;
   int select_id = -1, finalize_id = -1, merge_id = -1;
   if (stats != nullptr) {

@@ -10,22 +10,30 @@
 
 namespace nepal::nql {
 
-/// Runs `program` over `frontier`, growing every path at its tail.
-/// kOut follows edge direction, kIn runs against it (prefix side).
-storage::PathSet RunProgram(storage::PathOperatorExecutor& exec,
-                            const Program& program,
-                            storage::PathSet frontier, storage::Direction dir,
-                            const storage::TimeView& view);
+/// The seeds-in half of one anchored plan, exactly as ExecuteMatch runs
+/// it: grows anchor states (any subset of what its Select returns) through
+/// the suffix, then the reversed prefix, finalizing both ends. Serial.
+storage::PathSet RunAnchoredFrom(storage::PathOperatorExecutor& exec,
+                                 const AnchoredPlan& anchored,
+                                 storage::PathSet seeds,
+                                 const storage::TimeView& view);
 
-/// Full evaluation of one MATCHES predicate: plan, Select each anchor,
-/// extend forwards/backwards, finalize both ends. Returns canonical
-/// (source-to-target ordered) completed paths, deduplicated.
+/// Evaluates a planned MATCHES predicate: Select each anchor, extend
+/// forwards/backwards, finalize both ends, merge. Returns canonical
+/// (source-to-target ordered) completed paths, deduplicated. The plan a
+/// caller costed or explained is the one that runs.
 ///
 /// When `stats` is non-null, the evaluation registers one operator node
-/// per Select/Extend/ExtendBlock/Union/Loop step and records rows_in /
-/// rows_out / dedup_dropped / shards / wall_ns samples into it; recording
-/// is associative (see obs/query_stats.h), so it works under any
-/// PlanOptions::parallelism.
+/// per Select/Extend/ExtendBlock/Union/Loop step (writing the op ids into
+/// `plan`'s steps) and records rows_in / rows_out / dedup_dropped / shards
+/// / wall_ns samples into it; recording is associative (see
+/// obs/query_stats.h), so it works under any PlanOptions::parallelism.
+storage::PathSet ExecuteMatch(storage::PathOperatorExecutor& exec,
+                              MatchPlan& plan, const storage::TimeView& view,
+                              const PlanOptions& options,
+                              obs::QueryStatsGroup* stats = nullptr);
+
+/// PlanMatch followed by ExecuteMatch.
 Result<storage::PathSet> EvaluateMatch(storage::PathOperatorExecutor& exec,
                                        const storage::StorageBackend& backend,
                                        const RpeNode& resolved_rpe,

@@ -51,6 +51,13 @@ class LockedExecutor final : public storage::PathOperatorExecutor {
       const storage::TimeView& view) override;
   storage::PathSet FinalizeTail(const storage::PathSet& frontier,
                                 const storage::TimeView& view) override;
+  /// Rendering reads only the schema, so it takes no lock.
+  std::vector<std::string> ToSql(const storage::CompiledAtom& atom,
+                                 storage::Direction dir,
+                                 const storage::TimeView& view, int input,
+                                 int output) const override {
+    return inner_->ToSql(atom, dir, view, input, output);
+  }
 
  private:
   storage::GraphDb* db_;

@@ -20,9 +20,7 @@ std::string TableRef(const Table& table, const TimeView& view) {
                               : table.sql_name();
 }
 
-}  // namespace
-
-std::string SqlBulkExecutor::ViewSql(const TimeView& view) const {
+std::string ViewSql(const TimeView& view) {
   switch (view.kind()) {
     case TimeView::Kind::kCurrent:
       return "";
@@ -37,6 +35,8 @@ std::string SqlBulkExecutor::ViewSql(const TimeView& view) const {
   return "";
 }
 
+}  // namespace
+
 SqlBulkExecutor::FrontierIndex SqlBulkExecutor::BuildFrontierIndex(
     const PathSet& frontier) {
   FrontierIndex index;
@@ -49,29 +49,8 @@ SqlBulkExecutor::FrontierIndex SqlBulkExecutor::BuildFrontierIndex(
 
 PathSet SqlBulkExecutor::Select(const CompiledAtom& atom,
                                 const TimeView& view) {
-  int temp = NextTempId();
-  storage::ScanSpec spec = atom.ToScanSpec();
-  if (trace_enabled_) {
-    std::string sql = "create TEMP table tmp_select_" + std::to_string(temp) +
-                      " as (select ARRAY[H.id_] as uid_list, ARRAY[cast('" +
-                      atom.cls->name() +
-                      "' as text)] as concept_list, H.id_ as curr_uid from ";
-    std::string preds;
-    for (const storage::FieldCondition& cond : atom.conditions) {
-      preds += " AND H." + cond.ToString();
-    }
-    bool first = true;
-    std::string body;
-    for (const Table* table :
-         store_->SubtreeTables(atom.cls, /*history=*/false)) {
-      if (!first) body += " UNION ALL select ... from ";
-      body += TableRef(*table, view);
-      first = false;
-    }
-    Trace(sql + body + " H where true" + preds + ViewSql(view) + ");");
-  }
   PathSet out;
-  store_->Scan(spec, view, [&](const ElementVersion& v) {
+  store_->Scan(atom.ToScanSpec(), view, [&](const ElementVersion& v) {
     PathState state;
     state.uids.push_back(v.uid);
     state.concepts.push_back(v.cls);
@@ -95,8 +74,6 @@ PathSet SqlBulkExecutor::Select(const CompiledAtom& atom,
 PathSet SqlBulkExecutor::SelectSeeds(const std::vector<Uid>& nodes,
                                      const TimeView& view) {
   (void)view;
-  Trace("create TEMP table tmp_seeds as (select unnest(...) as curr_uid); -- " +
-        std::to_string(nodes.size()) + " imported anchor uids");
   PathSet out;
   out.reserve(nodes.size());
   for (Uid uid : nodes) {
@@ -137,7 +114,6 @@ void SqlBulkExecutor::EdgeJoin(const PathSet& frontier,
                                const TimeView& view, PathSet* out) {
   FrontierIndex index = BuildFrontierIndex(frontier);
   const bool forward = dir == Direction::kOut;
-  int temp = NextTempId();
 
   auto join_row = [&](const ElementVersion& raw) {
     if (!atom.Matches(raw)) return;
@@ -167,14 +143,11 @@ void SqlBulkExecutor::EdgeJoin(const PathSet& frontier,
     tables.insert(tables.end(), hist.begin(), hist.end());
   }
   for (const Table* table : tables) {
-    const char* strategy;
     if (table->row_count() <= frontier.size()) {
       // Hash join: build over the frontier, probe with the stored rows.
-      strategy = "hash join (build: frontier)";
       table->ScanAll(join_row);
     } else {
       // Index join: probe the source/target hash index per frontier uid.
-      strategy = "index join (probe: edge index)";
       for (const auto& [uid, states] : index) {
         if (forward) {
           table->ForEachBySource(uid, join_row);
@@ -182,21 +155,6 @@ void SqlBulkExecutor::EdgeJoin(const PathSet& frontier,
           table->ForEachByTarget(uid, join_row);
         }
       }
-    }
-    if (trace_enabled_) {
-      std::string join_col = forward ? "H.source_id_" : "H.target_id_";
-      std::string far_col = forward ? "H.target_id_" : "H.source_id_";
-      Trace("create TEMP table tmp_extend_" + std::to_string(temp) +
-            " as (select T.uid_list || ARRAY[H.id_] as uid_list, "
-            "T.concept_list || ARRAY[cast('" +
-            table->cls()->name() + "' as text)] as concept_list, " + far_col +
-            " as curr_uid from " + TableRef(*table, view) + " H, tmp_" +
-            std::to_string(temp - 1) + " T where " + join_col +
-            " = T.curr_uid AND NOT H.id_ = ANY(T.uid_list) AND NOT " +
-            far_col + " = ANY(T.uid_list)" + ViewSql(view) + ");  -- " +
-            strategy + ", " + std::to_string(table->row_count()) +
-            " stored rows vs " + std::to_string(frontier.size()) +
-            " frontier paths");
     }
   }
 }
@@ -230,11 +188,6 @@ PathSet SqlBulkExecutor::ExtendAtom(const PathSet& frontier,
   EdgeJoin(in_path, any_edge, dir, view, &after_edge);
   // Node join: probe the uid registry / id index of the atom's subtree.
   PathSet node_joined = MaterializeFrontiers(after_edge, view, &atom);
-  if (trace_enabled_) {
-    Trace("-- node join: " + std::to_string(after_edge.size()) +
-          " candidate paths joined against " + atom.ToString() + " -> " +
-          std::to_string(node_joined.size()) + " paths");
-  }
   out.insert(out.end(), node_joined.begin(), node_joined.end());
   return out;
 }
@@ -242,6 +195,55 @@ PathSet SqlBulkExecutor::ExtendAtom(const PathSet& frontier,
 PathSet SqlBulkExecutor::FinalizeTail(const PathSet& frontier,
                                       const TimeView& view) {
   return MaterializeFrontiers(frontier, view, nullptr);
+}
+
+std::vector<std::string> SqlBulkExecutor::ToSql(const CompiledAtom& atom,
+                                                Direction dir,
+                                                const TimeView& view,
+                                                int input, int output) const {
+  std::string preds;
+  for (const storage::FieldCondition& cond : atom.conditions) {
+    preds += " AND H." + cond.ToString();
+  }
+  const std::string create =
+      "create TEMP table tmp_" + std::to_string(output) + " as (";
+  const std::vector<const Table*> tables =
+      store_->SubtreeTables(atom.cls, /*history=*/false);
+  if (input == 0) {
+    // Select: one scan over the atom's subtree tables.
+    std::string from;
+    for (const Table* table : tables) {
+      if (!from.empty()) from += " UNION ALL select ... from ";
+      from += TableRef(*table, view);
+    }
+    return {create + "select ARRAY[H.id_] as uid_list, ARRAY[cast('" +
+            atom.cls->name() +
+            "' as text)] as concept_list, H.id_ as curr_uid from " + from +
+            " H where true" + preds + ViewSql(view) + ");"};
+  }
+  // Extend: a navigation join of the input paths against each subtree
+  // table. Edge tables join on the near endpoint and move the frontier to
+  // the far one; node tables join on the frontier node itself.
+  const bool forward = dir == Direction::kOut;
+  const std::string near =
+      !atom.is_edge() ? "H.id_" : forward ? "H.source_id_" : "H.target_id_";
+  const std::string far =
+      !atom.is_edge() ? "H.id_" : forward ? "H.target_id_" : "H.source_id_";
+  std::vector<std::string> sql;
+  for (const Table* table : tables) {
+    std::string line =
+        (sql.empty() ? create : "  UNION ALL ") +
+        "select T.uid_list || ARRAY[H.id_] as uid_list, "
+        "T.concept_list || ARRAY[cast('" +
+        table->cls()->name() + "' as text)] as concept_list, " + far +
+        " as curr_uid from " + TableRef(*table, view) + " H, tmp_" +
+        std::to_string(input) + " T where " + near +
+        " = T.curr_uid AND NOT H.id_ = ANY(T.uid_list)";
+    if (atom.is_edge()) line += " AND NOT " + far + " = ANY(T.uid_list)";
+    sql.push_back(line + preds + ViewSql(view));
+  }
+  sql.back() += ");";
+  return sql;
 }
 
 }  // namespace nepal::relational

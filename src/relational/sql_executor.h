@@ -4,7 +4,7 @@
 // the paper's PostgreSQL target does: every operator materializes a TEMP
 // table of paths (uid_list, concept_list, curr_uid) and the Extend operators
 // are navigation joins against the edge/node tables of the atom's class
-// subtree. When tracing is enabled each operator renders the equivalent SQL
+// subtree. ToSql renders each plan operator as the equivalent SQL
 // (matching the generated-query examples of the paper's Section 5.2).
 //
 // Join strategy per table: when the stored table is smaller than the
@@ -15,7 +15,7 @@
 #ifndef NEPAL_RELATIONAL_SQL_EXECUTOR_H_
 #define NEPAL_RELATIONAL_SQL_EXECUTOR_H_
 
-#include <atomic>
+#include <string>
 #include <unordered_map>
 #include <vector>
 
@@ -38,6 +38,10 @@ class SqlBulkExecutor : public storage::PathOperatorExecutor {
                               const storage::TimeView& view) override;
   storage::PathSet FinalizeTail(const storage::PathSet& frontier,
                                 const storage::TimeView& view) override;
+  std::vector<std::string> ToSql(const storage::CompiledAtom& atom,
+                                 storage::Direction dir,
+                                 const storage::TimeView& view, int input,
+                                 int output) const override;
 
  private:
   using FrontierIndex = std::unordered_map<Uid, std::vector<size_t>>;
@@ -57,13 +61,7 @@ class SqlBulkExecutor : public storage::PathOperatorExecutor {
                 const storage::CompiledAtom& atom, storage::Direction dir,
                 const storage::TimeView& view, storage::PathSet* out);
 
-  // Atomic: operator calls run concurrently under the parallel executor and
-  // every one draws a TEMP-table id, trace on or off.
-  int NextTempId() { return temp_counter_.fetch_add(1) + 1; }
-  std::string ViewSql(const storage::TimeView& view) const;
-
   const RelationalStore* store_;
-  std::atomic<int> temp_counter_{0};
 };
 
 }  // namespace nepal::relational

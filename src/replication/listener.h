@@ -1,8 +1,8 @@
 // ReplicationListener: the primary side of the replication fleet.
 //
-// Where WalShipper pumps ONE pre-connected descriptor, the listener binds
-// a socket address (unix:<path> or tcp:<host>:<port>) and serves any
-// number of concurrent followers, each on its own session thread:
+// The listener binds a socket address (unix:<path> or tcp:<host>:<port>)
+// and serves any number of concurrent followers (ReplicaStore::Connect),
+// each on its own session thread:
 //
 //   1. The follower opens with an NPLSHP02 hello carrying its name and
 //      last applied position (segment, records-within-segment).
@@ -11,7 +11,7 @@
 //      only the missing tail — no checkpoint image re-ship. If the
 //      segment was pruned (or the position is implausible), it answers
 //      "bootstrap" with a full v1 hello block instead.
-//   3. Frames then flow exactly as on the v1 wire; the follower sends an
+//   3. Frames then flow as v1 frame blocks (wire.h); the follower sends an
 //      ack (tag 0x04) after every batch it applies.
 //
 // Acks close the loop for semi-sync commit: each session registers itself

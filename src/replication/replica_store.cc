@@ -56,11 +56,8 @@ void InterruptibleSleep(const std::atomic<bool>& stop, int total_ms) {
 }  // namespace
 
 ReplicaStore::ReplicaStore(std::unique_ptr<persist::DurableStore> store,
-                           std::unique_ptr<ReplicationTransport> transport,
-                           ReplicaOptions options)
-    : store_(std::move(store)),
-      transport_(std::move(transport)),
-      options_(options) {
+                           ConnectOptions options)
+    : store_(std::move(store)), options_(std::move(options)) {
   store_ptr_.store(store_.get(), std::memory_order_release);
   db_ptr_.store(&store_->db(), std::memory_order_release);
   auto& reg = obs::MetricsRegistry::Global();
@@ -100,26 +97,6 @@ Result<std::unique_ptr<persist::DurableStore>> ReplicaStore::BootstrapGeneration
   }
   store->db().set_read_only(true);
   return store;
-}
-
-Result<std::unique_ptr<ReplicaStore>> ReplicaStore::Open(
-    std::string dir, schema::SchemaPtr schema,
-    const persist::BackendFactory& factory,
-    std::unique_ptr<ReplicationTransport> transport, ReplicaOptions options) {
-  NEPAL_ASSIGN_OR_RETURN(ReplicationHello hello, transport->Handshake());
-  wire::HelloV1 v1;
-  v1.checkpoint_image = std::move(hello.checkpoint_image);
-  v1.start_seq = hello.start_seq;
-  NEPAL_ASSIGN_OR_RETURN(
-      std::unique_ptr<persist::DurableStore> store,
-      BootstrapGeneration(dir, schema, factory, options.durable, v1));
-
-  auto replica = std::unique_ptr<ReplicaStore>(new ReplicaStore(
-      std::move(store), std::move(transport), options));
-  replica->dir_ = std::move(dir);
-  replica->drain_.Start(
-      [r = replica.get()](const std::atomic<bool>& stop) { r->Run(stop); });
-  return replica;
 }
 
 Result<std::unique_ptr<ReplicaStore>> ReplicaStore::Connect(
@@ -172,12 +149,11 @@ Result<std::unique_ptr<ReplicaStore>> ReplicaStore::Connect(
       BootstrapGeneration(dir, schema, factory, options.replica.durable,
                           hello));
 
-  auto replica = std::unique_ptr<ReplicaStore>(new ReplicaStore(
-      std::move(store), nullptr, options.replica));
+  auto replica = std::unique_ptr<ReplicaStore>(
+      new ReplicaStore(std::move(store), std::move(options)));
   replica->dir_ = std::move(dir);
   replica->schema_ = std::move(schema);
   replica->factory_ = factory;
-  replica->connect_options_ = options;
   replica->address_ = address;
   replica->pending_fd_ = std::move(fd);
   replica->pos_seq_ = hello.start_seq;
@@ -238,49 +214,8 @@ Status ReplicaStore::ApplyFrameBatch(
   return Status::OK();
 }
 
-void ReplicaStore::Run(const std::atomic<bool>& stop) {
-  // This thread is the only writer a read-only replica admits.
-  storage::GraphDb::ReplayScope replay(store_->db());
-  Status status;
-  while (!stop.load(std::memory_order_acquire)) {
-    persist::WalShipFrame frame;
-    Result<bool> got = transport_->Next(
-        &frame, std::chrono::milliseconds(options_.poll_interval_ms));
-    if (!got.ok()) {
-      status = got.status();
-      break;
-    }
-    if (!*got) {
-      // Connected and idle: the replica is caught up with the stream.
-      TouchProgress();
-      continue;
-    }
-
-    // Re-batch: a group the primary committed together (or a catch-up
-    // burst) usually has its remaining frames already buffered. Drain them
-    // without blocking and apply everything as one ApplyBatch — one writer
-    // lock, one commit epoch, one fsync on the follower's own WAL.
-    std::vector<persist::WalShipFrame> frames;
-    frames.push_back(std::move(frame));
-    while (frames.size() < kMaxApplyBatch) {
-      persist::WalShipFrame extra;
-      Result<bool> more =
-          transport_->Next(&extra, std::chrono::milliseconds(0));
-      if (!more.ok() || !*more) break;  // stream errors resurface next loop
-      frames.push_back(std::move(extra));
-    }
-    status = ApplyFrameBatch(store_->db(), frames);
-    if (!status.ok()) break;
-  }
-  if (!status.ok() && status.code() != StatusCode::kUnavailable) {
-    fatal_.store(true, std::memory_order_release);
-  }
-  std::lock_guard<std::mutex> lock(mu_);
-  status_ = status;
-}
-
 void ReplicaStore::ConnectLoop(const std::atomic<bool>& stop) {
-  int backoff_ms = connect_options_.reconnect_initial_backoff_ms;
+  int backoff_ms = options_.reconnect_initial_backoff_ms;
   bool initial_session = true;
   while (!stop.load(std::memory_order_acquire)) {
     OwnedFd fd;
@@ -295,7 +230,7 @@ void ReplicaStore::ConnectLoop(const std::atomic<bool>& stop) {
       }
       Result<OwnedFd> conn = ConnectWithDeadline(
           address,
-          std::chrono::milliseconds(connect_options_.connect_timeout_ms));
+          std::chrono::milliseconds(options_.connect_timeout_ms));
       Status session = conn.ok() ? HandshakeFollower(conn->get())
                                  : conn.status();
       if (!session.ok()) {
@@ -310,7 +245,7 @@ void ReplicaStore::ConnectLoop(const std::atomic<bool>& stop) {
         }
         InterruptibleSleep(stop, backoff_ms);
         backoff_ms = std::min(backoff_ms * 2,
-                              connect_options_.reconnect_max_backoff_ms);
+                              options_.reconnect_max_backoff_ms);
         continue;
       }
       fd = std::move(*conn);
@@ -320,7 +255,7 @@ void ReplicaStore::ConnectLoop(const std::atomic<bool>& stop) {
           ->Add(1);
     }
     initial_session = false;
-    backoff_ms = connect_options_.reconnect_initial_backoff_ms;
+    backoff_ms = options_.reconnect_initial_backoff_ms;
 
     live_fd_.store(fd.get(), std::memory_order_release);
     Status session = ApplyStream(stop, fd.get());
@@ -350,7 +285,7 @@ Status ReplicaStore::HandshakeFollower(int fd) {
   const uint64_t resume_skip = force ? 0 : pos_records_;
   std::string hello_buf;
   wire::AppendFollowerHello(
-      wire::FollowerHello{connect_options_.name, resume_seq, resume_skip},
+      wire::FollowerHello{options_.name, resume_seq, resume_skip},
       &hello_buf);
   NEPAL_RETURN_NOT_OK(WriteFully(fd, hello_buf.data(), hello_buf.size()));
   char mode;
@@ -378,7 +313,7 @@ Status ReplicaStore::HandshakeFollower(int fd) {
     NEPAL_ASSIGN_OR_RETURN(
         std::unique_ptr<persist::DurableStore> fresh,
         BootstrapGeneration(gen_dir, schema_, factory_,
-                            connect_options_.replica.durable, hello));
+                            options_.replica.durable, hello));
     retired_.push_back(std::move(store_));
     store_ = std::move(fresh);
     store_ptr_.store(store_.get(), std::memory_order_release);
@@ -417,8 +352,9 @@ Status ReplicaStore::ApplyStream(const std::atomic<bool>& stop, int fd) {
     persist::WalShipFrame frame;
     NEPAL_ASSIGN_OR_RETURN(
         bool got,
-        wire::ReadFrame(fd, &frame,
-                        std::chrono::milliseconds(options_.poll_interval_ms)));
+        wire::ReadFrame(
+            fd, &frame,
+            std::chrono::milliseconds(options_.replica.poll_interval_ms)));
     if (!got) {
       // Connected and idle: the replica is caught up with the stream.
       TouchProgress();
@@ -458,11 +394,7 @@ Status ReplicaStore::ApplyStream(const std::atomic<bool>& stop, int fd) {
   return Status::OK();
 }
 
-Status ReplicaStore::Repoint(const SocketAddress& address) {
-  if (transport_ != nullptr) {
-    return Status::InvalidArgument(
-        "Repoint requires a socket follower (ReplicaStore::Connect)");
-  }
+void ReplicaStore::Repoint(const SocketAddress& address) {
   {
     std::lock_guard<std::mutex> lock(mu_);
     address_ = address;
@@ -471,7 +403,6 @@ Status ReplicaStore::Repoint(const SocketAddress& address) {
     force_bootstrap_ = true;
   }
   ShutdownSocket(live_fd_.load(std::memory_order_acquire));
-  return Status::OK();
 }
 
 void ReplicaStore::RecordTracedApply(

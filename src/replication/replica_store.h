@@ -1,12 +1,13 @@
 // ReplicaStore: a warm-standby follower built from a primary's log stream.
 //
-// Open() bootstraps a fresh directory from a pre-connected transport's
-// handshake (the primary's checkpoint image is written locally under the
-// exact file name recovery expects, then DurableStore::Open restores it),
-// flips the database read-only, and starts an apply thread that tails the
-// stream: each shipped frame is decoded and replayed through the public
-// GraphDb API (persist::ApplyWalRecord), which also re-logs it into the
-// follower's *own* WAL. That one decision buys two properties:
+// Connect() joins a ReplicationListener at a socket address, bootstraps a
+// fresh directory from the primary's checkpoint image (written locally
+// under the exact file name recovery expects, then restored by
+// DurableStore::Open), flips the database read-only, and starts an apply
+// thread that tails the stream: each shipped frame is decoded and replayed
+// through the public GraphDb API (persist::ApplyWalRecord), which also
+// re-logs it into the follower's *own* WAL. That one decision buys two
+// properties:
 //
 //  - the follower is durable in its own right — it can crash, recover
 //    from its own directory, and resume (or be promoted) without the
@@ -15,9 +16,7 @@
 //    checkpoint. The data directory is already a complete primary
 //    directory.
 //
-// Connect() is the fleet mode: instead of a pre-connected transport it
-// takes a socket address served by a ReplicationListener and owns the
-// whole connection lifecycle —
+// The follower owns the whole connection lifecycle:
 //
 //  - NPLSHP02 handshake carrying the follower's name and last applied
 //    position; the primary answers "resume" (stream the missing tail, no
@@ -62,7 +61,6 @@
 #include "persist/drain_thread.h"
 #include "persist/durable_store.h"
 #include "replication/socket_util.h"
-#include "replication/transport.h"
 #include "replication/wire.h"
 
 namespace nepal::obs {
@@ -76,11 +74,10 @@ namespace nepal::replication {
 struct ReplicaOptions {
   /// Durability of the follower's own directory (its re-logged WAL).
   persist::DurableOptions durable;
-  /// How long one transport poll waits before rechecking for shutdown.
+  /// How long one socket poll waits before rechecking for shutdown.
   int poll_interval_ms = 20;
 };
 
-/// Options for the socket fleet mode (Connect).
 struct ConnectOptions {
   ReplicaOptions replica;
   /// The follower's identity in the primary's hello/metrics/`\replication`.
@@ -97,20 +94,11 @@ struct ConnectOptions {
 
 class ReplicaStore : public nql::ReplicaEndpoint {
  public:
-  /// Bootstraps `dir` (which must not already hold Nepal data files) from
-  /// the transport and starts tailing. The returned store's db() is
-  /// immediately queryable at the bootstrap position. No reconnect: when
-  /// the transport's stream ends, the replica freezes at its last applied
-  /// position (status() says why).
-  static Result<std::unique_ptr<ReplicaStore>> Open(
-      std::string dir, schema::SchemaPtr schema,
-      const persist::BackendFactory& factory,
-      std::unique_ptr<ReplicationTransport> transport,
-      ReplicaOptions options = {});
-
-  /// Fleet mode: connects to a ReplicationListener at `address`,
-  /// bootstraps `dir`, and keeps following across disconnects (resume
-  /// within WAL retention, re-bootstrap beyond it).
+  /// Connects to a ReplicationListener at `address`, bootstraps `dir`
+  /// (which must not already hold Nepal data files), and keeps following
+  /// across disconnects (resume within WAL retention, re-bootstrap beyond
+  /// it). The returned store's db() is immediately queryable at the
+  /// bootstrap position.
   static Result<std::unique_ptr<ReplicaStore>> Connect(
       std::string dir, schema::SchemaPtr schema,
       const persist::BackendFactory& factory, const SocketAddress& address,
@@ -131,7 +119,7 @@ class ReplicaStore : public nql::ReplicaEndpoint {
     return *store_ptr_.load(std::memory_order_acquire);
   }
 
-  /// Frames applied since Open/Connect (bootstrap images excluded).
+  /// Frames applied since Connect (bootstrap images excluded).
   /// Compare with the primary's DurableStore::records_appended() to
   /// measure lag in records.
   uint64_t records_applied() const override {
@@ -180,8 +168,8 @@ class ReplicaStore : public nql::ReplicaEndpoint {
   /// Points the follower at a different primary (e.g. a freshly promoted
   /// sibling) and breaks the current stream. The next session always
   /// re-bootstraps: the follower's applied position is meaningless against
-  /// another primary's WAL. Connect mode only.
-  Status Repoint(const SocketAddress& address);
+  /// another primary's WAL.
+  void Repoint(const SocketAddress& address);
 
   /// Decomposed timing of the most recent apply batch that carried a
   /// trace annotation — the follower half of commit-to-visible, keyed by
@@ -208,16 +196,13 @@ class ReplicaStore : public nql::ReplicaEndpoint {
 
  private:
   ReplicaStore(std::unique_ptr<persist::DurableStore> store,
-               std::unique_ptr<ReplicationTransport> transport,
-               ReplicaOptions options);
+               ConnectOptions options);
   /// Opens (or re-opens) a generation directory from a bootstrap hello.
   static Result<std::unique_ptr<persist::DurableStore>> BootstrapGeneration(
       const std::string& dir, const schema::SchemaPtr& schema,
       const persist::BackendFactory& factory,
       const persist::DurableOptions& durable, const wire::HelloV1& hello);
-  /// v1 transport tail loop (Open mode).
-  void Run(const std::atomic<bool>& stop);
-  /// Fleet connection lifecycle (Connect mode): handshake, apply, backoff.
+  /// Connection lifecycle: handshake, apply, backoff.
   void ConnectLoop(const std::atomic<bool>& stop);
   /// Sends the follower hello for the current position and consumes the
   /// mode response — re-bootstrapping a new generation when told to.
@@ -226,7 +211,7 @@ class ReplicaStore : public nql::ReplicaEndpoint {
   /// status says how) or `stop` is raised (OK).
   Status ApplyStream(const std::atomic<bool>& stop, int fd);
   /// Decodes and applies one re-batched frame group; updates counters,
-  /// lag metrics and the traced-apply record. Shared by both modes.
+  /// lag metrics and the traced-apply record.
   Status ApplyFrameBatch(storage::GraphDb& db,
                          const std::vector<persist::WalShipFrame>& frames);
   void TouchProgress();
@@ -245,14 +230,10 @@ class ReplicaStore : public nql::ReplicaEndpoint {
   std::atomic<persist::DurableStore*> store_ptr_{nullptr};
   std::atomic<storage::GraphDb*> db_ptr_{nullptr};
 
-  std::unique_ptr<ReplicationTransport> transport_;  // Open mode only
-  ReplicaOptions options_;
-
-  // Connect mode state.
   std::string dir_;
   schema::SchemaPtr schema_;
   persist::BackendFactory factory_;
-  ConnectOptions connect_options_;
+  ConnectOptions options_;
   SocketAddress address_;     // guarded by mu_ (Repoint)
   bool force_bootstrap_ = false;  // guarded by mu_
   OwnedFd pending_fd_;        // initial connection, consumed by ConnectLoop
@@ -277,7 +258,7 @@ class ReplicaStore : public nql::ReplicaEndpoint {
   obs::Gauge* g_lag_ = nullptr;
   obs::Histogram* h_lag_ = nullptr;
   /// Apply-loop lifecycle (flag → wake → join shutdown ordering). The
-  /// bounded socket/transport polls double as the wake-up, so no explicit
+  /// bounded socket polls double as the wake-up, so no explicit
   /// wake callback is needed here.
   persist::DrainThread drain_;
 };

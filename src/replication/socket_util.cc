@@ -91,10 +91,6 @@ Result<SocketAddress> ParseSocketAddress(const std::string& spec) {
       spec);
 }
 
-bool LooksLikeSocketAddress(const std::string& spec) {
-  return spec.rfind("unix:", 0) == 0 || spec.rfind("tcp:", 0) == 0;
-}
-
 void IgnoreSigPipe() {
   // Once per process is enough, but calling signal() repeatedly is cheap
   // and keeps every entry point self-sufficient.

@@ -1,6 +1,6 @@
 // Socket and descriptor lifecycle shared by every replication wire path:
-// the listener, its per-follower shipper sessions, FdTransport, and the
-// shell's --ship/--follow modes. One place owns descriptor cleanup,
+// the listener, its per-follower shipper sessions, and ReplicaStore's
+// follower connection. One place owns descriptor cleanup,
 // SIGPIPE suppression, address parsing, nonblocking connect deadlines and
 // the exact-count read/write loops — instead of each call site
 // re-implementing (and subtly diverging on) errno handling.
@@ -8,9 +8,6 @@
 // Address syntax:
 //   unix:<path>          stream socket bound to a filesystem path
 //   tcp:<host>:<port>    TCP socket (host resolved via getaddrinfo)
-//
-// Anything else — e.g. a bare FIFO path — is not a socket address; the
-// shell keeps its legacy FIFO shipping for those.
 
 #ifndef NEPAL_REPLICATION_SOCKET_UTIL_H_
 #define NEPAL_REPLICATION_SOCKET_UTIL_H_
@@ -64,10 +61,6 @@ struct SocketAddress {
 
 /// Parses "unix:<path>" / "tcp:<host>:<port>"; kInvalidArgument otherwise.
 Result<SocketAddress> ParseSocketAddress(const std::string& spec);
-
-/// True when `spec` uses one of the socket address schemes above (the
-/// shell uses this to distinguish socket shipping from legacy FIFO paths).
-bool LooksLikeSocketAddress(const std::string& spec);
 
 /// Process-wide SIGPIPE suppression: a peer that disappears mid-write must
 /// surface as EPIPE from the write loop, never kill the process.

@@ -1,8 +1,8 @@
-// The NPLSHP replication wire codec, shared by every party that speaks it:
-// WalShipper/FdTransport (v1, fd pipes), ReplicationListener (primary side
-// of the socket fleet) and ReplicaStore's connected mode (follower side).
+// The NPLSHP replication wire codec, shared by both parties that speak it:
+// ReplicationListener (primary side) and ReplicaStore (follower side).
 //
-// v1 stream (one direction, primary → follower):
+// v1 blocks (one direction, primary → follower), reused unchanged inside
+// the v2 session below — the bootstrap hello and the frame stream:
 //
 //   hello:  "NPLSHP01" | u64 start_seq | u64 image_len
 //           | image bytes | u32 masked_crc(image)

@@ -199,9 +199,6 @@ void CanonicalizePaths(PathSet* paths) {
 PathSet PathOperatorExecutor::ExtendBlock(
     const PathSet& frontier, const std::vector<CompiledAtom>& alternatives,
     int min_rep, int max_rep, Direction dir, const TimeView& view) {
-  Trace("ExtendBlock{" + std::to_string(min_rep) + "," +
-        std::to_string(max_rep) + "} x" +
-        std::to_string(alternatives.size()) + " alternatives");
   PathSet collected;
   PathSet current = frontier;
   if (min_rep == 0) {

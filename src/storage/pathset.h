@@ -147,28 +147,17 @@ class PathOperatorExecutor {
   virtual PathSet FinalizeTail(const PathSet& frontier,
                                const TimeView& view) = 0;
 
-  // ---- Legacy operator tracing (EXPLAIN VERBOSE support) ----
-  // Structured per-operator stats (obs::QueryStats, surfaced by EXPLAIN
-  // and EXPLAIN ANALYZE) merge associatively and work under any
-  // parallelism; this string trace is kept only for EXPLAIN VERBOSE,
-  // whose rendered operator/SQL line sequence is meaningful precisely
-  // because it reflects serial execution order.
-  void EnableTrace(bool on) { trace_enabled_ = on; }
-  /// Tracing appends to a shared per-executor buffer in execution order,
-  /// so traced (EXPLAIN VERBOSE) plan evaluation must fall back to serial
-  /// execution while it is on.
-  bool trace_enabled() const { return trace_enabled_; }
-  const std::vector<std::string>& trace() const { return trace_; }
-  void ClearTrace() { trace_.clear(); }
-
- protected:
-  void Trace(std::string line) {
-    if (trace_enabled_) trace_.push_back(std::move(line));
+  /// EXPLAIN VERBOSE: the backend SQL of one plan operator, rendered from
+  /// the plan rather than from a run — the Select of `atom` when `input`
+  /// is 0, else the Extend of TEMP table `input` by `atom` in `dir` —
+  /// creating TEMP table `output`. Empty (the default) when the backend
+  /// has no SQL form.
+  virtual std::vector<std::string> ToSql(const CompiledAtom& /*atom*/,
+                                         Direction /*dir*/,
+                                         const TimeView& /*view*/,
+                                         int /*input*/, int /*output*/) const {
+    return {};
   }
-  bool trace_enabled_ = false;
-
- private:
-  std::vector<std::string> trace_;
 };
 
 }  // namespace nepal::storage

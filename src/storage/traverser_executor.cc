@@ -21,7 +21,6 @@ bool TryAppendElement(const PathState& state, const ElementVersion& v,
 
 PathSet TraverserExecutor::Select(const CompiledAtom& atom,
                                   const TimeView& view) {
-  Trace("Select " + atom.ToString());
   PathSet out;
   backend_->Scan(atom.ToScanSpec(), view, [&](const ElementVersion& v) {
     PathState state;
@@ -47,7 +46,6 @@ PathSet TraverserExecutor::Select(const CompiledAtom& atom,
 PathSet TraverserExecutor::SelectSeeds(const std::vector<Uid>& nodes,
                                        const TimeView& view) {
   (void)view;  // visibility of the seed is enforced at first materialization
-  Trace("SelectSeeds x" + std::to_string(nodes.size()));
   PathSet out;
   out.reserve(nodes.size());
   for (Uid uid : nodes) {
@@ -64,9 +62,6 @@ PathSet TraverserExecutor::SelectSeeds(const std::vector<Uid>& nodes,
 PathSet TraverserExecutor::ExtendAtom(const PathSet& frontier,
                                       const CompiledAtom& atom, Direction dir,
                                       const TimeView& view) {
-  Trace(std::string("Extend ") + (dir == Direction::kOut ? "fwd" : "bwd") +
-        " by " + atom.ToString() + " over " + std::to_string(frontier.size()) +
-        " paths");
   PathSet out;
   for (const PathState& state : frontier) {
     if (atom.is_edge()) {

@@ -14,29 +14,6 @@ namespace nepal::views {
 
 namespace {
 
-/// Runs one anchored plan from already-selected seed states: suffix
-/// forwards, finalize, reverse, prefix backwards, finalize, reverse — the
-/// same pipeline cold evaluation applies per anchor, so a bucket's rows
-/// are exactly the cold rows whose anchor element seeded it.
-storage::PathSet RunAnchoredFrom(const nql::AnchoredPlan& plan,
-                                 storage::PathSet seeds,
-                                 const storage::TimeView& view,
-                                 storage::PathOperatorExecutor& exec) {
-  storage::PathSet cur = nql::RunProgram(exec, plan.suffix, std::move(seeds),
-                                         storage::Direction::kOut, view);
-  cur = exec.FinalizeTail(cur, view);
-  storage::PathSet rev;
-  rev.reserve(cur.size());
-  for (storage::PathState& s : cur) rev.push_back(s.Reversed());
-  rev = nql::RunProgram(exec, plan.reversed_prefix, std::move(rev),
-                        storage::Direction::kIn, view);
-  rev = exec.FinalizeTail(rev, view);
-  storage::PathSet out;
-  out.reserve(rev.size());
-  for (storage::PathState& s : rev) out.push_back(s.Reversed());
-  return out;
-}
-
 obs::Counter* RepairsCounter() {
   return obs::MetricsRegistry::Global().GetCounter("nepal.views.repairs");
 }
@@ -396,8 +373,8 @@ void ViewCatalog::Rebuild(View* view) {
       grouped[s.uids[0]].push_back(std::move(s));
     }
     for (auto& [anchor_uid, seeds] : grouped) {
-      storage::PathSet rows = RunAnchoredFrom(
-          view->plan.anchors[k], std::move(seeds), vt, *exec);
+      storage::PathSet rows = nql::RunAnchoredFrom(
+          *exec, view->plan.anchors[k], std::move(seeds), vt);
       if (!rows.empty()) buckets[{k, anchor_uid}] = std::move(rows);
     }
   }
@@ -490,8 +467,8 @@ storage::PathSet ViewCatalog::RecomputeBucket(
   storage::PathSet seeds = exec.Select(anchor, view_time);
   storage::PathSet rows;
   if (!seeds.empty()) {
-    rows = RunAnchoredFrom(view.plan.anchors[key.first], std::move(seeds),
-                           view_time, exec);
+    rows = nql::RunAnchoredFrom(exec, view.plan.anchors[key.first],
+                                std::move(seeds), view_time);
   }
   return rows;
 }

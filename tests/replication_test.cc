@@ -1,18 +1,17 @@
 // WAL-shipping replication suite: follower bootstrap and live tailing
-// (byte-identical reads on both backends), retention pinning under the
-// checkpoint rotate-then-prune race, slow-subscriber disconnection,
-// read-only enforcement at the replica and in the engine's source
-// catalog, and the headline failover drill — SIGKILL the primary
-// mid-stream, promote the follower, and verify that no commit the
-// primary acknowledged after follower confirmation is lost.
+// over a ReplicationListener socket (byte-identical reads on both
+// backends), retention pinning under the checkpoint rotate-then-prune
+// race, slow-subscriber disconnection, read-only enforcement at the
+// replica and in the engine's source catalog, and the headline failover
+// drill — SIGKILL the primary mid-stream, promote the follower, and
+// verify that no commit the primary acknowledged after follower
+// confirmation is lost.
 
 #include <signal.h>
-#include <sys/socket.h>
 #include <sys/types.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
-#include <atomic>
 #include <chrono>
 #include <filesystem>
 #include <fstream>
@@ -25,8 +24,8 @@
 
 #include "nepal/engine.h"
 #include "persist/durable_store.h"
+#include "replication/listener.h"
 #include "replication/replica_store.h"
-#include "replication/transport.h"
 #include "tests/testutil.h"
 
 namespace nepal {
@@ -34,14 +33,14 @@ namespace {
 
 namespace fs = std::filesystem;
 using nepal::testing::BackendKind;
+using nepal::testing::ConnectFollower;
+using nepal::testing::FreshSocket;
 using persist::DurableOptions;
 using persist::DurableStore;
 using persist::FsyncPolicy;
-using replication::FdTransport;
-using replication::InProcessTransport;
-using replication::ReplicaOptions;
 using replication::ReplicaStore;
-using replication::WalShipper;
+using replication::ReplicationListener;
+using replication::SocketAddress;
 
 constexpr const char* kT0 = "2017-02-15 08:00:00";
 constexpr const char* kT1 = "2017-02-15 09:00:00";
@@ -80,13 +79,12 @@ Result<std::unique_ptr<DurableStore>> OpenPrimary(
                             Factory(kind), options);
 }
 
-Result<std::unique_ptr<ReplicaStore>> OpenFollower(
-    DurableStore& primary, const std::string& dir, BackendKind kind,
-    persist::SubscribeOptions sub_options = {}) {
-  auto transport = InProcessTransport::Connect(primary, sub_options);
-  if (!transport.ok()) return transport.status();
-  return ReplicaStore::Open(dir, nepal::testing::Figure3Schema(),
-                            Factory(kind), std::move(*transport));
+/// Serves `primary` on a fresh unix socket. Followers connect with
+/// ConnectFollower(dir, kind, (*listener)->address()); the listener must
+/// be destroyed before the primary it serves.
+Result<std::unique_ptr<ReplicationListener>> Serve(DurableStore& primary,
+                                                   const std::string& tag) {
+  return ReplicationListener::Start(primary, FreshSocket(tag));
 }
 
 /// Ingest batch shared by the tests: a VNF stack with a migration, an
@@ -178,7 +176,10 @@ TEST_P(ReplicationTest, FollowerIsByteIdenticalUnderLiveConcurrentIngest) {
   // The pre-subscribe workload travels in the bootstrap image; everything
   // after this mark must arrive as WAL frames.
   const uint64_t base = (*primary)->records_appended();
-  auto follower = OpenFollower(**primary, FreshDir("f"), GetParam());
+  auto listener = Serve(**primary, "live");
+  ASSERT_TRUE(listener.ok()) << listener.status();
+  auto follower =
+      ConnectFollower(FreshDir("f"), GetParam(), (*listener)->address());
   ASSERT_TRUE(follower.ok()) << follower.status();
 
   // Live ingest concurrent with the follower tailing.
@@ -220,7 +221,10 @@ TEST_P(ReplicationTest, FollowerOnTheOtherBackendMatchesByteForByte) {
   auto primary = OpenPrimary(FreshDir("p"), GetParam());
   ASSERT_TRUE(primary.ok()) << primary.status();
   const uint64_t base = (*primary)->records_appended();
-  auto follower = OpenFollower(**primary, FreshDir("f"), other);
+  auto listener = Serve(**primary, "cross");
+  ASSERT_TRUE(listener.ok()) << listener.status();
+  auto follower =
+      ConnectFollower(FreshDir("f"), other, (*listener)->address());
   ASSERT_TRUE(follower.ok()) << follower.status();
   IngestWorkload((*primary)->db());
   ASSERT_TRUE(WaitForCatchUp(**primary, **follower, base));
@@ -238,7 +242,10 @@ TEST_P(ReplicationTest, FollowerBootstrapsFromClosedSegmentsAndLiveTail) {
   const uint64_t pre_subscribe = (*primary)->records_appended();
   ASSERT_GT(pre_subscribe, 0u);
 
-  auto follower = OpenFollower(**primary, FreshDir("f"), GetParam());
+  auto listener = Serve(**primary, "disk");
+  ASSERT_TRUE(listener.ok()) << listener.status();
+  auto follower =
+      ConnectFollower(FreshDir("f"), GetParam(), (*listener)->address());
   ASSERT_TRUE(follower.ok()) << follower.status();
   // Live tail on top of the disk catch-up.
   ASSERT_TRUE((*primary)
@@ -322,7 +329,10 @@ TEST_P(ReplicationTest, ReplicaRejectsDirectWritesAndCatalogRoutesReads) {
   ASSERT_TRUE(primary.ok()) << primary.status();
   IngestWorkload((*primary)->db());
   const uint64_t base = (*primary)->records_appended();
-  auto follower = OpenFollower(**primary, FreshDir("f"), GetParam());
+  auto listener = Serve(**primary, "ro");
+  ASSERT_TRUE(listener.ok()) << listener.status();
+  auto follower =
+      ConnectFollower(FreshDir("f"), GetParam(), (*listener)->address());
   ASSERT_TRUE(follower.ok()) << follower.status();
   ASSERT_TRUE(WaitForCatchUp(**primary, **follower, base));
 
@@ -353,6 +363,7 @@ TEST_P(ReplicationTest, ReplicaRejectsDirectWritesAndCatalogRoutesReads) {
   }
 
   // The replica keeps answering after the primary is gone.
+  listener->reset();
   primary->reset();
   nql::QueryEngine survivor(&(*follower)->db());
   auto still = survivor.Run(
@@ -369,10 +380,14 @@ TEST_P(ReplicationTest, PromotedFollowerAcceptsWritesAndRecovers) {
     ASSERT_TRUE(primary.ok()) << primary.status();
     IngestWorkload((*primary)->db());
     const uint64_t base = (*primary)->records_appended();
-    auto follower = OpenFollower(**primary, follower_dir, GetParam());
+    auto listener = Serve(**primary, "old");
+    ASSERT_TRUE(listener.ok()) << listener.status();
+    auto follower =
+        ConnectFollower(follower_dir, GetParam(), (*listener)->address());
     ASSERT_TRUE(follower.ok()) << follower.status();
     ASSERT_TRUE(WaitForCatchUp(**primary, **follower, base));
 
+    listener->reset();
     primary->reset();  // primary dies; the stream ends
     ASSERT_TRUE((*follower)->Promote().ok());
     EXPECT_TRUE((*follower)->promoted());
@@ -383,8 +398,10 @@ TEST_P(ReplicationTest, PromotedFollowerAcceptsWritesAndRecovers) {
     ASSERT_TRUE(db.SetTime(db.Now() + 1000000).ok());
     ASSERT_TRUE(
         db.AddNode("Docker", {{"name", Value("post-promotion")}}).ok());
-    auto next_follower =
-        OpenFollower((*follower)->store(), FreshDir("f2"), GetParam());
+    auto next_listener = Serve((*follower)->store(), "new");
+    ASSERT_TRUE(next_listener.ok()) << next_listener.status();
+    auto next_follower = ConnectFollower(FreshDir("f2"), GetParam(),
+                                         (*next_listener)->address());
     ASSERT_TRUE(next_follower.ok()) << next_follower.status();
     after_promotion = Observe(db);
     const auto deadline =
@@ -403,35 +420,41 @@ TEST_P(ReplicationTest, PromotedFollowerAcceptsWritesAndRecovers) {
 
 TEST_P(ReplicationTest, SigkilledPrimaryPromoteLosesNoAcknowledgedCommit) {
   // Failover drill with semi-synchronous acknowledgment: the primary
-  // treats a commit as client-acknowledged only after the follower
-  // reports it applied (ack counts flow back over a socket), recording
-  // each acknowledged element in an fsync'd file. SIGKILL the primary
-  // mid-stream, promote the follower: every recorded element must be
-  // queryable — the zero-acknowledged-loss contract of warm standby.
-  signal(SIGPIPE, SIG_IGN);
+  // serves a listener with a quorum of one, so each commit waits for the
+  // follower's ack. A commit counts as client-acknowledged only when its
+  // AddNode returned with semi-sync still armed (the ack covered it, no
+  // timeout), and the primary records each such element in a file.
+  // SIGKILL the primary mid-stream, promote the follower: every recorded
+  // element must be queryable — the zero-acknowledged-loss contract of
+  // warm standby.
   const std::string primary_dir = FreshDir("p");
   const std::string follower_dir = FreshDir("f");
   const std::string acked_path = FreshDir("acked") + ".list";
   fs::remove(acked_path);
-
-  int ship[2];  // [0] parent/follower reads, [1] child/primary writes
-  int ack[2];   // [0] child/primary reads,  [1] parent/follower writes
-  ASSERT_EQ(socketpair(AF_UNIX, SOCK_STREAM, 0, ship), 0);
-  ASSERT_EQ(socketpair(AF_UNIX, SOCK_STREAM, 0, ack), 0);
+  const SocketAddress addr = FreshSocket("failover");
 
   const pid_t child = fork();
   ASSERT_GE(child, 0);
   if (child == 0) {
     // Child: the primary. No gtest macros — this process dies by SIGKILL.
-    close(ship[0]);
-    close(ack[1]);
     auto store = OpenPrimary(primary_dir, GetParam(),
                              DurableOptions{FsyncPolicy::kAlways, 0, 2});
     if (!store.ok()) _exit(1);
-    auto shipper = WalShipper::Start(**store, ship[1]);
-    if (!shipper.ok()) _exit(2);
+    auto listener = ReplicationListener::Start(**store, addr);
+    if (!listener.ok()) _exit(2);
+    // Arm semi-sync once the follower's session is up: from then on every
+    // commit ships as a live frame, and the follower's ack covers it.
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(20);
+    while ((*listener)->Followers().empty()) {
+      if (std::chrono::steady_clock::now() > deadline) _exit(3);
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    DurableStore::SemiSyncOptions semisync;
+    semisync.quorum = 1;
+    semisync.timeout_ms = 30000;
+    (*store)->SetSemiSync(semisync);
     std::ofstream acked(acked_path, std::ios::trunc);
-    uint64_t acked_count = 0;
     for (int i = 0; i < 200000; ++i) {
       const std::string name = "h" + std::to_string(i);
       if (!(*store)
@@ -439,53 +462,25 @@ TEST_P(ReplicationTest, SigkilledPrimaryPromoteLosesNoAcknowledgedCommit) {
                .AddNode("Host", {{"name", Value(name)},
                                  {"serial", Value("sn" + name)}})
                .ok()) {
-        _exit(3);
+        _exit(4);
       }
-      const uint64_t committed = (*store)->records_appended();
-      // Semi-sync: block until the follower confirms this commit applied.
-      while (acked_count < committed) {
-        char buf[8];
-        size_t done = 0;
-        while (done < sizeof(buf)) {
-          ssize_t r = read(ack[0], buf + done, sizeof(buf) - done);
-          if (r <= 0) _exit(4);
-          done += static_cast<size_t>(r);
-        }
-        uint64_t v = 0;
-        for (int b = 7; b >= 0; --b) {
-          v = (v << 8) | static_cast<unsigned char>(buf[b]);
-        }
-        acked_count = v;
-      }
-      // Only now is the commit acknowledged to the "client": record it.
+      // A degraded commit returned without the quorum's ack; only an
+      // armed one is acknowledged to the "client".
+      if ((*store)->semisync_degraded()) continue;
       acked << name << "\n";
       acked.flush();
     }
     _exit(0);
   }
 
-  // Parent: the follower.
-  close(ship[1]);
-  close(ack[0]);
-  auto follower = ReplicaStore::Open(
-      follower_dir, nepal::testing::Figure3Schema(), Factory(GetParam()),
-      std::make_unique<FdTransport>(ship[0]));
+  // Parent: the follower. Connect() keeps retrying while the child's
+  // listener comes up.
+  auto follower = ConnectFollower(follower_dir, GetParam(), addr);
+  if (!follower.ok()) {
+    kill(child, SIGKILL);
+    waitpid(child, nullptr, 0);
+  }
   ASSERT_TRUE(follower.ok()) << follower.status();
-
-  // Ack pump: report the applied count back to the primary continuously.
-  std::atomic<bool> stop_acks{false};
-  std::thread ack_pump([&] {
-    while (!stop_acks.load()) {
-      uint64_t applied = (*follower)->records_applied();
-      char buf[8];
-      for (int b = 0; b < 8; ++b) {
-        buf[b] = static_cast<char>(applied & 0xff);
-        applied >>= 8;
-      }
-      if (write(ack[1], buf, sizeof(buf)) != sizeof(buf)) break;
-      std::this_thread::sleep_for(std::chrono::milliseconds(1));
-    }
-  });
 
   // Let commits flow, then murder the primary mid-stream.
   std::this_thread::sleep_for(std::chrono::milliseconds(500));
@@ -493,9 +488,6 @@ TEST_P(ReplicationTest, SigkilledPrimaryPromoteLosesNoAcknowledgedCommit) {
   int wstatus = 0;
   ASSERT_EQ(waitpid(child, &wstatus, 0), child);
   ASSERT_TRUE(WIFSIGNALED(wstatus)) << "child exited before the kill";
-  stop_acks.store(true);
-  ack_pump.join();
-  close(ack[1]);
 
   // The stream ends; the apply loop stops; promote.
   const auto deadline =

@@ -1,14 +1,18 @@
-// Shared test fixtures: the Figure-3 style schema and a small deterministic
-// network instance, parameterized over both execution backends.
+// Shared test fixtures: the Figure-3 style schema, a small deterministic
+// network instance parameterized over both execution backends, and the
+// socket plumbing every replication follower connects through.
 
 #ifndef NEPAL_TESTS_TESTUTIL_H_
 #define NEPAL_TESTS_TESTUTIL_H_
+
+#include <unistd.h>
 
 #include <memory>
 #include <string>
 
 #include "graphstore/graph_store.h"
 #include "relational/relational_store.h"
+#include "replication/replica_store.h"
 #include "schema/dsl_parser.h"
 #include "storage/graphdb.h"
 
@@ -84,6 +88,31 @@ inline schema::SchemaPtr Figure3Schema() {
     abort();
   }
   return *result;
+}
+
+/// Unix socket paths are capped around 104 bytes; anchor them in /tmp by
+/// pid + a short tag rather than the (potentially deep) test temp dir.
+inline replication::SocketAddress FreshSocket(const std::string& tag) {
+  replication::SocketAddress addr;
+  addr.is_unix = true;
+  addr.path = "/tmp/nepal_test_" + std::to_string(::getpid()) + "_" + tag +
+              ".sock";
+  ::unlink(addr.path.c_str());
+  return addr;
+}
+
+/// A Figure-3 follower in fresh directory `dir`, connected to the
+/// ReplicationListener at `address` under `name`.
+inline Result<std::unique_ptr<replication::ReplicaStore>> ConnectFollower(
+    const std::string& dir, BackendKind kind,
+    const replication::SocketAddress& address,
+    const std::string& name = "follower") {
+  replication::ConnectOptions options;
+  options.name = name;
+  return replication::ReplicaStore::Connect(
+      dir, Figure3Schema(),
+      [kind](schema::SchemaPtr s) { return MakeBackend(kind, std::move(s)); },
+      address, options);
 }
 
 /// A tiny deterministic deployment:

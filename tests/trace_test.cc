@@ -1,11 +1,11 @@
 // Span-tracing suite (obs/trace.h): ring eviction order, the zero-cost
 // sampling-off fast path, partition invariance of the read-path span
-// tree, and commit-to-visible joining — a follower (in-process and over
-// the 0x03 wire annotation) reports the primary's trace id and its
-// wire/decode/apply segments land in the primary's own span tree.
+// tree, and commit-to-visible joining — a follower connected through a
+// listener reports the primary's trace id and its wire/decode/apply
+// segments land in the primary's own span tree, and the 0x03 wire
+// annotation carries the trace id and root span through the frame codec.
 
 #include <sys/socket.h>
-#include <unistd.h>
 
 #include <algorithm>
 #include <chrono>
@@ -21,8 +21,9 @@
 #include "nepal/engine.h"
 #include "obs/trace.h"
 #include "persist/durable_store.h"
+#include "replication/listener.h"
 #include "replication/replica_store.h"
-#include "replication/transport.h"
+#include "replication/wire.h"
 #include "tests/testutil.h"
 
 namespace nepal {
@@ -208,12 +209,12 @@ TEST(TraceJoinTest, FollowerJoinsPrimaryTraceInProcess) {
   ASSERT_TRUE(primary.ok());
   ASSERT_TRUE((*primary)->db().SetTime(1500000000000000).ok());
 
-  auto transport = replication::InProcessTransport::Connect(**primary);
-  ASSERT_TRUE(transport.ok());
-  auto follower = replication::ReplicaStore::Open(
-      fdir, nepal::testing::Figure3Schema(), Factory(),
-      std::move(*transport));
-  ASSERT_TRUE(follower.ok());
+  auto listener = replication::ReplicationListener::Start(
+      **primary, nepal::testing::FreshSocket("join"));
+  ASSERT_TRUE(listener.ok()) << listener.status();
+  auto follower = nepal::testing::ConnectFollower(
+      fdir, BackendKind::kGraphStore, (*listener)->address());
+  ASSERT_TRUE(follower.ok()) << follower.status();
 
   Tracer::Global().Configure(TraceAll());
   std::vector<storage::Mutation> muts = HostBatch(8, "j");
@@ -235,8 +236,9 @@ TEST(TraceJoinTest, FollowerJoinsPrimaryTraceInProcess) {
   ASSERT_EQ(traced.trace_id, trace_id);
   EXPECT_GT(traced.frames, 0u);
 
-  // In-process join: the follower's segments landed in the primary's own
-  // span tree, so one trace now decomposes commit-to-visible end to end.
+  // Same-process join: the follower's segments landed in the primary's
+  // own span tree, so one trace now decomposes commit-to-visible end to
+  // end.
   std::vector<std::string> names;
   for (const obs::SpanView& s : trace->Snapshot()) names.push_back(s.name);
   for (const char* expect : {"wal.fsync", "publish", "wire",
@@ -247,26 +249,21 @@ TEST(TraceJoinTest, FollowerJoinsPrimaryTraceInProcess) {
   }
 
   follower->reset();
+  listener->reset();
   primary->reset();
   fs::remove_all(pdir);
   fs::remove_all(fdir);
 }
 
-TEST(TraceJoinTest, WireAnnotationRoundTripsThroughFdTransport) {
+TEST(TraceJoinTest, WireAnnotationRoundTripsThroughTheFrameCodec) {
   TracerGuard guard;
   const std::string dir = FreshDir("wire");
   auto primary = persist::DurableStore::Open(
       dir, nepal::testing::Figure3Schema(), Factory(), {});
   ASSERT_TRUE(primary.ok());
   ASSERT_TRUE((*primary)->db().SetTime(1500000000000000).ok());
-
-  int sv[2];
-  ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, sv), 0);
-  auto shipper = replication::WalShipper::Start(**primary, sv[0]);
-  ASSERT_TRUE(shipper.ok());
-  replication::FdTransport transport(sv[1]);
-  auto hello = transport.Handshake();
-  ASSERT_TRUE(hello.ok());
+  auto sub = (*primary)->Subscribe();
+  ASSERT_TRUE(sub.ok()) << sub.status();
 
   Tracer::Global().Configure(TraceAll());
   std::vector<storage::Mutation> muts = HostBatch(4, "w");
@@ -274,22 +271,49 @@ TEST(TraceJoinTest, WireAnnotationRoundTripsThroughFdTransport) {
   auto trace = NewestTrace("apply_batch");
   ASSERT_NE(trace, nullptr);
 
-  // Drain frames off the wire until the annotated one arrives: it must
-  // carry the primary's trace id and its root span id (always 1).
+  // Every shipped frame crosses a socketpair through the codec; untraced
+  // frames go out as 0x02, the traced commit's as 0x03.
+  int sv[2];
+  ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, sv), 0);
+  replication::OwnedFd out_fd(sv[0]);
+  replication::OwnedFd in_fd(sv[1]);
+  persist::WalShipFrame sent;
+  bool traced_sent = false;
+  while (!traced_sent) {
+    auto next = (*sub)->Next(&sent, std::chrono::milliseconds(1000));
+    ASSERT_TRUE(next.ok()) << next.status();
+    ASSERT_TRUE(*next) << "the traced commit never reached the stream";
+    traced_sent = sent.trace_id != 0;
+    std::string bytes;
+    replication::wire::AppendFrame(sent, &bytes);
+    EXPECT_EQ(static_cast<uint8_t>(bytes[0]),
+              traced_sent ? replication::wire::kFrameTagTraced
+                          : replication::wire::kFrameTag);
+    ASSERT_TRUE(
+        replication::WriteFully(out_fd.get(), bytes.data(), bytes.size())
+            .ok());
+  }
+
+  // Decode until the annotated frame arrives: it must carry the primary's
+  // trace id and its root span id (always 1).
   persist::WalShipFrame frame;
   bool found = false;
-  for (int i = 0; i < 2000 && !found; ++i) {
-    auto got = transport.Next(&frame, std::chrono::milliseconds(10));
+  while (!found) {
+    auto got = replication::wire::ReadFrame(in_fd.get(), &frame,
+                                            std::chrono::milliseconds(1000));
     ASSERT_TRUE(got.ok()) << got.status();
-    if (*got && frame.trace_id != 0) found = true;
+    ASSERT_TRUE(*got) << "no trace-annotated frame arrived on the wire";
+    found = frame.trace_id != 0;
   }
-  ASSERT_TRUE(found) << "no trace-annotated frame arrived on the wire";
   EXPECT_EQ(frame.trace_id, trace->trace_id());
   EXPECT_EQ(frame.root_span, trace->root_span());
+  EXPECT_EQ(frame.shipped_at_us, sent.shipped_at_us);
   EXPECT_GT(frame.shipped_at_us, 0);
+  EXPECT_EQ(frame.segment_seq, sent.segment_seq);
+  EXPECT_EQ(frame.payload, sent.payload);
   EXPECT_FALSE(frame.payload.empty());
 
-  (*shipper)->Stop();
+  (*sub)->Cancel();
   primary->reset();
   fs::remove_all(dir);
 }

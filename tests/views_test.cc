@@ -224,7 +224,7 @@ TEST(ViewsTest, ServedQueryIsByteIdenticalToColdEvaluation) {
     EXPECT_EQ(RenderPaths(*sv->paths),
               RenderPaths(ColdAtEpoch(db, kHotRpe, sv->epoch, 1)));
 
-    // EXPLAIN VERBOSE keeps the serial trace and must not serve.
+    // EXPLAIN VERBOSE renders the SQL of a cold plan and must not serve.
     auto verbose =
         served_engine.Run(std::string("EXPLAIN VERBOSE ") + kHotQuery);
     ASSERT_TRUE(verbose.ok()) << verbose.status();
