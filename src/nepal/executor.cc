@@ -2,11 +2,13 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cstddef>
+#include <deque>
 #include <functional>
+#include <map>
 #include <optional>
 #include <string>
-#include <map>
-#include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "common/thread_pool.h"
@@ -102,6 +104,157 @@ std::string StepLabel(const Step& step) {
   return "?";
 }
 
+/// Integer views of one NFA for one RunAutomaton call. Transition atoms get
+/// ids in the order of their renderings, so a set's arcs iterate in the
+/// order a rendering-keyed map would give them. Each distinct set of
+/// occupied states is interned once; its arcs — one per distinct atom of
+/// its states, with the merged sorted target set — are computed then, not
+/// once per round.
+class StateSets {
+ public:
+  struct Arc {
+    const storage::CompiledAtom* atom = nullptr;
+    std::vector<int> targets;  // sorted
+    int target_set = -1;       // interned `targets`, filled on first use
+  };
+
+  explicit StateSets(const Nfa& nfa) : nfa_(nfa), trans_(nfa.num_states()) {
+    std::map<std::string, int> by_rendering;
+    for (const auto& state : nfa.states) {
+      for (const NfaTransition& tr : state) {
+        by_rendering.emplace(tr.atom.ToString(), 0);
+      }
+    }
+    int next_id = 0;
+    for (auto& [unused, id] : by_rendering) id = next_id++;
+    atoms_.assign(by_rendering.size(), nullptr);
+    for (size_t s = 0; s < nfa.num_states(); ++s) {
+      for (const NfaTransition& tr : nfa.states[s]) {
+        const int id = by_rendering.at(tr.atom.ToString());
+        if (atoms_[static_cast<size_t>(id)] == nullptr) {
+          atoms_[static_cast<size_t>(id)] = &tr.atom;
+        }
+        trans_[s].emplace_back(id, tr.target);
+      }
+    }
+  }
+
+  /// Returns the id of the sorted state set `states`, interning it.
+  int Intern(const std::vector<int>& states) {
+    auto [it, inserted] =
+        ids_.try_emplace(states, static_cast<int>(sets_.size()));
+    if (!inserted) return it->second;
+    Set& set = sets_.emplace_back();
+    std::vector<std::pair<int, int>> moves;  // (atom id, target)
+    for (int s : states) {
+      const auto& out = trans_[static_cast<size_t>(s)];
+      moves.insert(moves.end(), out.begin(), out.end());
+      set.key += std::to_string(s) + ",";
+      set.accepts = set.accepts || nfa_.accept[static_cast<size_t>(s)];
+    }
+    std::sort(moves.begin(), moves.end());
+    moves.erase(std::unique(moves.begin(), moves.end()), moves.end());
+    for (size_t i = 0; i < moves.size(); ++i) {
+      if (i == 0 || moves[i].first != moves[i - 1].first) {
+        set.arcs.push_back({atoms_[static_cast<size_t>(moves[i].first)], {}});
+      }
+      set.arcs.back().targets.push_back(moves[i].second);
+    }
+    return it->second;
+  }
+
+  int TargetSet(Arc* arc) {
+    if (arc->target_set < 0) arc->target_set = Intern(arc->targets);
+    return arc->target_set;
+  }
+
+  std::vector<Arc>& arcs(int set) { return at(set).arcs; }
+  bool accepts(int set) const { return at(set).accepts; }
+  /// Groups run in the order of their sets' "s1,s2,...," renderings.
+  bool Before(int a, int b) const { return at(a).key < at(b).key; }
+  size_t size() const { return sets_.size(); }
+
+ private:
+  struct Set {
+    std::string key;
+    std::vector<Arc> arcs;
+    bool accepts = false;
+  };
+
+  Set& at(int set) { return sets_[static_cast<size_t>(set)]; }
+  const Set& at(int set) const { return sets_[static_cast<size_t>(set)]; }
+
+  const Nfa& nfa_;
+  std::vector<const storage::CompiledAtom*> atoms_;      // by atom id
+  std::vector<std::vector<std::pair<int, int>>> trans_;  // per state
+  std::map<std::vector<int>, int> ids_;
+  std::deque<Set> sets_;  // stable addresses: slices point into arcs
+};
+
+/// Every path one RunAutomaton call admitted, stored once: its identity
+/// (uids flattened into one arena), the NFA states it has occupied (one
+/// bitset row per path) and whether it was emitted. Lookups go through a
+/// PathIndex on PathState::IdentityHash, confirmed field by field.
+class PathMemo {
+ public:
+  explicit PathMemo(size_t num_states) : words_((num_states + 63) / 64) {}
+
+  /// Returns the memo id of `p`'s identity, recording it on first sight.
+  uint32_t Find(const PathState& p) {
+    auto [id, inserted] = index_.Insert(
+        p.IdentityHash(), [&](uint32_t other) { return Same(other, p); });
+    if (inserted) {
+      paths_.push_back({uids_.size(), p.uids.size(), p.frontier,
+                        p.frontier_in_path, false, p.valid});
+      uids_.insert(uids_.end(), p.uids.begin(), p.uids.end());
+      visited_.resize(visited_.size() + words_, 0);
+    }
+    return id;
+  }
+
+  /// Marks `state` occupied by path `id`; false if it already was.
+  bool Visit(uint32_t id, int state) {
+    uint64_t& word = visited_[id * words_ + static_cast<size_t>(state) / 64];
+    const uint64_t bit = uint64_t{1} << (static_cast<size_t>(state) % 64);
+    if ((word & bit) != 0) return false;
+    word |= bit;
+    return true;
+  }
+
+  /// Marks path `id` emitted; false if it already was.
+  bool Emit(uint32_t id) {
+    if (paths_[id].emitted) return false;
+    paths_[id].emitted = true;
+    return true;
+  }
+
+ private:
+  struct Identity {
+    size_t offset;  // into uids_
+    size_t length;
+    Uid frontier;
+    bool frontier_in_path;
+    bool emitted;
+    Interval valid;
+  };
+
+  bool Same(uint32_t id, const PathState& p) const {
+    const Identity& m = paths_[id];
+    return m.frontier == p.frontier &&
+           m.frontier_in_path == p.frontier_in_path &&
+           m.valid.start == p.valid.start && m.valid.end == p.valid.end &&
+           m.length == p.uids.size() &&
+           std::equal(p.uids.begin(), p.uids.end(),
+                      uids_.begin() + static_cast<std::ptrdiff_t>(m.offset));
+  }
+
+  size_t words_;
+  std::vector<Identity> paths_;
+  std::vector<Uid> uids_;
+  std::vector<uint64_t> visited_;
+  storage::PathIndex index_;
+};
+
 /// Graph × NFA product traversal for an Automaton step. The frontier is a
 /// set of (path, NFA-state set) entries — classic NFA simulation over the
 /// product with the store. Entries are grouped by state set and extended
@@ -119,7 +272,15 @@ std::string StepLabel(const Step& step) {
 /// the exact continuations its first arrival already spawned. For bounded
 /// automata (a DAG with one state set per iteration copy) the memo is
 /// equivalent to the legacy loop's per-round DedupPaths, so the final
-/// output sets match.
+/// output sets match. The memo also emits each path at most once, so the
+/// output needs no dedup pass.
+///
+/// Everything per round is integer-keyed: the memo by the path identity
+/// hash (PathMemo), state sets and atoms by ids interned once per call
+/// (StateSets). Groups run in the order of their state sets' decimal
+/// renderings and arcs in atom-rendering order; that order fixes the
+/// serial output order. A group's paths move into its ExtendAtom inputs
+/// once and are shared by all of its arcs.
 ///
 /// Parallelism: the automaton usually sits right after the anchor Select,
 /// so its *input* frontier is tiny and input sharding buys nothing — the
@@ -129,87 +290,64 @@ std::string StepLabel(const Step& step) {
 /// byte-identical to the serial traversal for every thread count.
 PathSet RunAutomaton(storage::PathOperatorExecutor& exec, const Step& step,
                      const PathSet& frontier, Direction dir,
-                     const TimeView& view, const ParallelContext& ctx,
-                     size_t* before_dedup) {
+                     const TimeView& view, const ParallelContext& ctx) {
   PathSet out;
-  *before_dedup = 0;
   if (step.nfa == nullptr) return out;
   const Nfa& nfa = *step.nfa;
   const size_t n = nfa.num_states();
   if (n == 0 || nfa.start < 0) return out;
-  const size_t start = static_cast<size_t>(nfa.start);
 
+  StateSets sets(nfa);
+  PathMemo memo(n);
   struct Entry {
     PathState path;
-    std::vector<int> states;  // occupied NFA states, sorted
+    int set;  // interned set of occupied NFA states
   };
-  struct Memo {
-    std::vector<bool> visited;  // states this path has ever occupied
-    bool emitted = false;
-  };
-  std::unordered_map<std::string, Memo> seen;
-
-  std::vector<Entry> cur;
-  cur.reserve(frontier.size());
-  for (const PathState& p : frontier) {
-    Memo& memo = seen[p.DedupKey()];
-    if (memo.visited.empty()) memo.visited.assign(n, false);
-    if (memo.visited[start]) continue;
-    memo.visited[start] = true;
-    if (nfa.accept[start] && !memo.emitted) {
-      // Zero iterations are admissible: the input passes through.
-      memo.emitted = true;
-      out.push_back(p);
+  // Admits path `p` (memo id `id`) with the newly occupied states `set`:
+  // emits it on its first accepting arrival, and keeps it for the next
+  // round unless no arc leaves `set`.
+  std::vector<Entry> next;
+  auto admit = [&](PathState&& p, uint32_t id, int set) {
+    const bool emit = sets.accepts(set) && memo.Emit(id);
+    if (sets.arcs(set).empty()) {
+      if (emit) out.push_back(std::move(p));
+      return;
     }
-    cur.push_back({p, {static_cast<int>(start)}});
+    if (emit) out.push_back(p);
+    next.push_back({std::move(p), set});
+  };
+
+  const int start = sets.Intern({nfa.start});
+  for (const PathState& p : frontier) {
+    const uint32_t id = memo.Find(p);
+    // Zero iterations are admissible: an accepting start passes the input.
+    if (memo.Visit(id, nfa.start)) admit(PathState(p), id, start);
   }
 
-  while (!cur.empty()) {
-    // Group entries by state set; a group's outgoing arcs are the distinct
-    // transition atoms of its states with their merged target sets.
-    struct Arc {
-      const storage::CompiledAtom* atom = nullptr;
-      std::vector<int> targets;
-    };
-    struct Group {
-      std::vector<size_t> entries;       // indices into cur
-      std::map<std::string, Arc> arcs;   // atom rendering -> arc
-    };
-    std::map<std::string, Group> groups;  // deterministic iteration order
-    for (size_t i = 0; i < cur.size(); ++i) {
-      std::string key;
-      for (int s : cur[i].states) key += std::to_string(s) + ",";
-      Group& group = groups[key];
-      if (group.entries.empty()) {
-        for (int s : cur[i].states) {
-          for (const NfaTransition& tr :
-               nfa.states[static_cast<size_t>(s)]) {
-            Arc& arc = group.arcs[tr.atom.ToString()];
-            arc.atom = &tr.atom;
-            arc.targets.push_back(tr.target);
-          }
-        }
-        for (auto& [unused, arc] : group.arcs) {
-          std::sort(arc.targets.begin(), arc.targets.end());
-          arc.targets.erase(
-              std::unique(arc.targets.begin(), arc.targets.end()),
-              arc.targets.end());
-        }
-      }
-      group.entries.push_back(i);
-    }
+  std::vector<int> fresh;
+  while (!next.empty()) {
+    std::vector<Entry> cur = std::move(next);
+    next.clear();
 
-    // One extension task per (group, arc, chunk). Slice boundaries are a
+    // Group entries by state set, in rendering order of the sets.
+    std::vector<std::vector<size_t>> members(sets.size());
+    std::vector<int> groups;
+    for (size_t i = 0; i < cur.size(); ++i) {
+      std::vector<size_t>& m = members[static_cast<size_t>(cur[i].set)];
+      if (m.empty()) groups.push_back(cur[i].set);
+      m.push_back(i);
+    }
+    std::sort(groups.begin(), groups.end(),
+              [&sets](int a, int b) { return sets.Before(a, b); });
+
+    // One extension task per (group, arc, chunk). Chunk boundaries are a
     // pure function of the frontier, so the admission order below is
-    // scheduling-independent.
-    struct Slice {
-      const Group* group;
-      const Arc* arc;
-      size_t begin, end;  // range within group->entries
-    };
+    // scheduling-independent. A chunk's input is built once and serves
+    // every arc of its group.
     size_t round_rows = 0;
-    for (const auto& [unused, group] : groups) {
-      round_rows += group.entries.size() * group.arcs.size();
+    for (int g : groups) {
+      round_rows +=
+          members[static_cast<size_t>(g)].size() * sets.arcs(g).size();
     }
     const size_t shards =
         ctx.enabled()
@@ -218,26 +356,33 @@ PathSet RunAutomaton(storage::PathOperatorExecutor& exec, const Step& step,
     const size_t chunk =
         shards >= 2 ? std::max(kMinStatesPerShard, round_rows / shards)
                     : std::max<size_t>(round_rows, 1);
+    struct Slice {
+      size_t input;  // index into `inputs`
+      StateSets::Arc* arc;
+    };
+    std::vector<PathSet> inputs;
     std::vector<Slice> slices;
-    for (const auto& [unused, group] : groups) {
-      for (const auto& [unused2, arc] : group.arcs) {
-        for (size_t b = 0; b < group.entries.size(); b += chunk) {
-          slices.push_back(
-              {&group, &arc, b, std::min(b + chunk, group.entries.size())});
+    for (int g : groups) {
+      const std::vector<size_t>& m = members[static_cast<size_t>(g)];
+      const size_t first = inputs.size();
+      for (size_t b = 0; b < m.size(); b += chunk) {
+        PathSet& input = inputs.emplace_back();
+        input.reserve(std::min(chunk, m.size() - b));
+        for (size_t k = b; k < std::min(b + chunk, m.size()); ++k) {
+          input.push_back(std::move(cur[m[k]].path));
+        }
+      }
+      for (StateSets::Arc& arc : sets.arcs(g)) {
+        for (size_t c = first; c < inputs.size(); ++c) {
+          slices.push_back({c, &arc});
         }
       }
     }
-    if (slices.empty()) break;
 
     std::vector<PathSet> ext(slices.size());
-    auto run_slice = [&exec, dir, &view, &cur, &slices, &ext](size_t i) {
-      const Slice& sl = slices[i];
-      PathSet input;
-      input.reserve(sl.end - sl.begin);
-      for (size_t k = sl.begin; k < sl.end; ++k) {
-        input.push_back(cur[sl.group->entries[k]].path);
-      }
-      ext[i] = exec.ExtendAtom(input, *sl.arc->atom, dir, view);
+    auto run_slice = [&exec, dir, &view, &inputs, &slices, &ext](size_t i) {
+      ext[i] = exec.ExtendAtom(inputs[slices[i].input], *slices[i].arc->atom,
+                               dir, view);
     };
     if (shards >= 2 && slices.size() >= 2) {
       std::vector<std::function<void()>> tasks;
@@ -250,36 +395,22 @@ PathSet RunAutomaton(storage::PathOperatorExecutor& exec, const Step& step,
       for (size_t i = 0; i < slices.size(); ++i) run_slice(i);
     }
 
-    std::vector<Entry> next;
     for (size_t i = 0; i < slices.size(); ++i) {
-      const Arc& arc = *slices[i].arc;
+      StateSets::Arc& arc = *slices[i].arc;
       for (PathState& p : ext[i]) {
-        Memo& memo = seen[p.DedupKey()];
-        if (memo.visited.empty()) memo.visited.assign(n, false);
-        std::vector<int> fresh;
+        const uint32_t id = memo.Find(p);
+        fresh.clear();
         for (int t : arc.targets) {
-          if (!memo.visited[static_cast<size_t>(t)]) {
-            memo.visited[static_cast<size_t>(t)] = true;
-            fresh.push_back(t);
-          }
+          if (memo.Visit(id, t)) fresh.push_back(t);
         }
         if (fresh.empty()) continue;
-        if (!memo.emitted) {
-          for (int t : fresh) {
-            if (nfa.accept[static_cast<size_t>(t)]) {
-              memo.emitted = true;
-              out.push_back(p);
-              break;
-            }
-          }
-        }
-        next.push_back({std::move(p), std::move(fresh)});
+        const int set = fresh.size() == arc.targets.size()
+                            ? sets.TargetSet(&arc)
+                            : sets.Intern(fresh);
+        admit(std::move(p), id, set);
       }
     }
-    cur = std::move(next);
   }
-  *before_dedup = out.size();
-  storage::DedupPaths(&out);
   return out;
 }
 
@@ -447,7 +578,8 @@ PathSet RunStepCtx(storage::PathOperatorExecutor& exec, const Step& step,
       break;
     }
     case Step::Kind::kAutomaton:
-      out = RunAutomaton(exec, step, frontier, dir, view, ctx, &before_dedup);
+      out = RunAutomaton(exec, step, frontier, dir, view, ctx);
+      before_dedup = out.size();
       break;
   }
 

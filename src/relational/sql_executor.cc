@@ -1,7 +1,5 @@
 #include "relational/sql_executor.h"
 
-#include "storage/traverser_executor.h"  // TryAppendElement
-
 namespace nepal::relational {
 
 using storage::CompiledAtom;
@@ -51,40 +49,14 @@ PathSet SqlBulkExecutor::Select(const CompiledAtom& atom,
                                 const TimeView& view) {
   PathSet out;
   store_->Scan(atom.ToScanSpec(), view, [&](const ElementVersion& v) {
-    PathState state;
-    state.uids.push_back(v.uid);
-    state.concepts.push_back(v.cls);
-    state.valid = v.valid;
-    if (v.is_edge()) {
-      state.frontier = v.target;
-      state.frontier_in_path = false;
-      state.head_frontier = v.source;
-      state.head_in_path = false;
-    } else {
-      state.frontier = v.uid;
-      state.frontier_in_path = true;
-      state.head_frontier = v.uid;
-      state.head_in_path = true;
-    }
-    out.push_back(std::move(state));
+    out.push_back(storage::AnchorState(v));
   });
   return out;
 }
 
 PathSet SqlBulkExecutor::SelectSeeds(const std::vector<Uid>& nodes,
-                                     const TimeView& view) {
-  (void)view;
-  PathSet out;
-  out.reserve(nodes.size());
-  for (Uid uid : nodes) {
-    PathState state;
-    state.frontier = uid;
-    state.frontier_in_path = false;
-    state.head_frontier = uid;
-    state.head_in_path = false;
-    out.push_back(std::move(state));
-  }
-  return out;
+                                     const TimeView& /*view*/) {
+  return storage::SeedStates(nodes);
 }
 
 PathSet SqlBulkExecutor::MaterializeFrontiers(const PathSet& frontier,

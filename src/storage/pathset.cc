@@ -1,10 +1,42 @@
 #include "storage/pathset.h"
 
 #include <algorithm>
-#include <unordered_set>
+#include <cstddef>
+#include <iterator>
 #include <utility>
 
 namespace nepal::storage {
+
+namespace {
+
+/// One round of the identity hash: folds `v` into `h`.
+uint64_t HashStep(uint64_t h, uint64_t v) {
+  h ^= v * 0x9e3779b97f4a7c15ull;
+  h = (h << 27) | (h >> 37);
+  return h * 0xc2b2ae3d27d4eb4full + 0x165667b19e3779f9ull;
+}
+
+/// The canonical order CanonicalizePaths documents.
+bool CanonicalLess(const PathState& a, const PathState& b) {
+  auto [ia, ib] =
+      std::mismatch(a.uids.begin(), a.uids.end(), b.uids.begin(), b.uids.end());
+  if (ia != a.uids.end() || ib != b.uids.end()) {
+    if (ia == a.uids.end()) return true;
+    if (ib == b.uids.end()) return false;
+    return *ia < *ib;
+  }
+  if (a.frontier != b.frontier) return a.frontier < b.frontier;
+  if (a.frontier_in_path != b.frontier_in_path) return !a.frontier_in_path;
+  if (a.valid.start != b.valid.start) return a.valid.start < b.valid.start;
+  return a.valid.end < b.valid.end;
+}
+
+void AppendMoved(PathSet* from, PathSet* to) {
+  to->insert(to->end(), std::make_move_iterator(from->begin()),
+             std::make_move_iterator(from->end()));
+}
+
+}  // namespace
 
 bool FieldCondition::Eval(const ElementVersion& v) const {
   int cmp;
@@ -140,18 +172,24 @@ PathState PathState::Reversed() const {
   return rev;
 }
 
-std::string PathState::DedupKey() const {
-  std::string key;
-  key.reserve(uids.size() * 8 + 24);
-  auto put = [&key](uint64_t v) {
-    key.append(reinterpret_cast<const char*>(&v), sizeof(v));
-  };
-  for (Uid u : uids) put(u);
-  put(frontier);
-  put(static_cast<uint64_t>(frontier_in_path));
-  put(static_cast<uint64_t>(valid.start));
-  put(static_cast<uint64_t>(valid.end));
-  return key;
+uint64_t PathState::IdentityHash() const {
+  uint64_t h = HashStep(0, uids.size());
+  for (Uid u : uids) h = HashStep(h, u);
+  h = HashStep(h, frontier);
+  h = HashStep(h, static_cast<uint64_t>(frontier_in_path));
+  h = HashStep(h, static_cast<uint64_t>(valid.start));
+  h = HashStep(h, static_cast<uint64_t>(valid.end));
+  // splitmix64 finalizer: PathIndex probes by the low bits.
+  h = (h ^ (h >> 30)) * 0xbf58476d1ce4e5b9ull;
+  h = (h ^ (h >> 27)) * 0x94d049bb133111ebull;
+  return h ^ (h >> 31);
+}
+
+bool PathState::SameIdentity(const PathState& other) const {
+  return frontier == other.frontier &&
+         frontier_in_path == other.frontier_in_path &&
+         valid.start == other.valid.start && valid.end == other.valid.end &&
+         uids == other.uids;
 }
 
 std::string PathState::ToString() const {
@@ -167,33 +205,113 @@ std::string PathState::ToString() const {
   return out;
 }
 
-void DedupPaths(PathSet* paths) {
-  std::unordered_set<std::string> seen;
-  seen.reserve(paths->size());
-  PathSet out;
-  out.reserve(paths->size());
-  for (PathState& state : *paths) {
-    if (seen.insert(state.DedupKey()).second) {
-      out.push_back(std::move(state));
-    }
+PathState AnchorState(const ElementVersion& v) {
+  PathState state;
+  state.uids.push_back(v.uid);
+  state.concepts.push_back(v.cls);
+  state.valid = v.valid;
+  if (v.is_edge()) {
+    state.frontier = v.target;
+    state.frontier_in_path = false;
+    state.head_frontier = v.source;
+    state.head_in_path = false;
+  } else {
+    state.frontier = v.uid;
+    state.frontier_in_path = true;
+    state.head_frontier = v.uid;
+    state.head_in_path = true;
   }
-  *paths = std::move(out);
+  return state;
+}
+
+PathSet SeedStates(const std::vector<Uid>& nodes) {
+  PathSet out;
+  out.reserve(nodes.size());
+  for (Uid uid : nodes) {
+    PathState state;
+    state.frontier = uid;
+    state.frontier_in_path = false;
+    state.head_frontier = uid;
+    state.head_in_path = false;
+    out.push_back(std::move(state));
+  }
+  return out;
+}
+
+bool TryAppendElement(const PathState& state, const ElementVersion& v,
+                      PathState* out) {
+  if (state.Contains(v.uid)) return false;
+  Interval iv = state.valid.Intersect(v.valid);
+  if (iv.empty()) return false;
+  out->uids.reserve(state.uids.size() + 1);
+  out->uids.assign(state.uids.begin(), state.uids.end());
+  out->uids.push_back(v.uid);
+  out->concepts.reserve(state.concepts.size() + 1);
+  out->concepts.assign(state.concepts.begin(), state.concepts.end());
+  out->concepts.push_back(v.cls);
+  out->valid = iv;
+  out->frontier = state.frontier;
+  out->frontier_in_path = state.frontier_in_path;
+  if (state.uids.empty()) {
+    // First element of a seed-grown path becomes the head.
+    out->head_frontier = v.uid;
+    out->head_in_path = !v.is_edge();
+  } else {
+    out->head_frontier = state.head_frontier;
+    out->head_in_path = state.head_in_path;
+  }
+  return true;
+}
+
+PathIndex::PathIndex(size_t expected) {
+  size_t capacity = 16;
+  while (capacity * 3 < expected * 4) capacity *= 2;
+  slots_.assign(capacity, 0);
+  hashes_.assign(capacity, 0);
+}
+
+void PathIndex::Grow() {
+  std::vector<uint32_t> old_slots(slots_.size() * 2, 0);
+  std::vector<uint64_t> old_hashes(hashes_.size() * 2, 0);
+  old_slots.swap(slots_);
+  old_hashes.swap(hashes_);
+  const size_t mask = slots_.size() - 1;
+  for (size_t j = 0; j < old_slots.size(); ++j) {
+    if (old_slots[j] == 0) continue;
+    size_t i = static_cast<size_t>(old_hashes[j]) & mask;
+    while (slots_[i] != 0) i = (i + 1) & mask;
+    slots_[i] = old_slots[j];
+    hashes_[i] = old_hashes[j];
+  }
+}
+
+void DedupPaths(PathSet* paths) {
+  PathSet& all = *paths;
+  if (all.size() < 2) return;
+  // Compacts in place: ids name the kept prefix all[0, kept).
+  PathIndex index(all.size());
+  size_t kept = 0;
+  for (size_t i = 0; i < all.size(); ++i) {
+    const bool fresh =
+        index
+            .Insert(all[i].IdentityHash(),
+                    [&](uint32_t id) { return all[id].SameIdentity(all[i]); })
+            .second;
+    if (!fresh) continue;
+    if (kept != i) all[kept] = std::move(all[i]);
+    ++kept;
+  }
+  all.erase(all.begin() + static_cast<std::ptrdiff_t>(kept), all.end());
 }
 
 void CanonicalizePaths(PathSet* paths) {
-  std::vector<std::pair<std::string, size_t>> keys;
-  keys.reserve(paths->size());
-  for (size_t i = 0; i < paths->size(); ++i) {
-    keys.emplace_back((*paths)[i].DedupKey(), i);
-  }
-  std::sort(keys.begin(), keys.end());
-  PathSet out;
-  out.reserve(keys.size());
-  for (size_t i = 0; i < keys.size(); ++i) {
-    if (i > 0 && keys[i].first == keys[i - 1].first) continue;
-    out.push_back(std::move((*paths)[keys[i].second]));
-  }
-  *paths = std::move(out);
+  // Stable, so the first occurrence of each identity heads its run.
+  std::stable_sort(paths->begin(), paths->end(), CanonicalLess);
+  paths->erase(std::unique(paths->begin(), paths->end(),
+                           [](const PathState& a, const PathState& b) {
+                             return a.SameIdentity(b);
+                           }),
+               paths->end());
 }
 
 PathSet PathOperatorExecutor::ExtendBlock(
@@ -201,20 +319,18 @@ PathSet PathOperatorExecutor::ExtendBlock(
     int min_rep, int max_rep, Direction dir, const TimeView& view) {
   PathSet collected;
   PathSet current = frontier;
-  if (min_rep == 0) {
-    collected.insert(collected.end(), current.begin(), current.end());
-  }
-  for (int k = 1; k <= max_rep && !current.empty(); ++k) {
+  for (int k = 0; !current.empty(); ++k) {
     PathSet next;
-    for (const CompiledAtom& atom : alternatives) {
-      PathSet branch = ExtendAtom(current, atom, dir, view);
-      next.insert(next.end(), branch.begin(), branch.end());
+    if (k < max_rep) {
+      for (const CompiledAtom& atom : alternatives) {
+        PathSet branch = ExtendAtom(current, atom, dir, view);
+        AppendMoved(&branch, &next);
+      }
+      DedupPaths(&next);
     }
-    DedupPaths(&next);
+    // Round k is finished once round k+1 is built: move it, don't copy.
+    if (k >= min_rep) AppendMoved(&current, &collected);
     current = std::move(next);
-    if (k >= min_rep) {
-      collected.insert(collected.end(), current.begin(), current.end());
-    }
   }
   DedupPaths(&collected);
   return collected;

@@ -20,8 +20,10 @@
 #ifndef NEPAL_STORAGE_PATHSET_H_
 #define NEPAL_STORAGE_PATHSET_H_
 
+#include <cstdint>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "storage/element.h"
@@ -91,25 +93,89 @@ struct PathState {
   /// bookkeeping. Used to grow the prefix side of an anchored plan.
   PathState Reversed() const;
 
-  /// Key identifying the state for deduplication.
-  std::string DedupKey() const;
+  /// A state's identity — what deduplication compares — is
+  /// (uids, frontier, frontier_in_path, valid). IdentityHash is a 64-bit
+  /// hash of it; SameIdentity compares it field by field. A hash match
+  /// counts as a duplicate only once SameIdentity confirms it.
+  uint64_t IdentityHash() const;
+  bool SameIdentity(const PathState& other) const;
 
   std::string ToString() const;
 };
 
 using PathSet = std::vector<PathState>;
 
-/// Removes duplicate states (same uids, frontier and interval), keeping the
-/// first occurrence. The surviving set is input-order independent; the
-/// output order is not.
+/// The single-element state of an anchor match: `v` recorded, the tail
+/// frontier at its open end (an edge's target, or the node itself) and the
+/// head frontier at the other.
+PathState AnchorState(const ElementVersion& v);
+
+/// Seed states for imported anchors: one empty uid list per node, both
+/// frontiers at the node and not yet recorded.
+PathSet SeedStates(const std::vector<Uid>& nodes);
+
+/// Appends `v` to a copy of `state` if the cycle check and interval
+/// intersection admit it; returns false otherwise. Copies `state`'s vectors
+/// once, with room for `v`, and maintains head bookkeeping for seed
+/// states. Shared by executors.
+bool TryAppendElement(const PathState& state, const ElementVersion& v,
+                      PathState* out);
+
+/// Removes states with the identity of an earlier state, keeping the first
+/// occurrence in input order. The surviving set is input-order
+/// independent; the output order is not.
 void DedupPaths(PathSet* paths);
 
-/// Sorts states into canonical (DedupKey) order and removes duplicates.
-/// Unlike DedupPaths the result — including its order — is fully
+/// Sorts states into canonical order and removes duplicates, keeping the
+/// first occurrence. Canonical order is numeric and lexicographic over the
+/// identity: the uid sequence element by element (a proper prefix first),
+/// then frontier, frontier_in_path (false first), valid.start and
+/// valid.end. Unlike DedupPaths the result — including its order — is
 /// independent of the input order, which makes merged shard outputs of the
 /// parallel executor deterministic and lets tests compare path sets across
 /// different anchor choices byte-for-byte.
 void CanonicalizePaths(PathSet* paths);
+
+/// Open-addressing hash index that hands out dense ids 0, 1, 2, ... in
+/// insertion order, keyed by 64-bit hashes (PathState::IdentityHash). It
+/// stores no paths: the caller keeps whatever an id names and confirms each
+/// hash match with its own equality test.
+class PathIndex {
+ public:
+  explicit PathIndex(size_t expected = 0);
+
+  /// Returns {id, false} for an earlier entry with hash `hash` for which
+  /// `same(id)` holds; otherwise records the next id under `hash` and
+  /// returns {id, true}.
+  template <typename Same>
+  std::pair<uint32_t, bool> Insert(uint64_t hash, const Same& same) {
+    if ((size_ + 1) * 4 > slots_.size() * 3) Grow();
+    const size_t mask = slots_.size() - 1;
+    for (size_t i = static_cast<size_t>(hash) & mask;; i = (i + 1) & mask) {
+      const uint32_t slot = slots_[i];
+      if (slot == 0) {
+        slots_[i] = static_cast<uint32_t>(++size_);
+        hashes_[i] = hash;
+        return {slot_id(size_), true};
+      }
+      if (hashes_[i] == hash && same(slot_id(slot))) {
+        return {slot_id(slot), false};
+      }
+    }
+  }
+
+  size_t size() const { return size_; }
+
+ private:
+  static uint32_t slot_id(size_t slot) {
+    return static_cast<uint32_t>(slot - 1);
+  }
+  void Grow();
+
+  std::vector<uint32_t> slots_;  // id + 1; 0 marks an empty slot
+  std::vector<uint64_t> hashes_;
+  size_t size_ = 0;
+};
 
 /// The retargetable operator set. One instance per (backend, query).
 class PathOperatorExecutor {

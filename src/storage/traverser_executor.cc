@@ -2,61 +2,19 @@
 
 namespace nepal::storage {
 
-bool TryAppendElement(const PathState& state, const ElementVersion& v,
-                      PathState* out) {
-  if (state.Contains(v.uid)) return false;
-  Interval iv = state.valid.Intersect(v.valid);
-  if (iv.empty()) return false;
-  *out = state;
-  out->uids.push_back(v.uid);
-  out->concepts.push_back(v.cls);
-  out->valid = iv;
-  if (state.uids.empty()) {
-    // First element of a seed-grown path becomes the head.
-    out->head_frontier = v.uid;
-    out->head_in_path = !v.is_edge();
-  }
-  return true;
-}
-
 PathSet TraverserExecutor::Select(const CompiledAtom& atom,
                                   const TimeView& view) {
   PathSet out;
   backend_->Scan(atom.ToScanSpec(), view, [&](const ElementVersion& v) {
-    PathState state;
-    state.uids.push_back(v.uid);
-    state.concepts.push_back(v.cls);
-    state.valid = v.valid;
-    if (v.is_edge()) {
-      state.frontier = v.target;
-      state.frontier_in_path = false;
-      state.head_frontier = v.source;
-      state.head_in_path = false;
-    } else {
-      state.frontier = v.uid;
-      state.frontier_in_path = true;
-      state.head_frontier = v.uid;
-      state.head_in_path = true;
-    }
-    out.push_back(std::move(state));
+    out.push_back(AnchorState(v));
   });
   return out;
 }
 
 PathSet TraverserExecutor::SelectSeeds(const std::vector<Uid>& nodes,
-                                       const TimeView& view) {
-  (void)view;  // visibility of the seed is enforced at first materialization
-  PathSet out;
-  out.reserve(nodes.size());
-  for (Uid uid : nodes) {
-    PathState state;
-    state.frontier = uid;
-    state.frontier_in_path = false;
-    state.head_frontier = uid;
-    state.head_in_path = false;
-    out.push_back(std::move(state));
-  }
-  return out;
+                                       const TimeView& /*view*/) {
+  // Visibility of a seed is enforced at its first materialization.
+  return SeedStates(nodes);
 }
 
 PathSet TraverserExecutor::ExtendAtom(const PathSet& frontier,

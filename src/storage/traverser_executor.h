@@ -39,12 +39,6 @@ class TraverserExecutor : public PathOperatorExecutor {
   const StorageBackend* backend_;
 };
 
-/// Appends `v` to a copy of `state` if the cycle check and interval
-/// intersection admit it; returns false otherwise. Maintains head
-/// bookkeeping for seed states. Shared by executors.
-bool TryAppendElement(const PathState& state, const ElementVersion& v,
-                      PathState* out);
-
 }  // namespace nepal::storage
 
 #endif  // NEPAL_STORAGE_TRAVERSER_EXECUTOR_H_

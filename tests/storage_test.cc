@@ -1,13 +1,17 @@
 // Unit tests for the storage layer: GraphDb semantics (validation, unique
 // constraints, cascades, the transaction clock) and backend behaviour
 // (version chains, scans under time views, incident-edge lookups,
-// statistics), run against both backends.
+// statistics), run against both backends; plus the path-identity
+// properties of DedupPaths, CanonicalizePaths and PathIndex.
 
 #include <algorithm>
 #include <set>
+#include <tuple>
 
 #include <gtest/gtest.h>
 
+#include "common/rng.h"
+#include "storage/pathset.h"
 #include "tests/testutil.h"
 
 namespace nepal {
@@ -261,6 +265,163 @@ INSTANTIATE_TEST_SUITE_P(
     [](const ::testing::TestParamInfo<BackendKind>& info) {
       return nepal::testing::BackendName(info.param);
     });
+
+// ---- Path identity ----------------------------------------------------
+
+using storage::PathSet;
+using storage::PathState;
+
+/// The identity DedupPaths and CanonicalizePaths document, as a tuple whose
+/// operator< is the documented canonical order.
+using Identity = std::tuple<std::vector<Uid>, Uid, bool, Timestamp, Timestamp>;
+
+Identity IdentityOf(const PathState& p) {
+  return {p.uids, p.frontier, p.frontier_in_path, p.valid.start, p.valid.end};
+}
+
+/// Random states over a small alphabet, each followed by near-duplicates
+/// that differ from it in exactly one identity field, and by exact
+/// duplicates; then shuffled. `head_frontier` (not part of the identity)
+/// tags every state with its input position, so tests can tell which of
+/// two duplicates survived. Uids such as 256 and 2^40 order differently
+/// by value than by little-endian bytes.
+PathSet RandomPathSet(Rng& rng) {
+  const Uid alphabet[] = {1, 2, 7, 255, 256, 257, 65536, Uid{1} << 40};
+  const Timestamp times[] = {kTimestampMin, -5, 0, 3, 100, kTimestampMax};
+  auto uid = [&] { return alphabet[rng.Below(std::size(alphabet))]; };
+  auto time = [&] { return times[rng.Below(std::size(times))]; };
+  PathSet out;
+  const size_t bases = 1 + rng.Below(40);
+  for (size_t b = 0; b < bases; ++b) {
+    PathState p;
+    const size_t len = rng.Below(4);
+    for (size_t i = 0; i < len; ++i) p.uids.push_back(uid());
+    p.concepts.assign(len, nullptr);
+    p.frontier = uid();
+    p.frontier_in_path = rng.Chance(0.5);
+    p.valid = {time(), time()};
+    out.push_back(p);
+    const size_t copies = rng.Below(6);
+    for (size_t c = 0; c < copies; ++c) {
+      PathState q = p;
+      switch (rng.Below(6)) {
+        case 0:
+          if (!q.uids.empty()) q.uids[rng.Below(q.uids.size())] = uid();
+          break;
+        case 1:
+          q.frontier = uid();
+          break;
+        case 2:
+          q.frontier_in_path = !q.frontier_in_path;
+          break;
+        case 3:
+          q.valid.start = time();
+          break;
+        case 4:
+          q.valid.end = time();
+          break;
+        default:
+          break;  // an exact duplicate
+      }
+      out.push_back(q);
+    }
+  }
+  for (size_t i = out.size(); i > 1; --i) {
+    std::swap(out[i - 1], out[rng.Below(i)]);
+  }
+  for (size_t i = 0; i < out.size(); ++i) out[i].head_frontier = i;
+  return out;
+}
+
+void ExpectSameStates(const PathSet& got, const PathSet& want) {
+  ASSERT_EQ(got.size(), want.size());
+  for (size_t i = 0; i < got.size(); ++i) {
+    EXPECT_EQ(IdentityOf(got[i]), IdentityOf(want[i])) << "at " << i;
+    EXPECT_EQ(got[i].head_frontier, want[i].head_frontier) << "at " << i;
+  }
+}
+
+TEST(PathIdentityTest, DedupPathsKeepsFirstOccurrencesLikeASetReference) {
+  Rng rng(1301);
+  for (int round = 0; round < 300; ++round) {
+    const PathSet input = RandomPathSet(rng);
+    PathSet want;
+    std::set<Identity> seen;
+    for (const PathState& p : input) {
+      if (seen.insert(IdentityOf(p)).second) want.push_back(p);
+    }
+    PathSet got = input;
+    storage::DedupPaths(&got);
+    ExpectSameStates(got, want);
+  }
+}
+
+TEST(PathIdentityTest, CanonicalizeEqualsSortUniqueInNumericOrder) {
+  Rng rng(1302);
+  for (int round = 0; round < 300; ++round) {
+    const PathSet input = RandomPathSet(rng);
+    PathSet want = input;
+    std::stable_sort(want.begin(), want.end(),
+                     [](const PathState& a, const PathState& b) {
+                       return IdentityOf(a) < IdentityOf(b);
+                     });
+    want.erase(std::unique(want.begin(), want.end(),
+                           [](const PathState& a, const PathState& b) {
+                             return IdentityOf(a) == IdentityOf(b);
+                           }),
+               want.end());
+    PathSet got = input;
+    storage::CanonicalizePaths(&got);
+    ExpectSameStates(got, want);
+    // Input order does not matter, up to which duplicate survives.
+    PathSet reversed(input.rbegin(), input.rend());
+    storage::CanonicalizePaths(&reversed);
+    ASSERT_EQ(reversed.size(), got.size());
+    for (size_t i = 0; i < got.size(); ++i) {
+      EXPECT_EQ(IdentityOf(reversed[i]), IdentityOf(got[i]));
+    }
+  }
+}
+
+TEST(PathIdentityTest, IdentityHashFollowsIdentityOnly) {
+  Rng rng(1303);
+  for (int round = 0; round < 100; ++round) {
+    const PathSet input = RandomPathSet(rng);
+    for (const PathState& a : input) {
+      for (const PathState& b : input) {
+        const bool same = IdentityOf(a) == IdentityOf(b);
+        EXPECT_EQ(a.SameIdentity(b), same);
+        if (same) {
+          EXPECT_EQ(a.IdentityHash(), b.IdentityHash());
+        }
+      }
+    }
+  }
+}
+
+TEST(PathIdentityTest, PathIndexConfirmsEveryHashMatch) {
+  // Every key lands on one of four hashes, so most inserts probe past
+  // colliding entries whose equality test fails; growth from the default
+  // capacity rehashes the table several times on the way.
+  std::vector<int> keys;
+  storage::PathIndex index;
+  Rng rng(1304);
+  for (int i = 0; i < 2000; ++i) {
+    const int key = static_cast<int>(rng.Below(700));
+    auto [id, inserted] = index.Insert(
+        static_cast<uint64_t>(key % 4),
+        [&](uint32_t other) { return keys[other] == key; });
+    auto earlier = std::find(keys.begin(), keys.end(), key);
+    EXPECT_EQ(inserted, earlier == keys.end()) << key;
+    if (inserted) {
+      EXPECT_EQ(id, keys.size());
+      keys.push_back(key);
+    } else {
+      EXPECT_EQ(id, static_cast<uint32_t>(earlier - keys.begin()));
+    }
+  }
+  EXPECT_EQ(index.size(), keys.size());
+}
 
 }  // namespace
 }  // namespace nepal
