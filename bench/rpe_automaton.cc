@@ -1,15 +1,16 @@
-// Ablation: NFA product-automaton evaluation vs unrolled repetition plans.
+// Regular-path engine: the two repetition executors on one small core.
 //
-// Bounded repetitions can be compiled either into the planner's unrolled
-// Union-of-optionals plan (one nested Union per optional iteration) or
-// into a Thompson NFA whose executor advances a frontier of
-// (state, node) tuples with per-state memoization. The unrolled plan's
-// cost grows with the repetition bound even when the frontier saturates
-// early; the automaton pays per *reached* (state, node) pair, so it
-// should be no slower at moderate depths and scale strictly better at
-// deep ones. Unbounded Kleene-star reachability has no unrolled
-// counterpart at all — the automaton is the only plan shape that
-// terminates — so it is recorded automaton-only.
+// The planner picks a repetition's executor from the RPE alone. A bounded
+// repetition ([r]{i,j}) is a Loop step — here on the backend's ExtendBlock,
+// since the body is one atom — and an unbounded one ([r]*, [r]+, [r]{i,})
+// runs on the graph × NFA product automaton with memoized visitation. The
+// DepthN_Loop records time {1,N} host-to-host queries as planned.
+// Saturated_Automaton reruns the depth-12 instances with the maximum
+// opened ([connects()]+). No simple connects path from a host on this
+// core has more than 12 hops, so + enumerates exactly the paths {1,12}
+// does and the two records do the same work. Unbounded Kleene-star
+// reachability ([connects()]*) has no bounded counterpart at all: only
+// the automaton's memoized traversal terminates.
 
 #include <map>
 #include <string>
@@ -24,9 +25,9 @@ namespace {
 
 struct RaFixture {
   netmodel::VirtualizedNetwork net;
-  std::unique_ptr<nql::QueryEngine> automaton;
-  std::unique_ptr<nql::QueryEngine> unrolled;
+  std::unique_ptr<nql::QueryEngine> engine;
   std::map<int, InstanceSet> by_depth;
+  InstanceSet saturated;
   InstanceSet star;
 
   RaFixture() {
@@ -48,21 +49,14 @@ struct RaFixture {
     auto built = BuildVirtualizedNetwork(params, RelationalFactory());
     if (!built.ok()) std::abort();
     net = std::move(*built);
-    // Both engines run serially, so the comparison is between plan shapes,
-    // not between how well each one's frontiers shard across cores.
-    nql::EngineOptions nfa_options;
-    nfa_options.plan.loop_strategy = nql::LoopStrategy::kAutomaton;
-    nfa_options.plan.parallelism = 1;
-    automaton = std::make_unique<nql::QueryEngine>(net.db.get(), nfa_options);
-    nql::EngineOptions unroll_options;
-    unroll_options.plan.loop_strategy = nql::LoopStrategy::kUnroll;
-    unroll_options.plan.parallelism = 1;
-    unrolled = std::make_unique<nql::QueryEngine>(net.db.get(), unroll_options);
+    // Serial evaluation, so the records compare executors, not how well
+    // each one's frontiers shard across cores.
+    nql::EngineOptions options;
+    options.plan.parallelism = 1;
+    engine = std::make_unique<nql::QueryEngine>(net.db.get(), options);
 
     Rng rng(31);
     size_t want = static_cast<size_t>(NumInstances());
-    // Both engines run the *same* sampled instance set per depth, so the
-    // automaton/unrolled comparison is over identical work.
     for (int depth : {2, 6, 12}) {
       std::vector<std::string> candidates;
       for (int i = 0; i < 120; ++i) {
@@ -76,12 +70,17 @@ struct RaFixture {
             "')->[connects()]{1," + std::to_string(depth) +
             "}->Host(name='" + b + "')");
       }
-      by_depth[depth] = SampleNonEmpty(*automaton, candidates, want);
+      by_depth[depth] = SampleNonEmpty(*engine, candidates, want);
+    }
+    // The depth-12 instances with an open maximum: the same host pairs,
+    // run by the automaton.
+    for (std::string query : by_depth[12].queries) {
+      query.replace(query.find("{1,12}"), 6, "+");
+      saturated.queries.push_back(std::move(query));
     }
     {
       // Unbounded reachability: every router reachable from a host over
-      // any number of physical links. No unrolled counterpart exists —
-      // the automaton's memoized traversal is what makes `*` terminate.
+      // any number of physical links.
       std::vector<std::string> candidates;
       for (int i = 0; i < 60; ++i) {
         const std::string a =
@@ -90,7 +89,7 @@ struct RaFixture {
             "Retrieve P From PATHS P Where P MATCHES Host(name='" + a +
             "')->[connects()]*->Router()");
       }
-      star = SampleNonEmpty(*automaton, candidates, want);
+      star = SampleNonEmpty(*engine, candidates, want);
     }
   }
 };
@@ -101,15 +100,17 @@ RaFixture& Fixture() {
 }
 
 void RunInstances(benchmark::State& state, const char* label,
-                  const nql::QueryEngine& engine, const InstanceSet& set) {
+                  const InstanceSet& set) {
   if (set.queries.empty()) {
     state.SkipWithError("no non-empty instances sampled");
     return;
   }
+  const nql::QueryEngine& engine = *Fixture().engine;
   BenchJson::Instance().Begin(label, Fixture().net.db->backend().name(),
                               set.queries.front());
   // One iteration runs every sampled instance once, so however many
-  // iterations google-benchmark picks, each side averages the same mix.
+  // iterations google-benchmark picks, records over the same instances
+  // average the same mix.
   size_t runs = 0;
   size_t paths = 0;
   for (auto _ : state) {
@@ -122,45 +123,28 @@ void RunInstances(benchmark::State& state, const char* label,
       static_cast<double>(paths) / static_cast<double>(runs);
 }
 
-void BM_Depth2_Automaton(benchmark::State& state) {
-  RunInstances(state, "Depth2_Automaton", *Fixture().automaton,
-               Fixture().by_depth[2]);
+void BM_Depth2_Loop(benchmark::State& state) {
+  RunInstances(state, "Depth2_Loop", Fixture().by_depth[2]);
 }
-BENCHMARK(BM_Depth2_Automaton)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_Depth2_Loop)->Unit(benchmark::kMillisecond);
 
-void BM_Depth2_Unrolled(benchmark::State& state) {
-  RunInstances(state, "Depth2_Unrolled", *Fixture().unrolled,
-               Fixture().by_depth[2]);
+void BM_Depth6_Loop(benchmark::State& state) {
+  RunInstances(state, "Depth6_Loop", Fixture().by_depth[6]);
 }
-BENCHMARK(BM_Depth2_Unrolled)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_Depth6_Loop)->Unit(benchmark::kMillisecond);
 
-void BM_Depth6_Automaton(benchmark::State& state) {
-  RunInstances(state, "Depth6_Automaton", *Fixture().automaton,
-               Fixture().by_depth[6]);
+void BM_Depth12_Loop(benchmark::State& state) {
+  RunInstances(state, "Depth12_Loop", Fixture().by_depth[12]);
 }
-BENCHMARK(BM_Depth6_Automaton)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_Depth12_Loop)->Unit(benchmark::kMillisecond);
 
-void BM_Depth6_Unrolled(benchmark::State& state) {
-  RunInstances(state, "Depth6_Unrolled", *Fixture().unrolled,
-               Fixture().by_depth[6]);
+void BM_Saturated_Automaton(benchmark::State& state) {
+  RunInstances(state, "Saturated_Automaton", Fixture().saturated);
 }
-BENCHMARK(BM_Depth6_Unrolled)->Unit(benchmark::kMillisecond);
-
-void BM_Depth12_Automaton(benchmark::State& state) {
-  RunInstances(state, "Depth12_Automaton", *Fixture().automaton,
-               Fixture().by_depth[12]);
-}
-BENCHMARK(BM_Depth12_Automaton)->Unit(benchmark::kMillisecond);
-
-void BM_Depth12_Unrolled(benchmark::State& state) {
-  RunInstances(state, "Depth12_Unrolled", *Fixture().unrolled,
-               Fixture().by_depth[12]);
-}
-BENCHMARK(BM_Depth12_Unrolled)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_Saturated_Automaton)->Unit(benchmark::kMillisecond);
 
 void BM_StarReachability_Automaton(benchmark::State& state) {
-  RunInstances(state, "StarReachability_Automaton", *Fixture().automaton,
-               Fixture().star);
+  RunInstances(state, "StarReachability_Automaton", Fixture().star);
 }
 BENCHMARK(BM_StarReachability_Automaton)->Unit(benchmark::kMillisecond);
 

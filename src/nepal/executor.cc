@@ -271,7 +271,7 @@ class PathMemo {
 /// memo domain is finite, and a suppressed re-arrival could only spawn
 /// the exact continuations its first arrival already spawned. For bounded
 /// automata (a DAG with one state set per iteration copy) the memo is
-/// equivalent to the legacy loop's per-round DedupPaths, so the final
+/// equivalent to the Loop step's per-round DedupPaths, so the final
 /// output sets match. The memo also emits each path at most once, so the
 /// output needs no dedup pass.
 ///
@@ -557,24 +557,13 @@ PathSet RunStepCtx(storage::PathOperatorExecutor& exec, const Step& step,
         before_dedup = out.size();
         break;
       }
-      // General repetition: iterate the body program, collecting the
-      // frontier after every admissible repetition count.
-      PathSet collected;
-      PathSet current = frontier;
-      if (step.min_rep == 0) {
-        collected.insert(collected.end(), current.begin(), current.end());
-      }
-      for (int k = 1; k <= step.max_rep && !current.empty(); ++k) {
-        current = RunProgramCtx(exec, step.body, std::move(current), dir,
-                                view, ctx);
-        storage::DedupPaths(&current);
-        if (k >= step.min_rep) {
-          collected.insert(collected.end(), current.begin(), current.end());
-        }
-      }
-      before_dedup = collected.size();
-      storage::DedupPaths(&collected);
-      out = std::move(collected);
+      // General repetition: one round runs the body program.
+      out = storage::RepeatRounds(
+          std::move(frontier), step.min_rep, step.max_rep,
+          [&](const PathSet& current) {
+            return RunProgramCtx(exec, step.body, current, dir, view, ctx);
+          },
+          &before_dedup);
       break;
     }
     case Step::Kind::kAutomaton:
@@ -774,8 +763,7 @@ PathSet EvaluateMatchSeeded(storage::PathOperatorExecutor& exec,
                             obs::QueryStatsGroup* stats) {
   // Compile unannotated, orient for the seeded side, then annotate with
   // row estimates in the direction the program will actually run.
-  Program compiled =
-      CompileSeededProgram(resolved_rpe, backend, options, view, -1);
+  Program compiled = CompileSeededProgram(resolved_rpe, backend, view, -1);
   Program program = side == SeedSide::kSource ? std::move(compiled)
                                               : ReverseProgram(compiled);
   const Direction dir =

@@ -61,7 +61,6 @@ std::string LogicalNode::ToString() const {
     }
     case Kind::kRep:
       out = "[" + children[0].ToString() + "]" + RepSuffix(min_rep, max_rep);
-      if (unroll) out += "[unrolled]";
       break;
   }
   if (pruned) out += "[pruned]";

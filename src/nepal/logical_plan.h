@@ -3,11 +3,11 @@
 //
 // The logical tree mirrors the resolved RPE's shape (Atom / Seq / Alt /
 // Rep) but is owned by the planner, so the optimizer (nepal/optimizer.h)
-// can rewrite it — push predicates into atoms, prune statically-dead
-// alternation branches against the allowed-edge rules, and pick a loop
-// emission strategy — before the physical program is emitted. Keeping an
-// explicit algebra between the AST and the operators is the classic
-// G-CORE-style separation: rewrites happen here, operator selection later.
+// can rewrite it — push predicates into atoms and prune statically-dead
+// alternation branches against the allowed-edge rules — before the
+// physical program is emitted. Keeping an explicit algebra between the AST
+// and the operators is the classic G-CORE-style separation: rewrites happen
+// here, operator selection later.
 
 #ifndef NEPAL_NEPAL_LOGICAL_PLAN_H_
 #define NEPAL_NEPAL_LOGICAL_PLAN_H_
@@ -38,10 +38,6 @@ struct LogicalNode {
   /// through this subtree. Pruned Alt branches emit nothing; a pruned
   /// mandatory node makes the whole plan statically empty.
   bool pruned = false;
-
-  /// kRep only: emit the body inline (min == max fixed-count repetition)
-  /// instead of a Loop step. Set by the cost-gated loop-strategy rewrite.
-  bool unroll = false;
 
   bool is_optional() const { return kind == Kind::kRep && min_rep == 0; }
 

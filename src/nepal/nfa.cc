@@ -102,7 +102,7 @@ class EpsNfa {
           Eps(part.end, end);
         } else {
           // Optional copies: a DAG where each copy encodes one extra
-          // iteration, mirroring the legacy unroll emission.
+          // iteration.
           for (int i = node.min_rep; i < node.max_rep; ++i) {
             Frag part = Emit(node.children[0]);
             Eps(cur, part.start);

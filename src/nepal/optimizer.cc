@@ -1,9 +1,6 @@
 #include "nepal/optimizer.h"
 
 #include <algorithm>
-#include <cmath>
-#include <cstdio>
-#include <functional>
 
 namespace nepal::nql {
 
@@ -238,63 +235,6 @@ Boundary PruneNode(LogicalNode* node, const schema::Schema& schema,
     }
   }
   return {};
-}
-
-// ---- Cost-gated loop strategy ----
-
-void ApplyLoopGate(LogicalNode* node, const CostEstimator& est,
-                   std::vector<std::string>* log) {
-  for (LogicalNode& child : node->children) ApplyLoopGate(&child, est, log);
-  if (node->kind != LogicalNode::Kind::kRep || node->pruned) return;
-  if (node->min_rep != node->max_rep || node->min_rep > 8) return;
-  // Fixed-count repetition: inline body^n is output-identical to a Loop
-  // (only the final frontier is admissible) and gives per-step operator
-  // stats. Gate on the estimated per-iteration fan-out so huge frontiers
-  // keep the single ExtendBlock operator.
-  const schema::Schema* schema = est.schema();
-  if (schema == nullptr) return;
-  std::function<double(const LogicalNode&)> fanout =
-      [&](const LogicalNode& n) -> double {
-    switch (n.kind) {
-      case LogicalNode::Kind::kAtom:
-        if (n.atom.is_edge()) {
-          return std::max(
-              est.Fanout(schema->node_root(), Direction::kOut, n.atom.cls),
-              est.Fanout(schema->node_root(), Direction::kIn, n.atom.cls));
-        }
-        return std::max(
-            est.Fanout(schema->node_root(), Direction::kOut, nullptr),
-            est.Fanout(schema->node_root(), Direction::kIn, nullptr));
-      case LogicalNode::Kind::kSeq: {
-        double f = 1.0;
-        for (const LogicalNode& c : n.children) f *= std::max(fanout(c), 1e-3);
-        return f;
-      }
-      case LogicalNode::Kind::kAlt: {
-        double f = 0.0;
-        for (const LogicalNode& c : n.children) {
-          if (!c.pruned) f += fanout(c);
-        }
-        return f;
-      }
-      case LogicalNode::Kind::kRep: {
-        double f = fanout(n.children[0]);
-        return std::pow(std::max(f, 1e-3), n.max_rep);
-      }
-    }
-    return 1.0;
-  };
-  double per_iter = fanout(node->children[0]);
-  double blowup = std::pow(std::max(per_iter, 1e-3), node->min_rep);
-  if (blowup <= 4096.0) {
-    node->unroll = true;
-    char buf[160];
-    std::snprintf(buf, sizeof(buf),
-                  "loop: unrolled fixed-count %s inline (est fan-out "
-                  "%.2f/iter)",
-                  node->ToString().c_str(), per_iter);
-    log->push_back(buf);
-  }
 }
 
 }  // namespace
@@ -626,20 +566,14 @@ double AnnotateProgram(Program* program, double rows_in, Direction dir,
 
 void OptimizeLogicalPlan(LogicalPlan* plan,
                          const storage::StorageBackend& backend,
-                         const PlanOptions& options,
                          const storage::TimeView& view) {
   CostEstimator est(backend, view);
-  if (options.optimize_pushdown) {
-    ApplyPushdown(&plan->root, est, &plan->rewrites);
-  }
-  if (options.optimize_prune && est.schema() != nullptr) {
+  ApplyPushdown(&plan->root, est, &plan->rewrites);
+  if (est.schema() != nullptr) {
     PruneNode(&plan->root, *est.schema(), &plan->rewrites);
     if (plan->root.pruned && !plan->root.is_optional()) {
       plan->statically_empty = true;
     }
-  }
-  if (options.loop_strategy == LoopStrategy::kCostBased) {
-    ApplyLoopGate(&plan->root, est, &plan->rewrites);
   }
 }
 

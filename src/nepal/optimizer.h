@@ -1,13 +1,11 @@
 // Cost-based optimizer — stage 2 of the planning pipeline.
 //
-// Rewrite rules over the logical plan (each toggleable via PlanOptions):
+// Rewrite rules over the logical plan, always applied:
 //   - predicate pushdown: choose the most selective equality condition
 //     (by exact value-counter statistics) to push into the ScanSpec;
 //   - dead-branch pruning: alternation branches (and optional repetitions)
 //     that the schema's allowed-edge rules prove can never match a single
-//     element sequence are marked pruned and emit nothing;
-//   - loop strategy: fixed-count repetitions with small estimated fan-out
-//     are unrolled inline (output-order identical to ExtendBlock).
+//     element sequence are marked pruned and emit nothing.
 //
 // Plus the cost model used for anchor selection: scan estimates scaled by
 // history depth for temporal views, and per-step row propagation through
@@ -72,12 +70,12 @@ class CostEstimator {
   storage::TimeView view_;
 };
 
-/// Applies the enabled rewrite rules in place (pushdown, pruning, loop
-/// strategy), appending one line per applied rewrite to plan->rewrites and
-/// setting plan->statically_empty when a mandatory element is infeasible.
+/// Applies the rewrite rules in place (pushdown, then pruning when the
+/// backend has a schema), appending one line per applied rewrite to
+/// plan->rewrites and setting plan->statically_empty when a mandatory
+/// element is infeasible.
 void OptimizeLogicalPlan(LogicalPlan* plan,
                          const storage::StorageBackend& backend,
-                         const PlanOptions& options,
                          const storage::TimeView& view);
 
 /// Frontier bookkeeping for the row-propagation walk, mirroring

@@ -1,6 +1,8 @@
 #include "nepal/parser.h"
 
 #include <cctype>
+#include <charconv>
+#include <system_error>
 
 namespace nepal::nql {
 
@@ -58,10 +60,15 @@ class Lexer {
       }
       std::string num = text_.substr(start, pos_ - start);
       Token t{is_double ? Token::kDouble : Token::kInt, num, 0, 0, start};
-      if (is_double) {
-        t.double_value = std::stod(num);
-      } else {
-        t.int_value = std::stoll(num);
+      const char* first = num.data();
+      const char* last = first + num.size();
+      const std::from_chars_result parsed =
+          is_double ? std::from_chars(first, last, t.double_value)
+                    : std::from_chars(first, last, t.int_value);
+      if (parsed.ec != std::errc() || parsed.ptr != last) {
+        return Status::ParseError("numeric literal " + num + " at offset " +
+                                  std::to_string(start) +
+                                  " is malformed or out of range");
       }
       return t;
     }
@@ -548,7 +555,7 @@ class Parser {
     if (IsPunct("{")) {
       NEPAL_RETURN_NOT_OK(Advance());
       if (cur_.kind != Token::kInt) return Err("expected repetition minimum");
-      int min_rep = static_cast<int>(cur_.int_value);
+      NEPAL_ASSIGN_OR_RETURN(int min_rep, RepetitionBound());
       NEPAL_RETURN_NOT_OK(Advance());
       // Accept both {i,j} and the paper's occasional {i-j}; an omitted
       // maximum ({i,}) means unbounded.
@@ -564,7 +571,7 @@ class Parser {
         return RpeNode::Rep(std::move(unit), min_rep, kUnboundedRep);
       }
       if (cur_.kind != Token::kInt) return Err("expected repetition maximum");
-      int max_rep = static_cast<int>(cur_.int_value);
+      NEPAL_ASSIGN_OR_RETURN(int max_rep, RepetitionBound());
       if (max_rep < min_rep) {
         return Err("repetition bounds {" + std::to_string(min_rep) + "," +
                    std::to_string(max_rep) + "} are malformed (min > max)");
@@ -574,6 +581,15 @@ class Parser {
       return RpeNode::Rep(std::move(unit), min_rep, max_rep);
     }
     return unit;
+  }
+
+  /// The current integer token as a repetition bound. kUnboundedRep is
+  /// the open-bound sentinel, so a finite bound must stay below it.
+  Result<int> RepetitionBound() {
+    if (cur_.int_value >= kUnboundedRep) {
+      return Err("repetition bound " + cur_.text + " is too large");
+    }
+    return static_cast<int>(cur_.int_value);
   }
 
   Result<RpeNode> ParseRpeAtom() {

@@ -140,7 +140,7 @@ Program ReverseProgram(const Program& program) {
 
 // ---- Physical emission (stage 3) ----
 
-Program EmitProgram(const LogicalNode& node, const PlanOptions& options) {
+Program EmitProgram(const LogicalNode& node) {
   switch (node.kind) {
     case LogicalNode::Kind::kAtom: {
       if (node.pruned) return {};
@@ -154,7 +154,7 @@ Program EmitProgram(const LogicalNode& node, const PlanOptions& options) {
       for (const LogicalNode& child : node.children) {
         // A pruned optional child matches only the empty sequence.
         if (child.pruned) continue;
-        Program part = EmitProgram(child, options);
+        Program part = EmitProgram(child);
         out.insert(out.end(), std::make_move_iterator(part.begin()),
                    std::make_move_iterator(part.end()));
       }
@@ -170,98 +170,35 @@ Program EmitProgram(const LogicalNode& node, const PlanOptions& options) {
           if (child.is_optional()) step.branches.push_back(Program{});
           continue;
         }
-        step.branches.push_back(EmitProgram(child, options));
+        step.branches.push_back(EmitProgram(child));
       }
       return {std::move(step)};
     }
     case LogicalNode::Kind::kRep: {
       if (node.pruned) return {};
-      // Unbounded repetitions can only run as an automaton; bounded ones
-      // also take this route under the kAutomaton parity strategy.
-      if (node.max_rep == kUnboundedRep ||
-          options.loop_strategy == LoopStrategy::kAutomaton) {
-        obs::ScopedSpan span("nfa.build");
-        Step step;
-        step.kind = Step::Kind::kAutomaton;
-        step.min_rep = node.min_rep;
-        step.max_rep = node.max_rep;
-        step.nfa = std::make_shared<const Nfa>(BuildNfa(node));
-        return {std::move(step)};
-      }
-      Program body = EmitProgram(node.children[0], options);
-      if (options.loop_strategy == LoopStrategy::kUnroll) {
-        // Unrolled form: body^min followed by nested optionals.
-        // Opt(p) = Union(<empty> | p);
-        // Rep{m,n} = body^m -> Opt(body -> Opt(...)).
-        Program tail;
-        for (int i = 0; i < node.max_rep - node.min_rep; ++i) {
-          Program inner = body;
-          inner.insert(inner.end(), std::make_move_iterator(tail.begin()),
-                       std::make_move_iterator(tail.end()));
-          Step opt;
-          opt.kind = Step::Kind::kUnion;
-          opt.branches.push_back(Program{});  // zero more iterations
-          opt.branches.push_back(std::move(inner));
-          tail.clear();
-          tail.push_back(std::move(opt));
-        }
-        Program out;
-        for (int i = 0; i < node.min_rep; ++i) {
-          out.insert(out.end(), body.begin(), body.end());
-        }
-        out.insert(out.end(), std::make_move_iterator(tail.begin()),
-                   std::make_move_iterator(tail.end()));
-        return out;
-      }
-      if (node.unroll && node.min_rep == node.max_rep) {
-        // Cost-gated inline unroll of a fixed-count repetition: only the
-        // final frontier is admissible, so body^n is output-identical to
-        // the Loop but exposes per-step operator stats.
-        Program out;
-        for (int i = 0; i < node.min_rep; ++i) {
-          out.insert(out.end(), body.begin(), body.end());
-        }
-        return out;
-      }
       Step step;
-      step.kind = Step::Kind::kLoop;
-      step.body = std::move(body);
       step.min_rep = node.min_rep;
       step.max_rep = node.max_rep;
+      if (node.max_rep == kUnboundedRep) {
+        // No round cap: the automaton's memoized traversal bounds it.
+        obs::ScopedSpan span("nfa.build");
+        step.kind = Step::Kind::kAutomaton;
+        step.nfa = std::make_shared<const Nfa>(BuildNfa(node));
+      } else {
+        step.kind = Step::Kind::kLoop;
+        step.body = EmitProgram(node.children[0]);
+      }
       return {std::move(step)};
     }
   }
   return {};
 }
 
-namespace {
-
-/// Marks fixed-count repetitions for inline unrolling when no statistics
-/// are available (the backend-free compile path under kCostBased).
-void MarkStructuralUnroll(LogicalNode* node) {
-  for (LogicalNode& child : node->children) MarkStructuralUnroll(&child);
-  if (node->kind == LogicalNode::Kind::kRep &&
-      node->min_rep == node->max_rep && node->min_rep <= 8) {
-    node->unroll = true;
-  }
-}
-
-}  // namespace
-
-Program CompileProgram(const RpeNode& rpe, const PlanOptions& options) {
-  LogicalPlan plan = BuildLogicalPlan(rpe);
-  if (options.loop_strategy == LoopStrategy::kCostBased) {
-    MarkStructuralUnroll(&plan.root);
-  }
-  return EmitProgram(plan.root, options);
-}
-
 Program CompileSeededProgram(const RpeNode& rpe,
                              const storage::StorageBackend& backend,
-                             const PlanOptions& options,
                              const storage::TimeView& view, double seed_rows) {
   LogicalPlan plan = BuildLogicalPlan(rpe);
-  OptimizeLogicalPlan(&plan, backend, options, view);
+  OptimizeLogicalPlan(&plan, backend, view);
   if (plan.statically_empty) {
     // A Union with zero branches yields the empty path set: the seeds are
     // dropped instead of being finalized as trivial matches.
@@ -270,7 +207,7 @@ Program CompileSeededProgram(const RpeNode& rpe,
     dead.est_rows = 0;
     return {std::move(dead)};
   }
-  Program program = EmitProgram(plan.root, options);
+  Program program = EmitProgram(plan.root);
   if (seed_rows >= 0) {
     CostEstimator est(backend, view);
     // Seeds are bare node frontiers not yet recorded in the path.
@@ -290,8 +227,7 @@ namespace {
 /// optimizer minimizes. Memoized per logical atom node.
 struct CostedOccurrence {
   double scan_raw = 0;   // bare EstimateScan (the legacy anchor cost)
-  double total = 0;      // scan + estimated traversal work (or scan_raw
-                         // when the cost-based rule is disabled)
+  double total = 0;      // scan + estimated traversal work
   int conditions = 0;
   Program reversed_prefix;
   Program suffix;
@@ -320,21 +256,19 @@ bool Better(double a_total, int a_conds, double b_total, int b_conds) {
 /// holds the program for everything left of the anchor (in RPE order) and
 /// `suffix` everything right of it.
 bool SplitAroundAnchor(const LogicalNode& node, const LogicalNode* target,
-                       const PlanOptions& options, Program* prefix,
-                       Program* suffix) {
+                       Program* prefix, Program* suffix) {
   if (&node == target) return true;
   switch (node.kind) {
     case LogicalNode::Kind::kAtom:
       return false;
     case LogicalNode::Kind::kSeq: {
       for (size_t i = 0; i < node.children.size(); ++i) {
-        if (!SplitAroundAnchor(node.children[i], target, options, prefix,
-                               suffix)) {
+        if (!SplitAroundAnchor(node.children[i], target, prefix, suffix)) {
           continue;
         }
         Program before;
         for (size_t j = 0; j < i; ++j) {
-          Program part = EmitProgram(node.children[j], options);
+          Program part = EmitProgram(node.children[j]);
           before.insert(before.end(), std::make_move_iterator(part.begin()),
                         std::make_move_iterator(part.end()));
         }
@@ -342,7 +276,7 @@ bool SplitAroundAnchor(const LogicalNode& node, const LogicalNode* target,
                        std::make_move_iterator(before.begin()),
                        std::make_move_iterator(before.end()));
         for (size_t j = i + 1; j < node.children.size(); ++j) {
-          Program part = EmitProgram(node.children[j], options);
+          Program part = EmitProgram(node.children[j]);
           suffix->insert(suffix->end(), std::make_move_iterator(part.begin()),
                          std::make_move_iterator(part.end()));
         }
@@ -353,7 +287,7 @@ bool SplitAroundAnchor(const LogicalNode& node, const LogicalNode* target,
     case LogicalNode::Kind::kAlt: {
       for (const LogicalNode& child : node.children) {
         if (child.pruned) continue;
-        if (SplitAroundAnchor(child, target, options, prefix, suffix)) {
+        if (SplitAroundAnchor(child, target, prefix, suffix)) {
           // The other branches are covered by their own anchor occurrences.
           return true;
         }
@@ -361,8 +295,7 @@ bool SplitAroundAnchor(const LogicalNode& node, const LogicalNode* target,
       return false;
     }
     case LogicalNode::Kind::kRep: {
-      if (!SplitAroundAnchor(node.children[0], target, options, prefix,
-                             suffix)) {
+      if (!SplitAroundAnchor(node.children[0], target, prefix, suffix)) {
         return false;
       }
       // The anchor sits in the first iteration; the remaining iterations
@@ -375,8 +308,7 @@ bool SplitAroundAnchor(const LogicalNode& node, const LogicalNode* target,
         rest.children.push_back(node.children[0]);
         rest.min_rep = std::max(node.min_rep - 1, 0);
         rest.max_rep = unbounded ? kUnboundedRep : node.max_rep - 1;
-        rest.unroll = node.unroll && rest.min_rep == rest.max_rep;
-        Program part = EmitProgram(rest, options);
+        Program part = EmitProgram(rest);
         suffix->insert(suffix->end(), std::make_move_iterator(part.begin()),
                        std::make_move_iterator(part.end()));
       }
@@ -388,7 +320,6 @@ bool SplitAroundAnchor(const LogicalNode& node, const LogicalNode* target,
 
 struct AnchorContext {
   const LogicalNode* root;
-  const PlanOptions* options;
   const CostEstimator* est;
   std::map<const LogicalNode*, CostedOccurrence> memo;
 };
@@ -400,7 +331,7 @@ CostedOccurrence& CostOccurrence(AnchorContext* ctx, const LogicalNode* atom) {
   occ.scan_raw = ctx->est->ScanRaw(atom->atom);
   occ.conditions = static_cast<int>(atom->atom.conditions.size());
   Program prefix;
-  SplitAroundAnchor(*ctx->root, atom, *ctx->options, &prefix, &occ.suffix);
+  SplitAroundAnchor(*ctx->root, atom, &prefix, &occ.suffix);
   occ.reversed_prefix = ReverseProgram(prefix);
   // Annotate both sides with row estimates (cardinality × expected
   // traversal fan-out). Execution runs the suffix forwards first, then the
@@ -417,9 +348,7 @@ CostedOccurrence& CostOccurrence(AnchorContext* ctx, const LogicalNode* atom) {
   occ.est_rows = AnnotateProgram(&occ.reversed_prefix, occ.est_after_suffix,
                                  storage::Direction::kIn, &pst, *ctx->est,
                                  &work);
-  occ.total = ctx->options->optimize_cost_anchor
-                  ? ctx->est->Scan(atom->atom) + work
-                  : occ.scan_raw;
+  occ.total = ctx->est->Scan(atom->atom) + work;
   return ctx->memo.emplace(atom, std::move(occ)).first->second;
 }
 
@@ -485,10 +414,10 @@ std::vector<Candidate> EnumerateCandidates(const LogicalNode& node,
 
 Result<MatchPlan> PlanMatch(const RpeNode& rpe,
                             const storage::StorageBackend& backend,
-                            const PlanOptions& options,
+                            const PlanOptions& /*options*/,
                             const storage::TimeView& view) {
   LogicalPlan logical = BuildLogicalPlan(rpe);
-  OptimizeLogicalPlan(&logical, backend, options, view);
+  OptimizeLogicalPlan(&logical, backend, view);
 
   MatchPlan plan;
   plan.logical = logical.ToString();
@@ -499,7 +428,7 @@ Result<MatchPlan> PlanMatch(const RpeNode& rpe,
   }
 
   CostEstimator est(backend, view);
-  AnchorContext ctx{&logical.root, &options, &est, {}};
+  AnchorContext ctx{&logical.root, &est, {}};
   std::vector<Candidate> candidates = EnumerateCandidates(logical.root, &ctx);
   if (candidates.empty()) {
     return Status::PlanError(

@@ -4,9 +4,8 @@
 //  1. logical plan — an Atom/Seq/Alt/Rep algebra tree built from the
 //     resolved RPE (nepal/logical_plan.h);
 //  2. cost-based optimizer — rewrite rules (predicate pushdown, dead-branch
-//     pruning against allowed-edge rules, cost-gated loop unrolling) and
-//     anchor selection over the statistics subsystem (nepal/optimizer.h,
-//     src/stats);
+//     pruning against allowed-edge rules) and anchor selection over the
+//     statistics subsystem (nepal/optimizer.h, src/stats);
 //  3. physical plan — the Step/Program operator DAG emitted below.
 //
 // Anchored evaluation follows Section 5.1 of the paper:
@@ -18,17 +17,17 @@
 //       Repetition: Rep(r,n,m) -> Seq(r, Rep(r,n-1,m-1)), candidates of the
 //         first r; repetitions with n == 0 contribute none;
 //  2. cost every candidate — by estimated scan rows plus expected traversal
-//     fan-out of its prefix/suffix programs (or bare scan estimates when the
-//     cost-based rule is disabled) — and pick the cheapest;
+//     fan-out of its prefix/suffix programs — and pick the cheapest;
 //  3. split the RPE around each anchor occurrence into a prefix program
 //     (run backwards) and a suffix program (run forwards).
 //
 // Programs are linear step lists; Alternation compiles to a Union of
-// sub-programs, Repetition to a Loop step (delegated to the backend's
-// ExtendBlock when its body is an alternation of atoms). Unbounded
-// repetitions ([r]*, [r]+, [r]{i,}) — and every repetition under
-// LoopStrategy::kAutomaton — compile to an Automaton step (nepal/nfa.h)
-// evaluated as a graph × NFA product with memoized visitation.
+// sub-programs. A repetition's plan follows from its shape alone: a bounded
+// one ([r]{i,j}) is a Loop step, which runs on the backend's ExtendBlock
+// when its body is one atom or an alternation of atoms and on the body
+// program otherwise; an unbounded one ([r]*, [r]+, [r]{i,}) is an
+// Automaton step (nepal/nfa.h) evaluated as a graph × NFA product with
+// memoized visitation.
 
 #ifndef NEPAL_NEPAL_PLAN_H_
 #define NEPAL_NEPAL_PLAN_H_
@@ -119,35 +118,9 @@ struct MatchPlan {
   std::string ToString() const;
 };
 
-/// How Rep blocks are emitted into the physical plan.
-enum class LoopStrategy {
-  /// Cost-gated: fixed-count repetitions ({n,n}) whose estimated fan-out is
-  /// small are unrolled inline (identical output order to ExtendBlock);
-  /// everything else becomes a Loop step delegated to ExtendBlock.
-  kCostBased,
-  /// Always delegate to the backend's ExtendBlock (the legacy behaviour).
-  kExtendBlock,
-  /// Always unroll into body^min plus nested optional Unions (ablation).
-  kUnroll,
-  /// Compile every repetition to an NFA and evaluate the graph × NFA
-  /// product (parity testing; unbounded repetitions use this route
-  /// regardless of the configured strategy).
-  kAutomaton,
-};
-
 struct PlanOptions {
-  /// Upper bound accepted for repetition maxima (length limitation).
+  /// Upper bound accepted for repetition bounds (length limitation).
   int max_repetition = 32;
-  LoopStrategy loop_strategy = LoopStrategy::kCostBased;
-  // ---- Optimizer rewrite rules, individually toggleable for ablation ----
-  /// Push the most selective equality (by value-counter statistics) into
-  /// the ScanSpec instead of the first one.
-  bool optimize_pushdown = true;
-  /// Prune alternation branches that the allowed-edge rules prove empty.
-  bool optimize_prune = true;
-  /// Pick anchors by estimated scan rows × expected traversal fan-out
-  /// instead of bare EstimateScan.
-  bool optimize_cost_anchor = true;
   /// Worker lanes for frontier-parallel evaluation. 1 runs the exact serial
   /// executor (pre-concurrency behavior, byte-identical output); 0 resolves
   /// to std::thread::hardware_concurrency(). Values > 1 shard each
@@ -165,19 +138,14 @@ size_t EffectiveParallelism(const PlanOptions& options);
 /// optimizer rewrites, anchor selection, physical emission. The `view`
 /// scales estimates for historical reads (history-depth statistics). Fails
 /// with PlanError if the RPE has no anchor (every atom sits inside a {0,n}
-/// repetition).
+/// repetition). `options` is unread; it stays for nepalbench's call site.
 Result<MatchPlan> PlanMatch(
     const RpeNode& rpe, const storage::StorageBackend& backend,
     const PlanOptions& options,
     const storage::TimeView& view = storage::TimeView::Current());
 
 /// Emits the physical program for an optimized logical subtree.
-Program EmitProgram(const LogicalNode& node, const PlanOptions& options);
-
-/// Compiles an RPE (sub)tree into a program without optimizer rewrites
-/// (no backend statistics available; fixed-count loops still unroll under
-/// LoopStrategy::kCostBased).
-Program CompileProgram(const RpeNode& rpe, const PlanOptions& options);
+Program EmitProgram(const LogicalNode& node);
 
 /// Compiles an RPE for seeded evaluation (imported anchor, no split):
 /// builds the logical plan, applies the optimizer rewrites, and emits the
@@ -185,7 +153,6 @@ Program CompileProgram(const RpeNode& rpe, const PlanOptions& options);
 /// seed states (skipped when seed_rows < 0).
 Program CompileSeededProgram(const RpeNode& rpe,
                              const storage::StorageBackend& backend,
-                             const PlanOptions& options,
                              const storage::TimeView& view, double seed_rows);
 
 }  // namespace nepal::nql

@@ -253,12 +253,15 @@ Status ResolveRpe(const schema::Schema& schema, int max_repetition,
             "repetition bounds {" + std::to_string(node->min_rep) + "," +
             std::to_string(node->max_rep) + "} are malformed");
       }
-      // Unbounded repetitions are exempt from the static length limit: the
-      // automaton evaluator bounds them dynamically (paths are simple, so
-      // traversal terminates regardless of the expression).
-      if (node->max_rep != kUnboundedRep && node->max_rep > max_repetition) {
+      // An open maximum is exempt from the static length limit: the
+      // automaton evaluator bounds it dynamically (paths are simple, so
+      // traversal terminates regardless of the expression). The minimum is
+      // not, since the automaton holds one body copy per mandatory round.
+      if (const int bound = node->max_rep == kUnboundedRep ? node->min_rep
+                                                           : node->max_rep;
+          bound > max_repetition) {
         return Status::PlanError(
-            "repetition bound " + std::to_string(node->max_rep) +
+            "repetition bound " + std::to_string(bound) +
             " exceeds the length limit (" + std::to_string(max_repetition) +
             "); RPEs must be length-limited");
       }

@@ -314,26 +314,37 @@ void CanonicalizePaths(PathSet* paths) {
                paths->end());
 }
 
-PathSet PathOperatorExecutor::ExtendBlock(
-    const PathSet& frontier, const std::vector<CompiledAtom>& alternatives,
-    int min_rep, int max_rep, Direction dir, const TimeView& view) {
+PathSet RepeatRounds(PathSet frontier, int min_rep, int max_rep,
+                     const std::function<PathSet(const PathSet&)>& round,
+                     size_t* before_dedup) {
   PathSet collected;
-  PathSet current = frontier;
+  PathSet current = std::move(frontier);
   for (int k = 0; !current.empty(); ++k) {
     PathSet next;
     if (k < max_rep) {
-      for (const CompiledAtom& atom : alternatives) {
-        PathSet branch = ExtendAtom(current, atom, dir, view);
-        AppendMoved(&branch, &next);
-      }
+      next = round(current);
       DedupPaths(&next);
     }
     // Round k is finished once round k+1 is built: move it, don't copy.
     if (k >= min_rep) AppendMoved(&current, &collected);
     current = std::move(next);
   }
+  if (before_dedup != nullptr) *before_dedup = collected.size();
   DedupPaths(&collected);
   return collected;
+}
+
+PathSet PathOperatorExecutor::ExtendBlock(
+    const PathSet& frontier, const std::vector<CompiledAtom>& alternatives,
+    int min_rep, int max_rep, Direction dir, const TimeView& view) {
+  return RepeatRounds(frontier, min_rep, max_rep, [&](const PathSet& current) {
+    PathSet next;
+    for (const CompiledAtom& atom : alternatives) {
+      PathSet branch = ExtendAtom(current, atom, dir, view);
+      AppendMoved(&branch, &next);
+    }
+    return next;
+  });
 }
 
 }  // namespace nepal::storage

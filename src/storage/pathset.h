@@ -21,6 +21,7 @@
 #define NEPAL_STORAGE_PATHSET_H_
 
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <string>
 #include <utility>
@@ -136,6 +137,15 @@ void DedupPaths(PathSet* paths);
 /// different anchor choices byte-for-byte.
 void CanonicalizePaths(PathSet* paths);
 
+/// The round loop of a repetition {min_rep, max_rep}: round 0 is
+/// `frontier`, round k+1 is `round(round k)` deduplicated, and the loop
+/// stops after round max_rep or at the first empty round. Returns rounds
+/// min_rep..max_rep in round order, deduplicated. `*before_dedup`, when
+/// given, receives the size of that union before the final dedup.
+PathSet RepeatRounds(PathSet frontier, int min_rep, int max_rep,
+                     const std::function<PathSet(const PathSet&)>& round,
+                     size_t* before_dedup = nullptr);
+
 /// Open-addressing hash index that hands out dense ids 0, 1, 2, ... in
 /// insertion order, keyed by 64-bit hashes (PathState::IdentityHash). It
 /// stores no paths: the caller keeps whatever an id names and confirms each
@@ -202,7 +212,7 @@ class PathOperatorExecutor {
   /// after k iterations for every k in [min, max] (including the input
   /// frontier when min == 0). The payload is restricted to an alternation
   /// of atoms, as in the paper's ExtendBlock. The default implementation
-  /// loops over ExtendAtom; backends may specialize.
+  /// runs RepeatRounds over ExtendAtom; backends may specialize.
   virtual PathSet ExtendBlock(const PathSet& frontier,
                               const std::vector<CompiledAtom>& alternatives,
                               int min_rep, int max_rep, Direction dir,

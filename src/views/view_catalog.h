@@ -79,8 +79,8 @@ struct ViewInfo {
 class ViewCatalog final : public nql::PathwayViewProvider {
  public:
   /// Subscribes to `store`'s WAL and starts the maintenance thread. `plan`
-  /// configures view compilation (loop strategy, parallelism is forced to 1
-  /// for repairs — they run on the maintenance thread).
+  /// configures view compilation (the repetition length limit; parallelism
+  /// is forced to 1 for repairs — they run on the maintenance thread).
   static Result<std::unique_ptr<ViewCatalog>> Open(
       persist::DurableStore* store, nql::PlanOptions plan = {});
 

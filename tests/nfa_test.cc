@@ -77,14 +77,17 @@ TEST(RpeAtomCountsTest, UnboundedRepUsesSentinel) {
 // ---- Unbounded repetitions and the length limit ----
 
 TEST(UnboundedRepTest, ExemptFromLengthLimit) {
-  // {1,6} trips a max_repetition of 4; the open-ended forms do not (the
-  // automaton bounds them dynamically).
-  RpeNode bounded = Normalize(MustParseRpe("[Connects()]{1,6}"));
+  // {1,6} trips a max_repetition of 4; an open maximum does not (the
+  // automaton bounds it dynamically), but a minimum above the limit does.
   schema::SchemaPtr schema = Figure3Schema();
-  EXPECT_FALSE(ResolveRpe(*schema, 4, &bounded).ok());
+  for (const char* text : {"[Connects()]{1,6}", "[Connects()]{5,}"}) {
+    RpeNode rpe = Normalize(MustParseRpe(text));
+    Status st = ResolveRpe(*schema, 4, &rpe);
+    EXPECT_EQ(st.code(), StatusCode::kPlanError) << st << "\nrpe: " << text;
+  }
 
   for (const char* text : {"[Connects()]*", "[Connects()]+",
-                           "[Connects()]{2,}"}) {
+                           "[Connects()]{2,}", "[Connects()]{4,}"}) {
     RpeNode open = Normalize(MustParseRpe(text));
     Status st = ResolveRpe(*schema, 4, &open);
     EXPECT_TRUE(st.ok()) << st << "\nrpe: " << text;

@@ -1,7 +1,7 @@
 // Cost-based optimizer tests: anchor selection must follow the data
 // distribution (golden EXPLAIN anchor-flip on both backends), dead-branch
-// pruning against the allowed-edge rules, statically-empty plans,
-// statistics-driven predicate pushdown, and the cost-gated loop strategy.
+// pruning against the allowed-edge rules, statically-empty plans, and
+// statistics-driven predicate pushdown.
 
 #include <memory>
 #include <string>
@@ -12,7 +12,6 @@
 #include "nepal/engine.h"
 #include "nepal/parser.h"
 #include "nepal/plan.h"
-#include "schema/dsl_parser.h"
 #include "storage/graphdb.h"
 #include "tests/testutil.h"
 
@@ -81,21 +80,6 @@ TEST_P(OptimizerTest, AnchorFollowsDataDistribution) {
   }
 }
 
-TEST_P(OptimizerTest, CostAnchorToggleRestoresScanOnlySelection) {
-  // With the cost rule disabled, candidates are ranked by bare scan
-  // estimates, so both plans exist and the optimizer totals match scans.
-  auto db = Populated(60, 3);
-  nql::RpeNode rpe = Resolved(*db, "VM()->OnServer()->Host()");
-  nql::PlanOptions scan_only;
-  scan_only.optimize_cost_anchor = false;
-  auto plan = nql::PlanMatch(rpe, db->backend(), scan_only);
-  ASSERT_TRUE(plan.ok()) << plan.status();
-  ASSERT_EQ(plan->anchors.size(), 1u);
-  EXPECT_EQ(plan->anchors[0].anchor.cls->name(), "Host");
-  EXPECT_DOUBLE_EQ(plan->total_cost, 3.0);
-  EXPECT_DOUBLE_EQ(plan->optimizer_cost, 3.0);
-}
-
 TEST_P(OptimizerTest, PlanCarriesEstimatesAndLogicalRendering) {
   auto db = Populated(60, 3);
   nql::RpeNode rpe = Resolved(*db, "VM()->OnServer()->Host()");
@@ -148,13 +132,6 @@ TEST_P(OptimizerTest, StaticallyEmptyRpeYieldsEmptyResultNotError) {
       "Retrieve P From PATHS P Where P MATCHES OnServer()->VFC()");
   ASSERT_TRUE(result.ok()) << result.status();
   EXPECT_TRUE(result->rows.empty());
-  // With pruning disabled the planner falls back to runtime evaluation —
-  // same (empty) answer, no static shortcut.
-  nql::PlanOptions no_prune;
-  no_prune.optimize_prune = false;
-  auto unpruned = nql::PlanMatch(rpe, db->backend(), no_prune);
-  ASSERT_TRUE(unpruned.ok());
-  EXPECT_FALSE(unpruned->statically_empty);
 }
 
 // ---- Predicate pushdown ----
@@ -178,60 +155,6 @@ TEST_P(OptimizerTest, PushdownPicksTheRarestEqualityByCounters) {
             "name");
   // The scan estimate reflects the pushed equality: exactly one row.
   EXPECT_DOUBLE_EQ(plan->total_cost, 1.0);
-  // Toggled off, the first equality stays in the scan.
-  nql::PlanOptions no_pushdown;
-  no_pushdown.optimize_pushdown = false;
-  auto unpushed = nql::PlanMatch(rpe, db->backend(), no_pushdown);
-  ASSERT_TRUE(unpushed.ok());
-  EXPECT_LE(unpushed->anchors[0].anchor.pushdown_condition, 0);
-}
-
-// ---- Cost-gated loop strategy ----
-
-bool HasLoopStep(const nql::Program& program) {
-  for (const nql::Step& step : program) {
-    if (step.kind == nql::Step::Kind::kLoop) return true;
-    for (const nql::Program& branch : step.branches) {
-      if (HasLoopStep(branch)) return true;
-    }
-    if (HasLoopStep(step.body)) return true;
-  }
-  return false;
-}
-
-TEST_P(OptimizerTest, LoopGateUnrollsSmallFixedCountsOnly) {
-  auto s = schema::ParseSchemaDsl(R"(
-    node N : Node {}
-    edge L : Edge {}
-    allow L (N -> N);
-  )");
-  ASSERT_TRUE(s.ok()) << s.status();
-  schema::SchemaPtr schema = *s;
-  auto db = std::make_unique<storage::GraphDb>(
-      schema, nepal::testing::MakeBackend(GetParam(), schema));
-  std::vector<Uid> nodes;
-  for (int i = 0; i < 10; ++i) nodes.push_back(*db->AddNode("N", {}));
-  // Out-degree 4 everywhere: per-iteration fan-out estimate = 4.
-  for (int i = 0; i < 10; ++i) {
-    for (int k = 1; k <= 4; ++k) {
-      *db->AddEdge("L", nodes[static_cast<size_t>(i)],
-                   nodes[static_cast<size_t>((i + k) % 10)], {});
-    }
-  }
-  auto compile = [&](const std::string& text) {
-    auto rpe = nql::ParseRpe(text);
-    EXPECT_TRUE(rpe.ok());
-    nql::RpeNode node = *rpe;
-    EXPECT_TRUE(nql::ResolveRpe(*schema, 32, &node).ok());
-    return nql::CompileSeededProgram(node, db->backend(), nql::PlanOptions{},
-                                     storage::TimeView::Current(), -1);
-  };
-  // 4^2 = 16 <= 4096: unrolled inline, no Loop operator.
-  EXPECT_FALSE(HasLoopStep(compile("[L()]{2,2}")));
-  // 4^8 = 65536 > 4096: the ExtendBlock delegation stays.
-  EXPECT_TRUE(HasLoopStep(compile("[L()]{8,8}")));
-  // Variable-count repetitions always keep the Loop operator.
-  EXPECT_TRUE(HasLoopStep(compile("[L()]{1,3}")));
 }
 
 INSTANTIATE_TEST_SUITE_P(

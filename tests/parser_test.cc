@@ -153,6 +153,16 @@ TEST(RpeParserTest, RepetitionBoundErrors) {
   EXPECT_FALSE(ParseRpe("*").ok());
   EXPECT_FALSE(ParseRpe("VM()**").ok());
   EXPECT_FALSE(ParseRpe("[VM()]{3,}*").ok());
+  // Bounds must fit an int below the open-bound sentinel; they are never
+  // truncated.
+  for (const char* text :
+       {"[VM()]{5000000000,6000000000}", "[VM()]{1,5000000000}",
+        "[VM()]{5000000000,}", "[VM()]{1,2147483647}",
+        "[VM()]{99999999999999999999,}"}) {
+    auto rpe = ParseRpe(text);
+    ASSERT_FALSE(rpe.ok()) << text;
+    EXPECT_EQ(rpe.status().code(), StatusCode::kParseError) << text;
+  }
 }
 
 // ---- Full queries from the paper ----
@@ -313,6 +323,14 @@ TEST(QueryParserTest, Errors) {
                           "Where P MATCHES VM()")
                    .ok());
   EXPECT_FALSE(ParseQuery("Retrieve P From PATHS P Where source(P) < 3").ok());
+  // Literals outside the int64 / double range are parse errors.
+  for (const std::string& literal :
+       {std::string("99999999999999999999"), std::string(400, '9') + ".5"}) {
+    auto q = ParseQuery("Retrieve P From PATHS P Where P MATCHES VM(id=" +
+                        literal + ")");
+    ASSERT_FALSE(q.ok()) << literal;
+    EXPECT_EQ(q.status().code(), StatusCode::kParseError) << literal;
+  }
 }
 
 }  // namespace

@@ -1,9 +1,11 @@
 // Unit tests for the query planner: anchor enumeration and costing,
-// RPE splitting around anchors, program compilation and reversal.
+// RPE splitting around anchors, repetition compilation and program
+// reversal.
 
 #include <gtest/gtest.h>
 
 #include "graphstore/graph_store.h"
+#include "nepal/engine.h"
 #include "nepal/parser.h"
 #include "nepal/plan.h"
 #include "schema/dsl_parser.h"
@@ -136,25 +138,56 @@ TEST_F(PlanTest, LengthLimitEnforced) {
 
 TEST_F(PlanTest, ProgramReversalIsInvolutive) {
   RpeNode rpe = Resolved("A()->[E()|F()]{1,3}->(B()|A()->E())");
-  Program program = CompileProgram(rpe, PlanOptions{});
+  Program program = EmitProgram(BuildLogicalPlan(rpe).root);
   Program twice = ReverseProgram(ReverseProgram(program));
   EXPECT_EQ(ProgramToString(program), ProgramToString(twice));
 }
 
-TEST_F(PlanTest, UnrolledCompilationWhenExtendBlockDisabled) {
-  PlanOptions options;
-  options.loop_strategy = LoopStrategy::kUnroll;
-  RpeNode rpe = Resolved("[E()]{1,3}");
-  Program program = CompileProgram(rpe, options);
-  // body once + nested optionals; no Loop steps anywhere.
-  std::function<void(const Program&)> check = [&](const Program& p) {
-    for (const Step& step : p) {
-      EXPECT_NE(step.kind, Step::Kind::kLoop);
-      for (const Program& branch : step.branches) check(branch);
-      check(step.body);
-    }
+TEST_F(PlanTest, RepetitionCompilesByShape) {
+  // The RPE alone picks a repetition's executor: a bounded repetition is a
+  // Loop, run on ExtendBlock when its body is one atom or an alternation
+  // of atoms and on its body program otherwise; an unbounded one is an
+  // Automaton.
+  auto compiled = [&](const std::string& text) {
+    Program program = CompileSeededProgram(
+        Resolved(text), db_->backend(), storage::TimeView::Current(), -1);
+    EXPECT_EQ(program.size(), 1u) << text;
+    return program.empty() ? Step{} : program[0];
   };
-  check(program);
+  QueryEngine engine(db_.get());
+  auto analyzed = [&](const std::string& text) {
+    auto result = engine.Run("EXPLAIN ANALYZE Retrieve P From PATHS P Where "
+                             "P MATCHES A(id=" +
+                             std::to_string(a_[0]) + ")->" + text);
+    EXPECT_TRUE(result.ok()) << result.status();
+    return result.ok() ? result->explain_text : std::string();
+  };
+
+  // The queries start at the head of the fixture's E chain a0 -> a1 -> ...,
+  // so each returns one row per admissible round count.
+  for (const char* text : {"[E()]{1,3}", "[E()|F()]{2,2}"}) {
+    EXPECT_EQ(compiled(text).kind, Step::Kind::kLoop) << text;
+  }
+  std::string explain = analyzed("[E()]{1,3}");
+  EXPECT_NE(explain.find("ExtendBlock{1,3} E()"), std::string::npos)
+      << explain;
+  EXPECT_NE(explain.find("total: 3 row(s)"), std::string::npos) << explain;
+  explain = analyzed("[E()|F()]{2,2}");
+  EXPECT_NE(explain.find("ExtendBlock{2,2} E()|F()"), std::string::npos)
+      << explain;
+  EXPECT_NE(explain.find("total: 1 row(s)"), std::string::npos) << explain;
+
+  Step general = compiled("[E()->A()]{1,3}");
+  EXPECT_EQ(general.kind, Step::Kind::kLoop);
+  EXPECT_EQ(ProgramToString(general.body), "Extend(E()) ; Extend(A())");
+  explain = analyzed("[E()->A()]{1,3}");
+  EXPECT_NE(explain.find("Loop{1,3}"), std::string::npos) << explain;
+  EXPECT_EQ(explain.find("ExtendBlock"), std::string::npos) << explain;
+  EXPECT_NE(explain.find("total: 3 row(s)"), std::string::npos) << explain;
+
+  for (const char* text : {"[E()]*", "[E()]{2,}"}) {
+    EXPECT_EQ(compiled(text).kind, Step::Kind::kAutomaton) << text;
+  }
 }
 
 TEST_F(PlanTest, EstimateUsesStatistics) {

@@ -222,6 +222,16 @@ nql::RpeNode RandomRpe(Rng* rng, int depth) {
   }
 }
 
+/// `rpe` with every repetition maximum set to `max_rep` (kUnboundedRep
+/// opens them all).
+nql::RpeNode WithRepetitionMax(nql::RpeNode rpe, int max_rep) {
+  if (rpe.kind == nql::RpeNode::Kind::kRep) rpe.max_rep = max_rep;
+  for (nql::RpeNode& child : rpe.children) {
+    child = WithRepetitionMax(std::move(child), max_rep);
+  }
+  return rpe;
+}
+
 /// Enumerates every simple pathway (as element sequences) up to
 /// `max_elements`, in the current snapshot.
 void EnumeratePathways(const storage::StorageBackend& backend,
@@ -384,40 +394,6 @@ TEST(PropertyTest, BackendsAgreeWithReferenceSemantics) {
   EXPECT_GT(rpes_checked, 150);
 }
 
-TEST(PropertyTest, ExtendBlockAndUnrolledPlansAgree) {
-  // The ExtendBlock delegation and the unrolled Union-of-optionals plan
-  // are two compilations of the same repetition semantics; they must
-  // return identical pathway sets.
-  schema::SchemaPtr schema = *schema::ParseSchemaDsl(kPropertySchema);
-  Rng rng(4242);
-  int checked = 0;
-  for (int round = 0; round < 25; ++round) {
-    Rng graph_rng(rng.Next());
-    RandomGraph g = MakeRandomGraph(schema,
-                                    nepal::testing::BackendKind::kGraphStore,
-                                    &graph_rng, 12, 24);
-    nql::QueryEngine with_block(g.db.get());
-    nql::EngineOptions unrolled_options;
-    unrolled_options.plan.loop_strategy = nql::LoopStrategy::kUnroll;
-    nql::QueryEngine unrolled(g.db.get(), unrolled_options);
-    for (int r = 0; r < 6; ++r) {
-      nql::RpeNode rpe = nql::Normalize(RandomRpe(&rng, 2));
-      std::string query =
-          "Retrieve P From PATHS P Where P MATCHES " + rpe.ToString();
-      auto r1 = with_block.Run(query);
-      auto r2 = unrolled.Run(query);
-      ASSERT_EQ(r1.ok(), r2.ok()) << rpe.ToString();
-      if (!r1.ok()) continue;
-      std::multiset<std::string> s1, s2;
-      for (const auto& row : r1->rows) s1.insert(row.paths[0].ToString());
-      for (const auto& row : r2->rows) s2.insert(row.paths[0].ToString());
-      EXPECT_EQ(s1, s2) << rpe.ToString();
-      ++checked;
-    }
-  }
-  EXPECT_GT(checked, 60);
-}
-
 TEST(PropertyTest, BackendsAgreeOnTimeRangeQueries) {
   // Range queries branch over versions and coalesce maximal intervals;
   // the two backends must produce identical (pathway, interval) sets.
@@ -492,15 +468,18 @@ TEST(PropertyTest, BackendsAgreeOnTimeRangeQueries) {
   }
 }
 
-TEST(PropertyTest, AutomatonAndUnrolledPlansAgree) {
-  // The NFA product-automaton executor and the legacy unrolled
-  // Union-of-optionals plan are two compilations of the same bounded
-  // repetition semantics: every result row (pathway and validity
-  // interval) must be byte-identical, on both backends, under Current,
-  // AsOf, and Range views.
+TEST(PropertyTest, AutomatonAgreesWithSaturatedLoop) {
+  // An open repetition ({m,}) runs on the product automaton and a bounded
+  // one on the Loop step. On a graph of N nodes a simple pathway has at
+  // most 2N-1 elements, so 2N-1 rounds saturate every repetition: the RPE
+  // with every maximum opened and the same RPE with every maximum set to
+  // 2N-1 must return byte-identical rows (pathway and validity interval),
+  // on both backends, under Current, AsOf, and Range views. N stays at 16
+  // or below, so 2N-1 is within the default length limit.
   schema::SchemaPtr schema = *schema::ParseSchemaDsl(kPropertySchema);
   Rng rng(20260808);
   const Timestamp base = *ParseTimestamp("2017-04-01 00:00:00");
+  constexpr size_t kMaxNodes = 16;
   int checked = 0;
   for (auto kind : {nepal::testing::BackendKind::kGraphStore,
                     nepal::testing::BackendKind::kRelational}) {
@@ -515,7 +494,7 @@ TEST(PropertyTest, AutomatonAndUnrolledPlansAgree) {
         Timestamp t = base + static_cast<Timestamp>(step) * 1000000;
         ASSERT_TRUE(db->SetTime(t).ok());
         double dice = ops_rng.NextDouble();
-        if (dice < 0.45 || nodes.size() < 2) {
+        if ((dice < 0.45 || nodes.size() < 2) && nodes.size() < kMaxNodes) {
           const char* cls = ops_rng.Chance(0.5) ? "A" : "B";
           auto u = db->AddNode(
               cls, {{"name", Value("n" + std::to_string(step))},
@@ -533,28 +512,28 @@ TEST(PropertyTest, AutomatonAndUnrolledPlansAgree) {
           (void)db->RemoveElement(nodes[ops_rng.Below(nodes.size())]);
         }
       }
-      nql::EngineOptions automaton_options;
-      automaton_options.plan.loop_strategy = nql::LoopStrategy::kAutomaton;
-      nql::QueryEngine automaton(db.get(), automaton_options);
-      nql::EngineOptions unrolled_options;
-      unrolled_options.plan.loop_strategy = nql::LoopStrategy::kUnroll;
-      nql::QueryEngine unrolled(db.get(), unrolled_options);
+      // Removed nodes count too: Range views still see them.
+      const int saturated = 2 * static_cast<int>(nodes.size()) - 1;
+      nql::QueryEngine engine(db.get());
       std::string asof = "AT '" + FormatTimestamp(base + 30 * 1000000) + "' ";
       std::string range = "AT '" + FormatTimestamp(base + 10 * 1000000) +
                           "' : '" + FormatTimestamp(base + 45 * 1000000) +
                           "' ";
-      for (int r = 0; r < 5; ++r) {
-        // RandomRpe only emits bounded repetitions, so the unrolled plan
-        // is a valid oracle for every generated expression.
+      for (int r = 0; r < 20; ++r) {
         nql::RpeNode rpe = nql::Normalize(RandomRpe(&rng, 2));
-        std::string match =
-            "Retrieve P From PATHS P Where P MATCHES " + rpe.ToString();
+        const std::string open =
+            "Retrieve P From PATHS P Where P MATCHES " +
+            WithRepetitionMax(rpe, nql::kUnboundedRep).ToString();
+        const std::string bounded =
+            "Retrieve P From PATHS P Where P MATCHES " +
+            WithRepetitionMax(rpe, saturated).ToString();
+        if (open == bounded) continue;  // no repetition to compare
         for (const std::string& prefix : {std::string(), asof, range}) {
-          auto r1 = automaton.Run(prefix + match);
-          auto r2 = unrolled.Run(prefix + match);
+          auto r1 = engine.Run(prefix + open);
+          auto r2 = engine.Run(prefix + bounded);
           ASSERT_EQ(r1.ok(), r2.ok())
-              << rpe.ToString() << "\nautomaton: " << r1.status()
-              << "\nunrolled: " << r2.status();
+              << open << "\nautomaton: " << r1.status() << "\nloop: "
+              << r2.status();
           if (!r1.ok()) continue;
           // Row order is not part of the contract (the serial executors
           // emit in evaluation order); row *content* is — compare the
@@ -569,7 +548,7 @@ TEST(PropertyTest, AutomatonAndUnrolledPlansAgree) {
             return out;
           };
           EXPECT_EQ(rows(*r1), rows(*r2))
-              << rpe.ToString() << "\nview prefix: '" << prefix << "'";
+              << open << "\nview prefix: '" << prefix << "'";
           ++checked;
         }
       }
@@ -896,165 +875,160 @@ TEST(PropertyTest, ViewServedEqualsColdEvaluation) {
   // For random temporal graphs and random mutation streams, a
   // WAL-maintained materialized view must serve rows identical to cold
   // evaluation at its freshness epoch — on both backends, with batched and
-  // single-op writes, whether the view compiles to an automaton or an
-  // unrolled plan. The cold oracle always plans cost-based, so this also
-  // cross-checks the view's compilation strategy.
+  // single-op writes. Odd rounds open every repetition maximum, so views
+  // over both repetition executors (Loop and Automaton) are covered.
   namespace fs = std::filesystem;
   schema::SchemaPtr schema = *schema::ParseSchemaDsl(kPropertySchema);
   Rng rng(77007);
   int checked = 0;
-  for (int round = 0; round < 8; ++round) {
+  for (int round = 0; round < 16; ++round) {
     for (auto kind : {nepal::testing::BackendKind::kGraphStore,
                       nepal::testing::BackendKind::kRelational}) {
-      for (auto strategy :
-           {nql::LoopStrategy::kAutomaton, nql::LoopStrategy::kUnroll}) {
-        fs::path dir =
-            fs::path(::testing::TempDir()) /
-            ("nepal_prop_views_" + std::to_string(round) + "_" +
-             nepal::testing::BackendName(kind) +
-             (strategy == nql::LoopStrategy::kAutomaton ? "_nfa" : "_unr"));
-        fs::remove_all(dir);
-        persist::DurableOptions d_options;
-        d_options.fsync_policy = persist::FsyncPolicy::kNone;
-        auto store = persist::DurableStore::Open(
-            dir.string(), schema,
-            [kind](schema::SchemaPtr s) {
-              return nepal::testing::MakeBackend(kind, std::move(s));
-            },
-            d_options);
-        ASSERT_TRUE(store.ok()) << store.status();
-        storage::GraphDb* db = &(*store)->db();
+      fs::path dir = fs::path(::testing::TempDir()) /
+                     ("nepal_prop_views_" + std::to_string(round) + "_" +
+                      nepal::testing::BackendName(kind));
+      fs::remove_all(dir);
+      persist::DurableOptions d_options;
+      d_options.fsync_policy = persist::FsyncPolicy::kNone;
+      auto store = persist::DurableStore::Open(
+          dir.string(), schema,
+          [kind](schema::SchemaPtr s) {
+            return nepal::testing::MakeBackend(kind, std::move(s));
+          },
+          d_options);
+      ASSERT_TRUE(store.ok()) << store.status();
+      storage::GraphDb* db = &(*store)->db();
 
-        const char* node_classes[] = {"A", "A1", "B"};
-        const char* edge_classes[] = {"E", "E1", "F"};
-        std::vector<Uid> alive;
-        for (int i = 0; i < 10; ++i) {
-          auto uid = db->AddNode(
-              node_classes[rng.Below(3)],
-              {{"name", Value("n" + std::to_string(i))},
-               {"val", Value(static_cast<int64_t>(rng.Below(4)))}});
-          ASSERT_TRUE(uid.ok()) << uid.status();
-          alive.push_back(*uid);
-        }
-        for (int i = 0; i < 16; ++i) {
-          Uid s = alive[rng.Below(alive.size())];
-          Uid t = alive[rng.Below(alive.size())];
-          if (s == t) continue;
-          ASSERT_TRUE(db->AddEdge(edge_classes[rng.Below(3)], s, t,
-                                  {{"w", Value(static_cast<int64_t>(
-                                             rng.Below(4)))}})
-                          .ok());
-        }
-
-        nql::PlanOptions view_plan;
-        view_plan.loop_strategy = strategy;
-        auto catalog = views::ViewCatalog::Open(store->get(), view_plan);
-        ASSERT_TRUE(catalog.ok()) << catalog.status();
-        nql::RpeNode rpe = RandomRpe(&rng, 2);
-        Status created = (*catalog)->CreateView("v", rpe);
-        if (!created.ok()) continue;  // e.g. unplannable random RPE
-
-        // Random mutation stream: adds, updates, removes and clock steps,
-        // committed alternately one-at-a-time and as atomic batches.
-        Timestamp now = db->Now();
-        int node_seq = 10;
-        auto random_mutation = [&]() -> std::optional<storage::Mutation> {
-          switch (rng.Below(5)) {
-            case 0:
-              return storage::Mutation::AddNode(
-                  node_classes[rng.Below(3)],
-                  {{"name", Value("m" + std::to_string(node_seq++))},
-                   {"val", Value(static_cast<int64_t>(rng.Below(4)))}});
-            case 1: {
-              if (alive.size() < 2) return std::nullopt;
-              Uid s = alive[rng.Below(alive.size())];
-              Uid t = alive[rng.Below(alive.size())];
-              if (s == t) return std::nullopt;
-              return storage::Mutation::AddEdge(
-                  edge_classes[rng.Below(3)], s, t,
-                  {{"w", Value(static_cast<int64_t>(rng.Below(4)))}});
-            }
-            case 2: {
-              if (alive.empty()) return std::nullopt;
-              return storage::Mutation::Update(
-                  alive[rng.Below(alive.size())],
-                  {{"val", Value(static_cast<int64_t>(rng.Below(4)))}});
-            }
-            case 3: {
-              if (alive.size() <= 4) return std::nullopt;
-              size_t at = rng.Below(alive.size());
-              Uid gone = alive[at];
-              alive.erase(alive.begin() + at);
-              return storage::Mutation::Remove(gone);
-            }
-            default:
-              now += 1000000;  // +1s
-              return storage::Mutation::SetTime(now);
-          }
-        };
-        for (int op = 0; op < 30;) {
-          if (rng.Chance(0.5)) {
-            std::vector<storage::Mutation> batch;
-            for (int j = 0; j < 4; ++j) {
-              if (auto m = random_mutation()) batch.push_back(std::move(*m));
-            }
-            if (!batch.empty()) ASSERT_TRUE(db->ApplyBatch(batch).ok());
-            for (const storage::Mutation& m : batch) {
-              if (m.kind == storage::Mutation::Kind::kAddNode) {
-                alive.push_back(m.uid);
-              }
-            }
-            op += 4;
-          } else {
-            if (auto m = random_mutation()) {
-              std::vector<storage::Mutation> one;
-              one.push_back(std::move(*m));
-              ASSERT_TRUE(db->ApplyBatch(one).ok());
-              if (one[0].kind == storage::Mutation::Kind::kAddNode) {
-                alive.push_back(one[0].uid);
-              }
-            }
-            ++op;
-          }
-        }
-
-        ASSERT_TRUE((*catalog)
-                        ->WaitUntilFresh("v", db->commit_epoch(),
-                                         std::chrono::milliseconds(30000))
-                        .ok());
-        auto sv = (*catalog)->Serve("v");
-        ASSERT_TRUE(sv.has_value());
-
-        // Cold oracle at the served epoch, cost-based plan, canonicalized.
-        nql::RpeNode resolved = nql::Normalize(rpe);
-        nql::PlanOptions cold_plan;
-        ASSERT_TRUE(nql::ResolveRpe(db->schema(), cold_plan.max_repetition,
-                                    &resolved)
-                        .ok());
-        nql::LockedBackend backend(db);
-        auto exec = backend.CreateExecutor();
-        auto cold = nql::EvaluateMatch(
-            *exec, backend, resolved,
-            storage::TimeView::Current().WithEpoch(sv->epoch), cold_plan);
-        ASSERT_TRUE(cold.ok()) << cold.status();
-        storage::CanonicalizePaths(&*cold);
-
-        auto render = [](const storage::PathSet& paths) {
-          std::vector<std::string> rows;
-          for (const storage::PathState& s : paths) {
-            std::string line;
-            for (Uid uid : s.uids) line += std::to_string(uid) + ",";
-            line += " " + s.valid.ToString();
-            rows.push_back(std::move(line));
-          }
-          std::sort(rows.begin(), rows.end());
-          return rows;
-        };
-        EXPECT_EQ(render(*sv->paths), render(*cold))
-            << nepal::testing::BackendName(kind) << " "
-            << nql::Normalize(rpe).ToString();
-        ++checked;
+      const char* node_classes[] = {"A", "A1", "B"};
+      const char* edge_classes[] = {"E", "E1", "F"};
+      std::vector<Uid> alive;
+      for (int i = 0; i < 10; ++i) {
+        auto uid = db->AddNode(
+            node_classes[rng.Below(3)],
+            {{"name", Value("n" + std::to_string(i))},
+             {"val", Value(static_cast<int64_t>(rng.Below(4)))}});
+        ASSERT_TRUE(uid.ok()) << uid.status();
+        alive.push_back(*uid);
       }
+      for (int i = 0; i < 16; ++i) {
+        Uid s = alive[rng.Below(alive.size())];
+        Uid t = alive[rng.Below(alive.size())];
+        if (s == t) continue;
+        ASSERT_TRUE(db->AddEdge(edge_classes[rng.Below(3)], s, t,
+                                {{"w", Value(static_cast<int64_t>(
+                                           rng.Below(4)))}})
+                        .ok());
+      }
+
+      auto catalog = views::ViewCatalog::Open(store->get());
+      ASSERT_TRUE(catalog.ok()) << catalog.status();
+      nql::RpeNode rpe = RandomRpe(&rng, 2);
+      if (round % 2 == 1) rpe = WithRepetitionMax(rpe, nql::kUnboundedRep);
+      Status created = (*catalog)->CreateView("v", rpe);
+      if (!created.ok()) continue;  // e.g. unplannable random RPE
+
+      // Random mutation stream: adds, updates, removes and clock steps,
+      // committed alternately one-at-a-time and as atomic batches.
+      Timestamp now = db->Now();
+      int node_seq = 10;
+      auto random_mutation = [&]() -> std::optional<storage::Mutation> {
+        switch (rng.Below(5)) {
+          case 0:
+            return storage::Mutation::AddNode(
+                node_classes[rng.Below(3)],
+                {{"name", Value("m" + std::to_string(node_seq++))},
+                 {"val", Value(static_cast<int64_t>(rng.Below(4)))}});
+          case 1: {
+            if (alive.size() < 2) return std::nullopt;
+            Uid s = alive[rng.Below(alive.size())];
+            Uid t = alive[rng.Below(alive.size())];
+            if (s == t) return std::nullopt;
+            return storage::Mutation::AddEdge(
+                edge_classes[rng.Below(3)], s, t,
+                {{"w", Value(static_cast<int64_t>(rng.Below(4)))}});
+          }
+          case 2: {
+            if (alive.empty()) return std::nullopt;
+            return storage::Mutation::Update(
+                alive[rng.Below(alive.size())],
+                {{"val", Value(static_cast<int64_t>(rng.Below(4)))}});
+          }
+          case 3: {
+            if (alive.size() <= 4) return std::nullopt;
+            size_t at = rng.Below(alive.size());
+            Uid gone = alive[at];
+            alive.erase(alive.begin() + at);
+            return storage::Mutation::Remove(gone);
+          }
+          default:
+            now += 1000000;  // +1s
+            return storage::Mutation::SetTime(now);
+        }
+      };
+      for (int op = 0; op < 30;) {
+        if (rng.Chance(0.5)) {
+          std::vector<storage::Mutation> batch;
+          for (int j = 0; j < 4; ++j) {
+            if (auto m = random_mutation()) batch.push_back(std::move(*m));
+          }
+          if (!batch.empty()) {
+            ASSERT_TRUE(db->ApplyBatch(batch).ok());
+          }
+          for (const storage::Mutation& m : batch) {
+            if (m.kind == storage::Mutation::Kind::kAddNode) {
+              alive.push_back(m.uid);
+            }
+          }
+          op += 4;
+        } else {
+          if (auto m = random_mutation()) {
+            std::vector<storage::Mutation> one;
+            one.push_back(std::move(*m));
+            ASSERT_TRUE(db->ApplyBatch(one).ok());
+            if (one[0].kind == storage::Mutation::Kind::kAddNode) {
+              alive.push_back(one[0].uid);
+            }
+          }
+          ++op;
+        }
+      }
+
+      ASSERT_TRUE((*catalog)
+                      ->WaitUntilFresh("v", db->commit_epoch(),
+                                       std::chrono::milliseconds(30000))
+                      .ok());
+      auto sv = (*catalog)->Serve("v");
+      ASSERT_TRUE(sv.has_value());
+
+      // Cold oracle at the served epoch, canonicalized.
+      nql::RpeNode resolved = nql::Normalize(rpe);
+      nql::PlanOptions cold_plan;
+      ASSERT_TRUE(nql::ResolveRpe(db->schema(), cold_plan.max_repetition,
+                                  &resolved)
+                      .ok());
+      nql::LockedBackend backend(db);
+      auto exec = backend.CreateExecutor();
+      auto cold = nql::EvaluateMatch(
+          *exec, backend, resolved,
+          storage::TimeView::Current().WithEpoch(sv->epoch), cold_plan);
+      ASSERT_TRUE(cold.ok()) << cold.status();
+      storage::CanonicalizePaths(&*cold);
+
+      auto render = [](const storage::PathSet& paths) {
+        std::vector<std::string> rows;
+        for (const storage::PathState& s : paths) {
+          std::string line;
+          for (Uid uid : s.uids) line += std::to_string(uid) + ",";
+          line += " " + s.valid.ToString();
+          rows.push_back(std::move(line));
+        }
+        std::sort(rows.begin(), rows.end());
+        return rows;
+      };
+      EXPECT_EQ(render(*sv->paths), render(*cold))
+          << nepal::testing::BackendName(kind) << " "
+          << nql::Normalize(rpe).ToString();
+      ++checked;
     }
   }
   EXPECT_GT(checked, 20);
