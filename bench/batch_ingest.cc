@@ -5,9 +5,9 @@
 //     durable fsync policy — the group-commit payoff is one WAL write
 //     and at most one fsync per batch instead of per mutation,
 //   - snapshot-read QPS while a concurrent writer continuously holds
-//     the write path with batched inserts (EngineOptions::snapshot_reads
-//     pins reads to a commit epoch instead of queueing on the writer
-//     lock).
+//     the write path with batched inserts (every query pins its reads to
+//     a commit epoch instead of queueing on the writer lock for its whole
+//     evaluation).
 //
 // Scale knob: NEPAL_BENCH_BATCH_SECONDS (default 1 second per
 // configuration for the reader/writer benchmark). Results land in
@@ -134,11 +134,11 @@ BENCHMARK(BM_BatchIngest)
 // ---- snapshot-read QPS under a concurrent batched writer ----
 
 // The writer thread keeps the write path saturated with group commits;
-// the timed loop runs a path query with snapshot_reads on, so each read
-// pins a commit epoch and never queues behind the exclusive lock for the
-// whole query. The QPS counter is the acceptance signal: it must stay
-// nonzero (reads make progress while the writer runs), and the writer
-// batch counter shows the write path really was busy.
+// the timed loop runs a path query, which pins a commit epoch and never
+// queues behind the exclusive lock for the whole query. The QPS counter
+// is the acceptance signal: it must stay nonzero (reads make progress
+// while the writer runs), and the writer batch counter shows the write
+// path really was busy.
 void BM_SnapshotReadUnderWriter(benchmark::State& state) {
   storage::GraphDb db(IngestSchema(),
                       std::make_unique<graphstore::GraphStore>(IngestSchema()));
@@ -163,9 +163,7 @@ void BM_SnapshotReadUnderWriter(benchmark::State& state) {
     }
   }
 
-  nql::EngineOptions opts;
-  opts.snapshot_reads = true;
-  nql::QueryEngine engine(&db, opts);
+  nql::QueryEngine engine(&db);
   const std::string query =
       "Retrieve P From PATHS P Where P MATCHES VM()->OnServer()->Host()";
 

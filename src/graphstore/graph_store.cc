@@ -58,6 +58,12 @@ void GraphStore::IndexRemove(const schema::ClassDef* cls,
   }
 }
 
+Status GraphStore::CloseVersion(VersionChain* chain, Timestamp t) {
+  NEPAL_RETURN_NOT_OK(chain->Close(t, write_epoch_));
+  if (chain->versions().back().valid.empty()) --version_count_;
+  return Status::OK();
+}
+
 Status GraphStore::InsertNode(Uid uid, const schema::ClassDef* cls,
                               std::vector<Value> row, Timestamp t) {
   VersionChain& chain = elements_[uid];
@@ -121,7 +127,7 @@ Status GraphStore::Update(Uid uid,
   for (const auto& [idx, value] : changes) {
     next.fields[static_cast<size_t>(idx)] = value;
   }
-  NEPAL_RETURN_NOT_OK(it->second.Close(t, write_epoch_));
+  NEPAL_RETURN_NOT_OK(CloseVersion(&it->second, t));
   NEPAL_RETURN_NOT_OK(it->second.Open(std::move(next), t, write_epoch_));
   const ElementVersion* cur = it->second.Current();
   IndexInsert(cur->cls, cur->fields, uid);
@@ -156,7 +162,9 @@ Status GraphStore::RestoreChain(Uid uid, std::vector<ElementVersion> chain) {
   }
   ClassBucket& bucket = BucketFor(cls);
   bucket.uids.push_back(uid);
-  version_count_ += vc.versions().size();
+  version_count_ += static_cast<size_t>(std::count_if(
+      vc.versions().begin(), vc.versions().end(),
+      [](const ElementVersion& v) { return !v.valid.empty(); }));
   if (const ElementVersion* cur = vc.Current()) {
     ++bucket.current_count;
     IndexInsert(cur->cls, cur->fields, uid);
@@ -184,7 +192,7 @@ Status GraphStore::Delete(Uid uid, Timestamp t) {
     stats_.OnEdgeUnlinked(cur->cls, cur->source, CurrentClassOf(cur->source),
                           cur->target, CurrentClassOf(cur->target));
   }
-  return it->second.Close(t, write_epoch_);
+  return CloseVersion(&it->second, t);
 }
 
 void GraphStore::Scan(const ScanSpec& spec, const TimeView& view,
@@ -201,9 +209,9 @@ void GraphStore::Scan(const ScanSpec& spec, const TimeView& view,
   const int begin = spec.cls->order();
   const int end = spec.cls->subtree_end();
   // Equality pushdown through the per-class hash indexes. Indexes cover
-  // current versions only, so historical views — and epoch-pinned snapshot
-  // views, whose "current" may include versions since updated away — scan
-  // sequentially.
+  // current versions only, so historical views — and epoch-pinned views,
+  // whose "current" may include versions since updated away — scan
+  // sequentially (same rows, sequential order).
   if (spec.eq && view.is_current() && !view.has_epoch()) {
     const std::string& field_name =
         spec.cls->fields()[static_cast<size_t>(spec.eq->first)].name;

@@ -87,6 +87,10 @@ class GraphStore final : public storage::StorageBackend {
                    Uid uid);
   void IndexRemove(const schema::ClassDef* cls, const std::vector<Value>& row,
                    Uid uid);
+  /// Closes `chain`'s open version at `t`. A zero-length version stays in
+  /// the chain for epoch-pinned reads but leaves the version count, just
+  /// as it stays out of checkpoint images.
+  Status CloseVersion(storage::VersionChain* chain, Timestamp t);
 
   schema::SchemaPtr schema_;
   GraphStoreOptions options_;
@@ -96,7 +100,7 @@ class GraphStore final : public storage::StorageBackend {
   std::vector<ClassBucket> buckets_;
   std::unordered_map<Uid, std::vector<Uid>> out_edges_;
   std::unordered_map<Uid, std::vector<Uid>> in_edges_;
-  size_t version_count_ = 0;
+  size_t version_count_ = 0;  // versions with a non-empty interval
 };
 
 }  // namespace nepal::graphstore

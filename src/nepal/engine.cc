@@ -84,31 +84,26 @@ TimeView ViewFor(const std::optional<TimeSpec>& var_at,
   return TimeView::AsOf(spec->start);
 }
 
-/// Version of an element consistent with a pathway's validity interval.
-/// `epoch` is non-zero in snapshot mode: the view is pinned to it and the
-/// lookup takes its own brief shared lock (locked mode already holds one
-/// for the whole evaluation).
+/// Version of an element consistent with a pathway's validity interval,
+/// read at commit `epoch` under a brief shared lock.
 Result<storage::ElementVersion> FetchVersion(storage::GraphDb* db, Uid uid,
                                              const Interval& valid,
                                              uint64_t epoch) {
-  TimeView view = valid.end == kTimestampMax && valid.start == kTimestampMin
-                      ? TimeView::Current()
-                  : valid.end == kTimestampMax ? TimeView::Current()
-                                               : TimeView::AsOf(valid.start);
-  if (epoch != 0) view = view.WithEpoch(epoch);
+  const TimeView view = (valid.end == kTimestampMax
+                             ? TimeView::Current()
+                             : TimeView::AsOf(valid.start))
+                            .WithEpoch(epoch);
   storage::ElementVersion out;
   bool found = false;
-  auto sink = [&](const storage::ElementVersion& v) {
-    if (!found) {
-      out = v;
-      found = true;
-    }
-  };
-  if (epoch != 0) {
+  {
     std::shared_lock<std::shared_mutex> lock(db->mutex());
-    db->backend().Get(uid, view, sink);
-  } else {
-    db->backend().Get(uid, view, sink);
+    db->backend().Get(uid, db->ReadViewLocked(view),
+                      [&](const storage::ElementVersion& v) {
+                        if (!found) {
+                          out = v;
+                          found = true;
+                        }
+                      });
   }
   if (!found) {
     return Status::Internal("pathway element uid " + std::to_string(uid) +
@@ -293,7 +288,7 @@ Result<QueryResult> QueryEngine::RunParsed(const Query& query,
   // ---- Read routing ----
   // Under a non-default policy, the whole query may evaluate on a replica:
   // the router pins the replica's commit epoch at decision time and the
-  // query runs in snapshot mode there — it never observes state older than
+  // query reads that snapshot there — it never observes state older than
   // the staleness bound, and never straddles replica apply batches. EXPLAIN
   // stays on the primary (its plan capture is the point), as do
   // queries the materialized-view provider might serve: the view cache is
@@ -343,8 +338,8 @@ Result<QueryResult> QueryEngine::RunParsed(const Query& query,
   if (tctx) exec_span = tctx.trace->OpenSpan(tctx.span_id, "execute");
   const uint64_t start = NowNs();
   Result<QueryResult> result =
-      RunInternal(query, OuterEnv{}, capture, &builder,
-                  /*locks_held=*/false, outer_epochs, route.db);
+      RunInternal(query, OuterEnv{}, capture, &builder, outer_epochs,
+                  route.db);
   const uint64_t wall_ns = NowNs() - start;
   if (exec_span != 0) tctx.trace->CloseSpan(exec_span);
 
@@ -412,9 +407,7 @@ namespace {
 struct VarState {
   const RangeVarDecl* decl = nullptr;
   storage::GraphDb* db = nullptr;
-  /// The backend plan/evaluation runs against: the source's own backend in
-  /// locked mode, its LockedBackend decorator in snapshot mode.
-  const storage::StorageBackend* backend = nullptr;
+  /// The source backend's executor behind a LockedExecutor.
   std::unique_ptr<storage::PathOperatorExecutor> exec;
   TimeView view = TimeView::Current();
   RpeNode rpe;
@@ -541,17 +534,17 @@ Uid EndpointOf(const PathState& state, PathExpr::Kind kind) {
 /// map predates the source (a replica re-bootstrapped mid-query, or a
 /// source registered between capture and use). The fallback is still a
 /// consistent read — it just isn't pinned to the query's snapshot.
-uint64_t EpochFor(const std::map<storage::GraphDb*, uint64_t>* epochs,
+uint64_t EpochFor(const std::map<storage::GraphDb*, uint64_t>& epochs,
                   storage::GraphDb* db) {
-  auto it = epochs->find(db);
-  return it != epochs->end() ? it->second : db->commit_epoch();
+  auto it = epochs.find(db);
+  return it != epochs.end() ? it->second : db->commit_epoch();
 }
 
 }  // namespace
 
 Result<QueryResult> QueryEngine::RunInternal(
     const Query& query, const OuterEnv& outer, const ExplainCapture& capture,
-    obs::QueryStatsBuilder* stats, bool locks_held,
+    obs::QueryStatsBuilder* stats,
     const std::map<storage::GraphDb*, uint64_t>* outer_epochs,
     storage::GraphDb* run_db) const {
   if (run_db == nullptr) run_db = default_db_;
@@ -566,16 +559,16 @@ Result<QueryResult> QueryEngine::RunInternal(
   // provider before anything is planned: `From <name> P` over a name the
   // engine's own (unmaterialized) views don't define is served by name,
   // and a plain MATCHES query whose canonical RPE and temporal mode equal
-  // a registered view's definition is served by definition. Serving forces
-  // snapshot mode with the variable's source pinned to the cache's
-  // freshness epoch, so every other clause (compare predicates, EXISTS
-  // subqueries, Select expressions) evaluates at exactly the epoch the
-  // cached rows are exact at — the result is byte-identical to cold
-  // evaluation there. EXPLAIN VERBOSE always runs cold (the SQL of its
-  // plan operators is the point); EXPLAIN / EXPLAIN ANALYZE may serve and
-  // report a one-line ServeView plan.
+  // a registered view's definition is served by definition. Serving pins
+  // the variable's source to the cache's freshness epoch, so every other
+  // clause (compare predicates, EXISTS subqueries, Select expressions)
+  // evaluates at exactly the epoch the cached rows are exact at — the
+  // result is byte-identical to cold evaluation there. EXPLAIN VERBOSE
+  // always runs cold (the SQL of its plan operators is the point);
+  // EXPLAIN / EXPLAIN ANALYZE may serve and report a one-line ServeView
+  // plan.
   std::optional<ServedView> served;
-  if (view_provider_ != nullptr && !locks_held && outer_epochs == nullptr &&
+  if (view_provider_ != nullptr && outer_epochs == nullptr &&
       !capture.verbose && query.range_vars.size() == 1) {
     const RangeVarDecl& decl = query.range_vars[0];
     Result<storage::GraphDb*> src = SourceFor(decl, run_db);
@@ -616,20 +609,13 @@ Result<QueryResult> QueryEngine::RunInternal(
     }
   }
 
-  // ---- Snapshot mode ----
-  // A subquery whose parent evaluated in snapshot mode inherits the
-  // parent's pinned epochs (it holds no locks to fall back on). A
-  // top-level call enters snapshot mode when enabled — EXPLAIN modes
-  // included, so they explain the read mode they would run in.
-  const bool snapshot_mode =
-      served.has_value() || outer_epochs != nullptr ||
-      (!locks_held && options_.snapshot_reads);
+  // ---- Epoch pinning ----
+  // A subquery inherits its parent's pinned epochs. A top-level call
+  // captures every reachable source's commit epoch up front — lock-free
+  // (commit_epoch() is an atomic published under the writer lock) — so
+  // subqueries over any catalog source read the same snapshot.
   std::map<storage::GraphDb*, uint64_t> epoch_map;
-  const std::map<storage::GraphDb*, uint64_t>* epochs = outer_epochs;
-  if (snapshot_mode && epochs == nullptr) {
-    // Capture every reachable source's commit epoch up front — lock-free
-    // (commit_epoch() is an atomic published after the in-memory apply) —
-    // so subqueries over any catalog source read the same snapshot.
+  if (outer_epochs == nullptr) {
     epoch_map.emplace(run_db, run_db->commit_epoch());
     catalog_.ForEach(
         [&epoch_map](const std::string&, const SourceDescriptor& desc) {
@@ -640,32 +626,10 @@ Result<QueryResult> QueryEngine::RunInternal(
     // (never ahead of the commit epoch), keeping the whole query
     // consistent with the cached rows.
     if (served.has_value()) epoch_map[served->db] = served->epoch;
-    epochs = &epoch_map;
   }
-  // One read-only decorator per distinct source; VarStates point at these
-  // instead of the raw backends.
-  std::map<storage::GraphDb*, std::unique_ptr<LockedBackend>> snap_backends;
+  const std::map<storage::GraphDb*, uint64_t>& epochs =
+      outer_epochs != nullptr ? *outer_epochs : epoch_map;
 
-  // ---- Read locks ----
-  // Query evaluation only reads the stores, but writers may run
-  // concurrently: hold every involved data source's mutex shared for the
-  // whole evaluation (all operator calls plus result post-processing see
-  // one consistent store state). Acquisition is in ascending address order
-  // — writers only ever hold a single lock, so readers locking a sorted
-  // set cannot form a cycle. Subquery recursion runs on the same thread
-  // over the same source set and must not re-lock. Snapshot mode replaces
-  // the whole-evaluation hold with epoch pinning + per-call locks.
-  std::vector<std::shared_lock<std::shared_mutex>> read_locks;
-  if (!locks_held && !snapshot_mode) {
-    std::vector<storage::GraphDb*> dbs{run_db};
-    catalog_.ForEach([&dbs](const std::string&, const SourceDescriptor& desc) {
-      dbs.push_back(desc.database());
-    });
-    std::sort(dbs.begin(), dbs.end());
-    dbs.erase(std::unique(dbs.begin(), dbs.end()), dbs.end());
-    read_locks.reserve(dbs.size());
-    for (storage::GraphDb* db : dbs) read_locks.emplace_back(db->mutex());
-  }
   std::map<std::string, size_t> var_index;
   std::vector<VarState> vars(query.range_vars.size());
   for (size_t i = 0; i < query.range_vars.size(); ++i) {
@@ -676,23 +640,13 @@ Result<QueryResult> QueryEngine::RunInternal(
     }
     vars[i].decl = &decl;
     NEPAL_ASSIGN_OR_RETURN(vars[i].db, SourceFor(decl, run_db));
-    if (snapshot_mode) {
-      std::unique_ptr<LockedBackend>& snap = snap_backends[vars[i].db];
-      if (snap == nullptr) {
-        snap = std::make_unique<LockedBackend>(vars[i].db);
-      }
-      vars[i].backend = snap.get();
-    } else {
-      vars[i].backend = &vars[i].db->backend();
-    }
-    vars[i].exec = vars[i].backend->CreateExecutor();
+    vars[i].exec = std::make_unique<LockedExecutor>(
+        vars[i].db, vars[i].db->backend().CreateExecutor());
     if (stats != nullptr) {
       vars[i].stats = stats->AddGroup("var " + decl.name);
     }
-    vars[i].view = ViewFor(decl.at, query.at);
-    if (snapshot_mode) {
-      vars[i].view = vars[i].view.WithEpoch(EpochFor(epochs, vars[i].db));
-    }
+    vars[i].view = ViewFor(decl.at, query.at)
+                       .WithEpoch(EpochFor(epochs, vars[i].db));
     std::string view_name = decl.view;
     for (char& c : view_name) c = static_cast<char>(std::toupper(c));
     if (view_name != "PATHS" && !served.has_value()) {
@@ -784,13 +738,14 @@ Result<QueryResult> QueryEngine::RunInternal(
   }
 
   // ---- Structural anchor plans ----
-  // Each variable's RPE is planned exactly once per query: the plan costs
+  // Each variable's RPE is planned exactly once per query, against its
+  // source's live statistics under a brief shared lock: the plan costs
   // the structural anchor here, and is the one EXPLAIN prints and
   // ExecuteMatch runs.
   for (VarState& vs : vars) {
     if (vs.evaluated) continue;
-    Result<MatchPlan> plan = PlanMatch(vs.rpe, *vs.backend,
-                                       options_.plan, vs.view);
+    Result<MatchPlan> plan =
+        PlanMatchLocked(vs.db, vs.rpe, options_.plan, vs.view);
     if (plan.ok()) vs.plan = std::move(*plan);
   }
 
@@ -841,10 +796,11 @@ Result<QueryResult> QueryEngine::RunInternal(
     if (vs.view_rpe.has_value()) {
       // Intersect with the named view: a pathway qualifies when the view
       // RPE also matches it, over the overlap of their validity.
-      NEPAL_ASSIGN_OR_RETURN(PathSet view_paths,
-                             EvaluateMatch(*vs.exec, *vs.backend,
-                                           *vs.view_rpe, vs.view,
-                                           options_.plan, vs.stats));
+      NEPAL_ASSIGN_OR_RETURN(
+          MatchPlan view_plan,
+          PlanMatchLocked(vs.db, *vs.view_rpe, options_.plan, vs.view));
+      PathSet view_paths = ExecuteMatch(*vs.exec, view_plan, vs.view,
+                                        options_.plan, vs.stats);
       std::unordered_map<std::string, std::vector<const PathState*>> by_uids;
       for (const PathState& state : view_paths) {
         std::string key;
@@ -981,9 +937,14 @@ Result<QueryResult> QueryEngine::RunInternal(
                            "join (" + std::to_string(best_seeds.size()) +
                            " seed nodes)");
       }
-      vs.paths = EvaluateMatchSeeded(*vs.exec, *vs.backend, vs.rpe,
-                                     best_seeds, best_side, vs.view,
-                                     options_.plan, vs.stats);
+      SeededPlan seeded;
+      {
+        std::shared_lock<std::shared_mutex> lock(vs.db->mutex());
+        seeded = PlanMatchSeeded(vs.rpe, vs.db->backend(), best_seeds.size(),
+                                 best_side, vs.view);
+      }
+      vs.paths = ExecuteMatchSeeded(*vs.exec, seeded, best_seeds, vs.view,
+                                    options_.plan, vs.stats);
     } else {
       if (explain != nullptr) {
         explain->push_back("var " + vs.decl->name + ":\n" +
@@ -1072,8 +1033,7 @@ Result<QueryResult> QueryEngine::RunInternal(
         if (*e.field == "id") return Value(static_cast<int64_t>(uid));
         NEPAL_ASSIGN_OR_RETURN(
             storage::ElementVersion v,
-            FetchVersion(db, uid, valid,
-                         snapshot_mode ? EpochFor(epochs, db) : 0));
+            FetchVersion(db, uid, valid, EpochFor(epochs, db)));
         int idx = v.cls->FieldIndex(*e.field);
         if (idx < 0) {
           return Status::InvalidArgument("class " + v.cls->name() +
@@ -1263,8 +1223,7 @@ Result<QueryResult> QueryEngine::RunInternal(
       NEPAL_ASSIGN_OR_RETURN(
           QueryResult sub,
           RunInternal(*pred->subquery, env, ExplainCapture{}, nullptr,
-                      /*locks_held=*/true,
-                      snapshot_mode ? epochs : nullptr, run_db));
+                      &epochs, run_db));
       bool exists = !sub.rows.empty();
       if (exists != pred->negate_exists) kept.push_back(row);
     }

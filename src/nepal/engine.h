@@ -83,24 +83,11 @@ struct EngineOptions {
   /// Top-level queries slower than this land in the slow-query log
   /// (SlowQueries()); 0 disables the log.
   double slow_query_ms = 250.0;
-  /// Snapshot reads: instead of holding every source's shared lock for the
-  /// whole evaluation, the engine captures each source's commit epoch up
-  /// front and evaluates against epoch-pinned TimeViews. Each primitive
-  /// read still takes the lock briefly, but writers interleave between
-  /// operator calls instead of waiting out the whole query, so batched
-  /// ingest and long analytical reads stop serializing each other. Results
-  /// match a fully-locked read at capture time. Every EXPLAIN mode runs in
-  /// the read mode it explains, snapshot included. Off by default:
-  /// an insert+delete at the same transaction instant collapses to "never
-  /// existed" in the version store, which a snapshot pinned between the
-  /// two epochs cannot reproduce — enable when writers always advance time
-  /// or never delete what they just inserted.
-  bool snapshot_reads = false;
   /// Read routing across the replication fleet (see SourceCatalog). Under
   /// a non-default policy, each top-level non-EXPLAIN read consults the
   /// catalog's attached replicas and may evaluate on one instead of the
-  /// primary, pinned (snapshot mode) to the replica's commit epoch at the
-  /// routing decision — bounded staleness, exact snapshot. Writes never
+  /// primary, pinned to the replica's commit epoch at the routing
+  /// decision — bounded staleness, exact snapshot. Writes never
   /// route; queries that can be served from the materialized-view
   /// provider stay on the primary (the cache is primary-bound).
   RoutingOptions routing;
@@ -154,7 +141,7 @@ class QueryEngine {
 
   /// Run("EXPLAIN VERBOSE " + nql): the anchor choices and programs of the
   /// plans that ran, plus (relational backend) each plan operator's SQL,
-  /// rendered from those plans at any parallelism and read mode.
+  /// rendered from those plans at any parallelism.
   Result<std::string> Explain(const std::string& nql) const;
 
   /// Per-operator stats of the most recent successful top-level query run
@@ -192,21 +179,19 @@ class QueryEngine {
   Result<QueryResult> RunParsed(const Query& query,
                                 const std::string& text) const;
 
-  /// `locks_held` is set on recursive (subquery) calls: the top-level call
-  /// already holds shared locks on every data source, and shared_mutex
-  /// must not be re-acquired recursively on the same thread. When the
-  /// top-level call runs in snapshot mode instead (see
-  /// EngineOptions::snapshot_reads) it passes its per-source commit-epoch
-  /// map via `outer_epochs`, and the subquery evaluates against the same
-  /// pinned epochs rather than taking locks it was never protected by.
-  /// `run_db` is the database unnamed range variables evaluate against:
-  /// the engine's primary by default, a routed replica when the read
-  /// router picked one (RunParsed then also passes the pinned epoch map
-  /// via `outer_epochs`, entering snapshot mode).
+  /// Evaluates one query against every source pinned to a commit epoch.
+  /// A top-level call captures each reachable source's epoch up front;
+  /// recursive (subquery) calls, and a top-level call the read router sent
+  /// to a replica, receive that per-source map via `outer_epochs`, so one
+  /// query is one snapshot. No source lock is held across the evaluation:
+  /// planning holds a source's mutex shared briefly, and every operator
+  /// call and field lookup takes its own brief shared lock (see
+  /// LockedExecutor). `run_db` is the database unnamed range variables
+  /// evaluate against: the engine's primary by default, a routed replica
+  /// when the read router picked one.
   Result<QueryResult> RunInternal(
       const Query& query, const OuterEnv& outer,
       const ExplainCapture& capture, obs::QueryStatsBuilder* stats,
-      bool locks_held = false,
       const std::map<storage::GraphDb*, uint64_t>* outer_epochs = nullptr,
       storage::GraphDb* run_db = nullptr) const;
 

@@ -755,49 +755,53 @@ PathSet ExecuteMatch(storage::PathOperatorExecutor& exec, MatchPlan& plan,
   return all;
 }
 
-PathSet EvaluateMatchSeeded(storage::PathOperatorExecutor& exec,
-                            const storage::StorageBackend& backend,
-                            const RpeNode& resolved_rpe,
-                            const std::vector<Uid>& seeds, SeedSide side,
-                            const TimeView& view, const PlanOptions& options,
-                            obs::QueryStatsGroup* stats) {
+SeededPlan PlanMatchSeeded(const RpeNode& resolved_rpe,
+                           const storage::StorageBackend& backend,
+                           size_t seed_count, SeedSide side,
+                           const TimeView& view) {
   // Compile unannotated, orient for the seeded side, then annotate with
   // row estimates in the direction the program will actually run.
+  SeededPlan plan;
+  plan.side = side;
   Program compiled = CompileSeededProgram(resolved_rpe, backend, view, -1);
-  Program program = side == SeedSide::kSource ? std::move(compiled)
-                                              : ReverseProgram(compiled);
-  const Direction dir =
-      side == SeedSide::kSource ? Direction::kOut : Direction::kIn;
-  double final_est = -1;
-  {
-    CostEstimator est(backend, view);
-    TraversalState st{nullptr, false};  // seeds: bare node frontiers
-    double work = 0;
-    final_est = AnnotateProgram(&program, static_cast<double>(seeds.size()),
-                                dir, &st, est, &work);
-  }
+  plan.program = side == SeedSide::kSource ? std::move(compiled)
+                                           : ReverseProgram(compiled);
+  CostEstimator est(backend, view);
+  TraversalState st{nullptr, false};  // seeds: bare node frontiers
+  double work = 0;
+  plan.est_rows = AnnotateProgram(
+      &plan.program, static_cast<double>(seed_count),
+      side == SeedSide::kSource ? Direction::kOut : Direction::kIn, &st, est,
+      &work);
+  return plan;
+}
+
+PathSet ExecuteMatchSeeded(storage::PathOperatorExecutor& exec,
+                           SeededPlan& plan, const std::vector<Uid>& seeds,
+                           const TimeView& view, const PlanOptions& options,
+                           obs::QueryStatsGroup* stats) {
   ParallelContext ctx = ContextFor(options);
   ctx.stats = stats;
   int select_id = -1, finalize_id = -1, merge_id = -1;
   if (stats != nullptr) {
     select_id =
         stats->AddOp("SelectSeeds", static_cast<double>(seeds.size()));
-    RegisterProgram(&program, stats);
-    finalize_id = stats->AddOp("Finalize(tail)", final_est);
-    merge_id = stats->AddOp("Merge 1 anchor(s)", final_est);
+    RegisterProgram(&plan.program, stats);
+    finalize_id = stats->AddOp("Finalize(tail)", plan.est_rows);
+    merge_id = stats->AddOp("Merge 1 anchor(s)", plan.est_rows);
   }
   PathSet current = RecordedCall(stats, select_id, seeds.size(), [&] {
     return exec.SelectSeeds(seeds, view);
   });
-  current = RunProgramCtx(exec, program, std::move(current),
-                          side == SeedSide::kSource ? Direction::kOut
-                                                    : Direction::kIn,
+  current = RunProgramCtx(exec, plan.program, std::move(current),
+                          plan.side == SeedSide::kSource ? Direction::kOut
+                                                         : Direction::kIn,
                           view, ctx);
   size_t in = current.size();
   current = RecordedCall(stats, finalize_id, in, [&] {
     return exec.FinalizeTail(current, view);
   });
-  if (side == SeedSide::kTarget) ReverseAll(&current);
+  if (plan.side == SeedSide::kTarget) ReverseAll(&current);
   const size_t before_dedup = current.size();
   const uint64_t merge_start = stats != nullptr ? NowNs() : 0;
   storage::DedupPaths(&current);

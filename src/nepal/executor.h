@@ -33,7 +33,10 @@ storage::PathSet ExecuteMatch(storage::PathOperatorExecutor& exec,
                               const PlanOptions& options,
                               obs::QueryStatsGroup* stats = nullptr);
 
-/// PlanMatch followed by ExecuteMatch.
+/// PlanMatch followed by ExecuteMatch, for a caller that already holds
+/// the source's mutex shared (or reads a store no one writes) and runs
+/// `exec` without locking. The engine plans and executes separately; this
+/// stays for nepalbench's per-layer decomposition.
 Result<storage::PathSet> EvaluateMatch(storage::PathOperatorExecutor& exec,
                                        const storage::StorageBackend& backend,
                                        const RpeNode& resolved_rpe,
@@ -43,18 +46,31 @@ Result<storage::PathSet> EvaluateMatch(storage::PathOperatorExecutor& exec,
 
 enum class SeedSide { kSource, kTarget };
 
-/// Seeded evaluation (imported anchor): the pathway's source (or target)
-/// node is pinned to one of `seeds`, so no structural anchor is needed.
-/// The backend supplies the statistics for the optimizer rewrites and the
-/// row estimates (seeded from `seeds.size()`).
-storage::PathSet EvaluateMatchSeeded(storage::PathOperatorExecutor& exec,
-                                     const storage::StorageBackend& backend,
-                                     const RpeNode& resolved_rpe,
-                                     const std::vector<Uid>& seeds,
-                                     SeedSide side,
-                                     const storage::TimeView& view,
-                                     const PlanOptions& options,
-                                     obs::QueryStatsGroup* stats = nullptr);
+/// A seeded evaluation (imported anchor), compiled: the pathway's source
+/// (or target) node is pinned to a seed, so no structural anchor is needed.
+/// `program` is oriented for `side` and annotated with row estimates.
+struct SeededPlan {
+  Program program;
+  SeedSide side = SeedSide::kSource;
+  double est_rows = -1;  // estimated result rows
+};
+
+/// Compiles and annotates a seeded evaluation from `seed_count` seeds. The
+/// backend supplies the statistics for the optimizer rewrites and the row
+/// estimates, so the caller holds the source's mutex shared.
+SeededPlan PlanMatchSeeded(const RpeNode& resolved_rpe,
+                           const storage::StorageBackend& backend,
+                           size_t seed_count, SeedSide side,
+                           const storage::TimeView& view);
+
+/// Runs a seeded plan from `seeds`: SelectSeeds, the program, finalize,
+/// dedup. Records stats the way ExecuteMatch does.
+storage::PathSet ExecuteMatchSeeded(storage::PathOperatorExecutor& exec,
+                                    SeededPlan& plan,
+                                    const std::vector<Uid>& seeds,
+                                    const storage::TimeView& view,
+                                    const PlanOptions& options,
+                                    obs::QueryStatsGroup* stats = nullptr);
 
 }  // namespace nepal::nql
 

@@ -10,13 +10,13 @@ using storage::TimeView;
 PathSet LockedExecutor::Select(const storage::CompiledAtom& atom,
                                const TimeView& view) {
   std::shared_lock<std::shared_mutex> lock(db_->mutex());
-  return inner_->Select(atom, view);
+  return inner_->Select(atom, db_->ReadViewLocked(view));
 }
 
 PathSet LockedExecutor::SelectSeeds(const std::vector<Uid>& nodes,
                                     const TimeView& view) {
   std::shared_lock<std::shared_mutex> lock(db_->mutex());
-  return inner_->SelectSeeds(nodes, view);
+  return inner_->SelectSeeds(nodes, db_->ReadViewLocked(view));
 }
 
 PathSet LockedExecutor::ExtendAtom(const PathSet& frontier,
@@ -24,7 +24,7 @@ PathSet LockedExecutor::ExtendAtom(const PathSet& frontier,
                                    storage::Direction dir,
                                    const TimeView& view) {
   std::shared_lock<std::shared_mutex> lock(db_->mutex());
-  return inner_->ExtendAtom(frontier, atom, dir, view);
+  return inner_->ExtendAtom(frontier, atom, dir, db_->ReadViewLocked(view));
 }
 
 PathSet LockedExecutor::ExtendBlock(
@@ -33,69 +33,20 @@ PathSet LockedExecutor::ExtendBlock(
     int max_rep, storage::Direction dir, const TimeView& view) {
   std::shared_lock<std::shared_mutex> lock(db_->mutex());
   return inner_->ExtendBlock(frontier, alternatives, min_rep, max_rep, dir,
-                             view);
+                             db_->ReadViewLocked(view));
 }
 
 PathSet LockedExecutor::FinalizeTail(const PathSet& frontier,
                                      const TimeView& view) {
   std::shared_lock<std::shared_mutex> lock(db_->mutex());
-  return inner_->FinalizeTail(frontier, view);
+  return inner_->FinalizeTail(frontier, db_->ReadViewLocked(view));
 }
 
-LockedBackend::LockedBackend(storage::GraphDb* db)
-    : db_(db), inner_(&db->backend()) {}
-
-const stats::GraphStats& LockedBackend::stats() const {
-  std::call_once(stats_once_, [this] {
-    std::shared_lock<std::shared_mutex> lock(db_->mutex());
-    const_cast<LockedBackend*>(this)->RestoreStats(inner_->stats());
-  });
-  return StorageBackend::stats();
-}
-
-void LockedBackend::Scan(const storage::ScanSpec& spec, const TimeView& view,
-                         const storage::ElementSink& sink) const {
-  std::shared_lock<std::shared_mutex> lock(db_->mutex());
-  inner_->Scan(spec, view, sink);
-}
-
-void LockedBackend::Get(Uid uid, const TimeView& view,
-                        const storage::ElementSink& sink) const {
-  std::shared_lock<std::shared_mutex> lock(db_->mutex());
-  inner_->Get(uid, view, sink);
-}
-
-void LockedBackend::IncidentEdges(Uid node, storage::Direction dir,
-                                  const schema::ClassDef* edge_cls,
-                                  const TimeView& view,
-                                  const storage::ElementSink& sink) const {
-  std::shared_lock<std::shared_mutex> lock(db_->mutex());
-  inner_->IncidentEdges(node, dir, edge_cls, view, sink);
-}
-
-bool LockedBackend::Exists(Uid uid, const TimeView& view) const {
-  std::shared_lock<std::shared_mutex> lock(db_->mutex());
-  return inner_->Exists(uid, view);
-}
-
-size_t LockedBackend::CountClass(const schema::ClassDef* cls) const {
-  std::shared_lock<std::shared_mutex> lock(db_->mutex());
-  return inner_->CountClass(cls);
-}
-
-size_t LockedBackend::MemoryUsage() const {
-  std::shared_lock<std::shared_mutex> lock(db_->mutex());
-  return inner_->MemoryUsage();
-}
-
-size_t LockedBackend::VersionCount() const {
-  std::shared_lock<std::shared_mutex> lock(db_->mutex());
-  return inner_->VersionCount();
-}
-
-std::unique_ptr<storage::PathOperatorExecutor> LockedBackend::CreateExecutor()
-    const {
-  return std::make_unique<LockedExecutor>(db_, inner_->CreateExecutor());
+Result<MatchPlan> PlanMatchLocked(storage::GraphDb* db, const RpeNode& rpe,
+                                  const PlanOptions& options,
+                                  const TimeView& view) {
+  std::shared_lock<std::shared_mutex> lock(db->mutex());
+  return PlanMatch(rpe, db->backend(), options, view);
 }
 
 }  // namespace nepal::nql

@@ -1,27 +1,34 @@
-// Snapshot-read decorators (EngineOptions::snapshot_reads, src/views).
+// LockedExecutor: the operator executor every read evaluates through.
 //
-// In snapshot mode a reader does not hold a source's shared lock across a
-// whole evaluation; every TimeView is pinned to a commit epoch captured at
-// the start, which keeps results identical to a locked read at capture
-// time even while writers commit underneath. The stores' data structures
-// are plain std containers though, so each primitive read still has to
-// exclude writers for its own duration — these decorators wrap the real
-// backend/executor and take the db's lock shared around every call.
+// A query never holds a source's lock across its evaluation. Every TimeView
+// is pinned to a commit epoch captured up front, which keeps results
+// identical to a read of the store at that commit even while writers commit
+// underneath. The stores' data structures are plain std containers though,
+// so each primitive read still has to exclude writers for its own duration:
+// this decorator wraps a backend's executor and takes the db's lock shared
+// around every operator call.
 //
-// Shared by the query engine (snapshot-mode queries) and the materialized
-// view catalog (initial builds and incremental repairs pinned to a repair
-// epoch).
+// Under that lock, a call whose pinned epoch is still the source's commit
+// epoch reads with the unpinned view (GraphDb::ReadViewLocked): nothing has
+// been written since the pin, so the store is the snapshot and the
+// backends' current-version fast paths apply. Calls after a commit read
+// the pinned view; both kinds read the pinned state.
+//
+// Planning reads a source's live statistics, so it holds the same lock
+// shared for its own duration (PlanMatchLocked).
+//
+// Shared by the query engine and the materialized view catalog (initial
+// builds and incremental repairs pinned to a repair epoch).
 
 #ifndef NEPAL_NEPAL_SNAPSHOT_H_
 #define NEPAL_NEPAL_SNAPSHOT_H_
 
 #include <memory>
-#include <mutex>
 #include <string>
 #include <utility>
 #include <vector>
 
-#include "storage/backend.h"
+#include "nepal/plan.h"
 #include "storage/graphdb.h"
 #include "storage/pathset.h"
 
@@ -30,6 +37,7 @@ namespace nepal::nql {
 /// Forwards one operator call at a time under a brief shared lock of the
 /// source's mutex. ExtendBlock is forwarded too (not defaulted) so a
 /// backend's specialized block implementation runs, under one lock hold.
+/// The caller must not hold the source's mutex.
 class LockedExecutor final : public storage::PathOperatorExecutor {
  public:
   LockedExecutor(storage::GraphDb* db,
@@ -64,63 +72,11 @@ class LockedExecutor final : public storage::PathOperatorExecutor {
   std::unique_ptr<storage::PathOperatorExecutor> inner_;
 };
 
-/// Read-only view of a source's backend for snapshot evaluation: reads
-/// forward under a brief shared lock, statistics are copied once on first
-/// use (so anchor costing works off one stable snapshot; queries that skip
-/// planning — e.g. served from a materialized view — never take the source
-/// lock at all), and writes fail.
-class LockedBackend final : public storage::StorageBackend {
- public:
-  explicit LockedBackend(storage::GraphDb* db);
-
-  std::string name() const override { return inner_->name(); }
-
-  Status InsertNode(Uid, const schema::ClassDef*, std::vector<Value>,
-                    Timestamp) override {
-    return WriteRejected();
-  }
-  Status InsertEdge(Uid, const schema::ClassDef*, std::vector<Value>, Uid, Uid,
-                    Timestamp) override {
-    return WriteRejected();
-  }
-  Status Update(Uid, const std::vector<std::pair<int, Value>>&,
-                Timestamp) override {
-    return WriteRejected();
-  }
-  Status Delete(Uid, Timestamp) override { return WriteRejected(); }
-  Status RestoreChain(Uid, std::vector<storage::ElementVersion>) override {
-    return WriteRejected();
-  }
-
-  void Scan(const storage::ScanSpec& spec, const storage::TimeView& view,
-            const storage::ElementSink& sink) const override;
-  void Get(Uid uid, const storage::TimeView& view,
-           const storage::ElementSink& sink) const override;
-  void IncidentEdges(Uid node, storage::Direction dir,
-                     const schema::ClassDef* edge_cls,
-                     const storage::TimeView& view,
-                     const storage::ElementSink& sink) const override;
-  bool Exists(Uid uid, const storage::TimeView& view) const override;
-  size_t CountClass(const schema::ClassDef* cls) const override;
-  size_t MemoryUsage() const override;
-  size_t VersionCount() const override;
-
-  /// Copies the source's statistics under a brief shared lock the first
-  /// time a planner asks; concurrent shards race through call_once.
-  const stats::GraphStats& stats() const override;
-
-  std::unique_ptr<storage::PathOperatorExecutor> CreateExecutor()
-      const override;
-
- private:
-  Status WriteRejected() const {
-    return Status::Internal("snapshot-read backend is read-only");
-  }
-
-  storage::GraphDb* db_;
-  const storage::StorageBackend* inner_;
-  mutable std::once_flag stats_once_;
-};
+/// PlanMatch against `db`'s backend, holding its mutex shared for the
+/// duration of planning only. The caller must not hold the mutex.
+Result<MatchPlan> PlanMatchLocked(storage::GraphDb* db, const RpeNode& rpe,
+                                  const PlanOptions& options,
+                                  const storage::TimeView& view);
 
 }  // namespace nepal::nql
 

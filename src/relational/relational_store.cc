@@ -96,10 +96,9 @@ Status RelationalStore::Update(Uid uid,
   old_row.valid.end = t;
   old_row.close_epoch = write_epoch_;
   stats_.OnUpdate(it->second, old_row.fields, new_row.fields);
-  // A version opened and replaced at the same instant never existed.
-  if (!old_row.valid.empty()) {
-    NEPAL_RETURN_NOT_OK(HistoryTable(it->second).Insert(std::move(old_row)));
-  }
+  // A row opened and replaced at the same instant stays as a zero-length
+  // history row: only epoch-pinned reads between the two commits see it.
+  NEPAL_RETURN_NOT_OK(HistoryTable(it->second).Insert(std::move(old_row)));
   return table.Insert(std::move(new_row));
 }
 
@@ -118,7 +117,6 @@ Status RelationalStore::Delete(Uid uid, Timestamp t) {
                           RegisteredClassOf(old_row.source), old_row.target,
                           RegisteredClassOf(old_row.target));
   }
-  if (old_row.valid.empty()) return Status::OK();
   return HistoryTable(it->second).Insert(std::move(old_row));
 }
 

@@ -49,9 +49,9 @@ Status Table::Insert(ElementVersion row) {
     return Status::AlreadyExists("duplicate uid " + std::to_string(row.uid) +
                                  " in table " + sql_name_);
   }
+  if (!row.valid.empty()) ++live_count_;
   rows_.push_back(std::move(row));
   live_.push_back(true);
-  ++live_count_;
   IndexRow(rows_.size() - 1);
   return Status::OK();
 }

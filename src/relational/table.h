@@ -28,7 +28,9 @@ class Table {
   /// SQL-level name: "VM" or "VM__history".
   const std::string& sql_name() const { return sql_name_; }
 
-  /// Number of live rows.
+  /// Number of live rows with a non-empty validity interval. A history
+  /// table also stores zero-length rows (closed at the instant they
+  /// opened) for epoch-pinned reads; they count for nothing else.
   size_t row_count() const { return live_count_; }
 
   /// Appends a row. Current tables require an open validity interval;

@@ -36,7 +36,7 @@ class StorageBackend {
   /// every version they open/close with it so epoch-pinned TimeViews can
   /// reconstruct the store as of any published commit (see
   /// TimeView::WithEpoch). One ApplyBatch shares a single epoch, which is
-  /// what makes a batch all-or-nothing for snapshot readers.
+  /// what makes a batch all-or-nothing for readers.
   void set_write_epoch(uint64_t epoch) { write_epoch_ = epoch; }
   uint64_t write_epoch() const { return write_epoch_; }
 
@@ -88,10 +88,9 @@ class StorageBackend {
   double EstimateScan(const ScanSpec& spec) const;
 
   /// Incrementally maintained statistics (cardinalities, degrees, value
-  /// counters, history depth). Backends update them on every write. Virtual
-  /// so locking decorators can defer their consistent stats capture until a
-  /// planner actually asks (pre-evaluated queries never do).
-  virtual const stats::GraphStats& stats() const { return stats_; }
+  /// counters, history depth). Backends update them on every write, so a
+  /// planner reads them under GraphDb::mutex() held shared.
+  const stats::GraphStats& stats() const { return stats_; }
 
   // ---- Durability (checkpoint restore; see src/persist) ----
 
@@ -119,7 +118,8 @@ class StorageBackend {
   /// Approximate resident bytes (storage-overhead experiments).
   virtual size_t MemoryUsage() const = 0;
 
-  /// Number of stored versions (current + history).
+  /// Number of stored versions (current + history) with a non-empty
+  /// interval; zero-length versions are not counted.
   virtual size_t VersionCount() const = 0;
 
   // ---- Retargeting ----

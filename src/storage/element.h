@@ -10,9 +10,16 @@
 //
 // A view may additionally carry a *snapshot epoch* (WithEpoch): versions
 // born after the epoch are invisible, and versions closed after it are
-// still open as of the snapshot. Epoch-stamped views are how readers
-// observe a batch-granular commit point without serializing against the
+// still open as of the snapshot. Epoch-stamped views are how every query
+// observes a batch-granular commit point without serializing against the
 // writer for the whole evaluation (see GraphDb::commit_epoch()).
+//
+// A version inserted and closed at the same transaction instant stays in
+// the store as a *zero-length* version [t, t) carrying both epochs. No
+// time view admits an empty interval, so Current, AsOf and Range reads
+// (the checkpoint writer's Range(All) scan included) never see it; a view
+// pinned to an epoch in [birth, close) sees it open, exactly as a read at
+// that commit did.
 
 #ifndef NEPAL_STORAGE_ELEMENT_H_
 #define NEPAL_STORAGE_ELEMENT_H_
@@ -91,8 +98,10 @@ class TimeView {
     return kind_ != Kind::kCurrent || epoch_ != 0;
   }
 
-  /// True if a version valid over `iv` is visible under this view.
+  /// True if a version valid over `iv` is visible under this view. An
+  /// empty interval (a zero-length version) is never visible.
   bool Admits(const Interval& iv) const {
+    if (iv.empty()) return false;
     switch (kind_) {
       case Kind::kCurrent:
         return iv.end == kTimestampMax;
@@ -136,7 +145,7 @@ class TimeView {
   TimeView(Kind kind, Interval range) : kind_(kind), range_(range) {}
   Kind kind_;
   Interval range_;
-  uint64_t epoch_ = 0;  // 0 = no snapshot epoch (plain locked read)
+  uint64_t epoch_ = 0;  // 0 = no snapshot epoch (reads the store as is)
 };
 
 enum class Direction { kOut, kIn, kBoth };

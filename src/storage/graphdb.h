@@ -142,13 +142,22 @@ class GraphDb {
 
   /// Epoch of the latest published commit. Monotone; safe to read without
   /// mutex(). A TimeView pinned to this value (TimeView::WithEpoch) sees
-  /// exactly the state a locked read would have seen at capture time, even
-  /// while later writers mutate the store — provided each individual
-  /// backend probe still synchronizes its memory accesses (the engine
-  /// takes brief shared locks per operator call; see EngineOptions::
-  /// snapshot_reads).
+  /// exactly the state the store held at capture time, even while later
+  /// writers mutate it — provided each backend probe holds mutex() shared
+  /// for its own duration (nql::LockedExecutor does, per operator call).
   uint64_t commit_epoch() const {
     return commit_epoch_.load(std::memory_order_acquire);
+  }
+
+  /// The view a probe under mutex() (held shared) should read: `view`
+  /// without its epoch when no commit has published past the pin, `view`
+  /// itself otherwise. Writers apply and publish under the exclusive lock,
+  /// so at the head the store *is* the snapshot, and the unpinned view
+  /// keeps the backends' current-version fast paths.
+  TimeView ReadViewLocked(const TimeView& view) const {
+    return view.has_epoch() && commit_epoch() <= view.epoch()
+               ? view.WithEpoch(0)
+               : view;
   }
 
   size_t node_count() const {
@@ -234,10 +243,12 @@ class GraphDb {
   // ---- Concurrency ----
 
   /// Guards the backend and all GraphDb bookkeeping: every write method
-  /// takes it exclusively; concurrent readers (the query engine holds it
-  /// shared for the whole evaluation) see a consistent store. Exposed so
-  /// the engine can span one shared-lock scope over many operator calls —
-  /// do not lock it around GraphDb's own methods, they lock internally.
+  /// takes it exclusively. Readers hold it shared around each backend probe
+  /// — a planner reading statistics, one operator call, one field lookup —
+  /// and pin their views to a commit epoch for consistency across probes.
+  /// std::shared_mutex is not recursive: do not lock it around GraphDb's
+  /// own methods (they lock internally), and hold it across no call that
+  /// may take it again.
   std::shared_mutex& mutex() const { return mutex_; }
 
  private:

@@ -1,6 +1,8 @@
 // VersionChain: the per-element transaction-time version list shared by
 // storage backends. Versions are ordered by start time and pairwise
-// disjoint; at most the last one is open (end == kTimestampMax).
+// disjoint; at most the last one is open (end == kTimestampMax). A version
+// closed at the instant it opened stays in the chain as a zero-length
+// version [t, t) (see storage/element.h).
 
 #ifndef NEPAL_STORAGE_VERSION_CHAIN_H_
 #define NEPAL_STORAGE_VERSION_CHAIN_H_
@@ -40,15 +42,16 @@ class VersionChain {
   }
 
   /// Closes the open version at `t`, stamped as closed by commit `epoch`.
+  /// Closing at the version's own start keeps it as a zero-length version:
+  /// no time view admits it, but a view pinned between its birth and close
+  /// epochs still reads it as open.
   Status Close(Timestamp t, uint64_t epoch = 0) {
     if (Current() == nullptr) {
       return Status::NotFound("no open version to close");
     }
-    if (t <= versions_.back().valid.start) {
-      // A version inserted and deleted at the same instant never existed;
-      // drop it entirely rather than keep an empty interval.
-      versions_.pop_back();
-      return Status::OK();
+    if (t < versions_.back().valid.start) {
+      return Status::InvalidArgument("non-monotone version close for uid " +
+                                     std::to_string(versions_.back().uid));
     }
     versions_.back().valid.end = t;
     versions_.back().close_epoch = epoch;

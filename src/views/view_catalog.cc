@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <deque>
+#include <shared_mutex>
 #include <utility>
 
 #include "nepal/executor.h"
@@ -73,9 +74,8 @@ Status ViewCatalog::CreateView(const std::string& name, nql::RpeNode rpe,
       nql::ResolveRpe(db_->schema(), plan_.max_repetition, &view->resolved));
   const storage::TimeView base = as_of ? storage::TimeView::AsOf(*as_of)
                                        : storage::TimeView::Current();
-  nql::LockedBackend backend(db_);
-  NEPAL_ASSIGN_OR_RETURN(view->plan,
-                         nql::PlanMatch(view->resolved, backend, plan_, base));
+  NEPAL_ASSIGN_OR_RETURN(
+      view->plan, nql::PlanMatchLocked(db_, view->resolved, plan_, base));
   view->footprint = CollectFootprint(view->plan, view->resolved);
   // The view enters the catalog flagged for its initial build; the
   // maintenance thread builds it at an epoch >= this capture, so waiting
@@ -360,13 +360,10 @@ void ViewCatalog::Rebuild(View* view) {
   obs::ScopedTrace scoped(obs::Tracer::Global().StartTrace("view.rebuild"));
   const uint64_t epoch = db_->commit_epoch();
   const storage::TimeView vt = PinnedView(*view, epoch);
-  nql::LockedBackend backend(db_);
-  std::unique_ptr<storage::PathOperatorExecutor> exec =
-      backend.CreateExecutor();
+  nql::LockedExecutor exec(db_, db_->backend().CreateExecutor());
   std::map<BucketKey, storage::PathSet> buckets;
   for (size_t k = 0; k < view->plan.anchors.size(); ++k) {
-    storage::PathSet anchors =
-        exec->Select(view->plan.anchors[k].anchor, vt);
+    storage::PathSet anchors = exec.Select(view->plan.anchors[k].anchor, vt);
     std::map<Uid, storage::PathSet> grouped;
     for (storage::PathState& s : anchors) {
       if (s.uids.empty()) continue;
@@ -374,7 +371,7 @@ void ViewCatalog::Rebuild(View* view) {
     }
     for (auto& [anchor_uid, seeds] : grouped) {
       storage::PathSet rows = nql::RunAnchoredFrom(
-          *exec, view->plan.anchors[k], std::move(seeds), vt);
+          exec, view->plan.anchors[k], std::move(seeds), vt);
       if (!rows.empty()) buckets[{k, anchor_uid}] = std::move(rows);
     }
   }
@@ -398,7 +395,6 @@ void ViewCatalog::Repair(View* view, const std::vector<Uid>& uids,
   const uint64_t t0 = obs::TraceNowNs();
   obs::ScopedTrace scoped(obs::Tracer::Global().StartTrace("view.repair"));
   const storage::TimeView vt = PinnedView(*view, epoch);
-  nql::LockedBackend backend(db_);
   // Buckets to recompute: every bucket whose cached paths contain a
   // touched element (lost/changed rows), plus every anchor element within
   // footprint radius of a touched element (gained rows must contain the
@@ -415,19 +411,18 @@ void ViewCatalog::Repair(View* view, const std::vector<Uid>& uids,
   }
   {
     obs::ScopedSpan span("view.locate");
-    for (Uid uid : uids) AnchorsNear(*view, uid, vt, backend, &keys);
+    for (Uid uid : uids) AnchorsNear(*view, uid, vt, &keys);
   }
   // Recompute outside view->mu: evaluation takes the database lock and can
   // wait out the writer, and serving must keep answering from the old
   // snapshot meanwhile. Only the maintenance thread mutates buckets, so
   // the staged results cannot go stale between compute and splice.
-  std::unique_ptr<storage::PathOperatorExecutor> exec =
-      backend.CreateExecutor();
+  nql::LockedExecutor exec(db_, db_->backend().CreateExecutor());
   std::map<BucketKey, storage::PathSet> recomputed;
   {
     obs::ScopedSpan span("view.recompute");
     for (const BucketKey& key : keys) {
-      recomputed[key] = RecomputeBucket(*view, key, vt, *exec);
+      recomputed[key] = RecomputeBucket(*view, key, vt, exec);
     }
   }
   {
@@ -475,9 +470,9 @@ storage::PathSet ViewCatalog::RecomputeBucket(
 
 void ViewCatalog::AnchorsNear(const View& view, Uid uid,
                               const storage::TimeView& view_time,
-                              const storage::StorageBackend& backend,
                               std::set<BucketKey>* out) const {
   const int radius = view.footprint.radius();
+  const storage::StorageBackend& backend = db_->backend();
   std::set<Uid> visited;
   std::deque<std::pair<Uid, int>> frontier;
   frontier.emplace_back(uid, 0);
@@ -485,8 +480,11 @@ void ViewCatalog::AnchorsNear(const View& view, Uid uid,
   while (!frontier.empty()) {
     auto [cur, depth] = frontier.front();
     frontier.pop_front();
+    // One brief shared lock per visited element, around its probes.
+    std::shared_lock<std::shared_mutex> lock(db_->mutex());
+    const storage::TimeView vt = db_->ReadViewLocked(view_time);
     std::optional<storage::ElementVersion> version;
-    backend.Get(cur, view_time, [&](const storage::ElementVersion& v) {
+    backend.Get(cur, vt, [&](const storage::ElementVersion& v) {
       version = v;
     });
     if (!version) continue;  // not visible at the repair epoch
@@ -504,19 +502,20 @@ void ViewCatalog::AnchorsNear(const View& view, Uid uid,
       visit(version->target);
     } else {
       auto sink = [&](const storage::ElementVersion& e) { visit(e.uid); };
-      backend.IncidentEdges(cur, storage::Direction::kOut, nullptr, view_time,
-                            sink);
-      backend.IncidentEdges(cur, storage::Direction::kIn, nullptr, view_time,
-                            sink);
+      backend.IncidentEdges(cur, storage::Direction::kOut, nullptr, vt, sink);
+      backend.IncidentEdges(cur, storage::Direction::kIn, nullptr, vt, sink);
     }
   }
 }
 
 const schema::ClassDef* ViewCatalog::ClassOf(Uid uid, uint64_t epoch) const {
-  nql::LockedBackend backend(db_);
   const schema::ClassDef* cls = nullptr;
-  backend.Get(uid, storage::TimeView::Range(Interval::All()).WithEpoch(epoch),
-              [&](const storage::ElementVersion& v) { cls = v.cls; });
+  std::shared_lock<std::shared_mutex> lock(db_->mutex());
+  db_->backend().Get(
+      uid,
+      db_->ReadViewLocked(
+          storage::TimeView::Range(Interval::All()).WithEpoch(epoch)),
+      [&](const storage::ElementVersion& v) { cls = v.cls; });
   return cls;
 }
 

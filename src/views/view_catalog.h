@@ -5,9 +5,9 @@
 // mode (Current or AsOf t) — under a name. Registration compiles the RPE to
 // a MatchPlan once, flags the view for an initial full build, and the
 // catalog's maintenance thread (one per catalog, a persist::DrainThread
-// tailing DurableStore::Subscribe) builds it pinned to a commit epoch via
-// snapshot reads (nql::LockedBackend / LockedExecutor — brief shared locks
-// per operator call, never blocking writers for the whole build).
+// tailing DurableStore::Subscribe) builds it pinned to a commit epoch
+// through an nql::LockedExecutor (brief shared locks per operator call,
+// never blocking writers for the whole build).
 //
 // From then on every committed WAL record drives maintenance. Frames are
 // grouped by the commit epoch they carry (one ApplyBatch = one epoch = one
@@ -150,18 +150,21 @@ class ViewCatalog final : public nql::PathwayViewProvider {
   /// the immutable plan, so the caller must NOT hold view->mu — evaluation
   /// contends with writers on the database lock, and holding the view
   /// mutex through it would stall serving for the whole repair. `exec` is
-  /// a snapshot (LockedBackend) executor.
+  /// an nql::LockedExecutor over the database, so neither may the caller
+  /// hold the database lock.
   storage::PathSet RecomputeBucket(const View& view, const BucketKey& key,
                                    const storage::TimeView& view_time,
                                    storage::PathOperatorExecutor& exec);
   /// Anchor elements within footprint radius of `uid` at `view_time`, as
   /// bucket keys (undirected BFS over the element graph). Appends to `out`.
+  /// Takes the database lock shared around each element's probes.
   void AnchorsNear(const View& view, Uid uid,
                    const storage::TimeView& view_time,
-                   const storage::StorageBackend& backend,
                    std::set<BucketKey>* out) const;
   /// The class of element `uid` as of `epoch` (whole-history probe, so a
-  /// just-removed element still resolves); nullptr when unknown.
+  /// just-removed element still resolves); nullptr when unknown or never
+  /// visible (a zero-length version closed by `epoch`). Takes the
+  /// database lock shared.
   const schema::ClassDef* ClassOf(Uid uid, uint64_t epoch) const;
   /// View's base TimeView (Current or AsOf) pinned to `epoch`.
   static storage::TimeView PinnedView(const View& view, uint64_t epoch);

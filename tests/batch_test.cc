@@ -1,8 +1,10 @@
-// Group-commit batch ingest and snapshot reads: GraphDb::ApplyBatch must
-// be byte-identical to the equivalent single applies (queries, stats, WAL
-// replay) on both backends, a mid-batch validation failure must leave no
-// partial state, epoch-pinned snapshot reads must agree with locked reads,
-// and the WAL's kInterval deadline flusher must sync an idle tail.
+// Group-commit batch ingest and epoch-pinned reads: GraphDb::ApplyBatch
+// must be byte-identical to the equivalent single applies (queries, stats,
+// WAL replay) on both backends, a mid-batch validation failure must leave
+// no partial state, a read pinned to an earlier commit epoch must
+// reproduce that commit's answers after later writes (same-instant ones
+// included), and the WAL's kInterval deadline flusher must sync an idle
+// tail.
 
 #include <algorithm>
 #include <atomic>
@@ -310,74 +312,95 @@ TEST_P(BatchTest, BatchDuplicateUniqueValidationCatchesIntraBatchClash) {
   EXPECT_EQ(Observe(*net.db), obs_before);
 }
 
-// ---- Tentpole: snapshot reads off the writer lock ----
+// ---- Epoch-pinned reads ----
 
-TEST_P(BatchTest, SnapshotReadsMatchLockedReadsOnQuiescedStore) {
+TEST_P(BatchTest, PinnedReadsReproduceEarlierAnswers) {
   auto net = nepal::testing::MakeTinyNetwork(GetParam());
   auto& db = *net.db;
-  // Temporal history: a status update and a removal with advancing time,
-  // so epoch patching has closed versions to reason about.
-  ASSERT_TRUE(db.SetTime(db.Now() + 1000).ok());
+  const Timestamp t0 = db.Now();
+  const Timestamp t1 = t0 + 1000;
+  const Timestamp t2 = t1 + 1000;
+  // History before the pin, so Range views have closed versions too.
+  ASSERT_TRUE(db.SetTime(t1).ok());
   ASSERT_TRUE(db.UpdateElement(net.vm1, {{"status", Value("Red")}}).ok());
-  ASSERT_TRUE(db.SetTime(db.Now() + 1000).ok());
-  ASSERT_TRUE(db.RemoveElement(net.rt1).ok());
+  // Two VMs born at t1 that the commits below mutate at that same instant.
+  Uid ghost = *db.AddNode("VMWare", {{"name", Value("ghost")},
+                                     {"status", Value("Green")}});
+  ASSERT_TRUE(db.AddEdge("OnServer", ghost, net.host1, {}).ok());
+  Uid flip = *db.AddNode("VMWare", {{"name", Value("flip")},
+                                    {"status", Value("Green")}});
+  ASSERT_TRUE(db.AddEdge("OnServer", flip, net.host2, {}).ok());
+  const uint64_t pin = db.commit_epoch();
 
-  nql::EngineOptions locked_opts;
-  nql::EngineOptions snap_opts;
-  snap_opts.snapshot_reads = true;
-  nql::QueryEngine locked(&db, locked_opts);
-  nql::QueryEngine snapshot(&db, snap_opts);
-
-  const std::vector<std::string> queries = {
-      "Retrieve P From PATHS P Where P MATCHES "
+  const std::vector<std::string> rpes = {
       "VNF()->[Vertical()]{1,6}->Host()",
-      // Equality predicate: the graphstore's locked read scans the eq
-      // index, the epoch-pinned read scans chains sequentially — row sets
-      // must agree, order may not, hence the sorted comparison below.
-      "Retrieve P From PATHS P Where P MATCHES VM(status='Red')",
-      "Retrieve P From PATHS P Where P MATCHES "
-      "Host()->Connects()->Switch()",
-      "Select count(P) From PATHS P Where P MATCHES Container()",
+      "VM()->OnServer()->Host()",
+      // Equality: at the head the graphstore reads its eq index, pinned
+      // past the head it scans chains — rows agree, order may not, hence
+      // the sorted comparison below.
+      "VM(status='Green')",
+      "Switch()->Connects()->Router()",
+      "Container()",
   };
-  for (const std::string& q : queries) {
-    auto locked_result = locked.Run(q);
-    auto snap_result = snapshot.Run(q);
-    ASSERT_TRUE(locked_result.ok()) << q << ": " << locked_result.status();
-    ASSERT_TRUE(snap_result.ok()) << q << ": " << snap_result.status();
-    ASSERT_EQ(locked_result->rows.size(), snap_result->rows.size()) << q;
-    auto render = [](const nql::QueryResult& r) {
-      std::vector<std::string> rows;
-      for (const auto& row : r.rows) {
-        std::string line;
-        for (const auto& p : row.paths) line += p.ToString() + "|";
-        for (const auto& v : row.values) line += v.ToString() + "|";
-        rows.push_back(line);
-      }
-      std::sort(rows.begin(), rows.end());
-      return rows;
-    };
-    EXPECT_EQ(render(*locked_result), render(*snap_result)) << q;
+  const std::vector<storage::TimeView> views = {
+      storage::TimeView::Current(),
+      storage::TimeView::AsOf(t1),
+      storage::TimeView::Range(t0, t2 + 1000),
+  };
+  auto rows = [&](const std::string& rpe_text, const storage::TimeView& view) {
+    auto rpe = nql::ParseRpe(rpe_text);
+    EXPECT_TRUE(rpe.ok()) << rpe.status();
+    nql::RpeNode resolved = *std::move(rpe);
+    nql::PlanOptions options;
+    options.parallelism = 1;
+    EXPECT_TRUE(
+        nql::ResolveRpe(db.schema(), options.max_repetition, &resolved).ok());
+    auto paths = nepal::testing::EvaluatePinned(&db, resolved, view, options);
+    EXPECT_TRUE(paths.ok()) << rpe_text << ": " << paths.status();
+    std::vector<std::string> out;
+    if (!paths.ok()) return out;
+    for (const storage::PathState& p : *paths) {
+      std::string line;
+      for (Uid uid : p.uids) line += std::to_string(uid) + ",";
+      out.push_back(line + " " + p.valid.ToString());
+    }
+    std::sort(out.begin(), out.end());
+    return out;
+  };
+  std::vector<std::vector<std::string>> recorded;
+  for (const std::string& rpe : rpes) {
+    for (const storage::TimeView& view : views) {
+      recorded.push_back(rows(rpe, view.WithEpoch(pin)));
+    }
   }
 
-  // EXPLAIN ANALYZE runs through the snapshot path (capture.lines stays
-  // null) and must report the same per-operator row counts.
-  const std::string q = "EXPLAIN ANALYZE " + queries[0];
-  ASSERT_TRUE(locked.Run(q).ok());
-  obs::QueryStats locked_stats = locked.LastQueryStats();
-  ASSERT_TRUE(snapshot.Run(q).ok());
-  obs::QueryStats snap_stats = snapshot.LastQueryStats();
-  EXPECT_EQ(locked_stats.result_rows, snap_stats.result_rows);
+  // Same-instant insert+delete (cascading onto its edge) and insert+update,
+  // then an update and a removal at a later instant.
+  ASSERT_TRUE(db.RemoveElement(ghost).ok());
+  ASSERT_TRUE(db.UpdateElement(flip, {{"status", Value("Red")}}).ok());
+  ASSERT_TRUE(db.SetTime(t2).ok());
+  ASSERT_TRUE(db.UpdateElement(net.vm3, {{"status", Value("Red")}}).ok());
+  ASSERT_TRUE(db.RemoveElement(net.rt1).ok());
+  ASSERT_GT(db.commit_epoch(), pin);
+
+  size_t i = 0;
+  for (const std::string& rpe : rpes) {
+    for (const storage::TimeView& view : views) {
+      EXPECT_EQ(rows(rpe, view.WithEpoch(pin)), recorded[i])
+          << rpe << " view kind " << static_cast<int>(view.kind());
+      ++i;
+    }
+  }
+  // The head has moved on: the ghost's placement is gone unpinned.
+  EXPECT_NE(rows("VM()->OnServer()->Host()", storage::TimeView::Current()),
+            recorded[3]);
 }
 
 TEST_P(BatchTest, SnapshotReadsDoNotSeeAConcurrentBatchPartially) {
   auto net = nepal::testing::MakeTinyNetwork(GetParam());
   auto& db = *net.db;
-  nql::EngineOptions opts;
-  opts.snapshot_reads = true;
-  nql::QueryEngine engine(&db, opts);
+  nql::QueryEngine engine(&db);
 
-  // Insert-only concurrent writer (same-instant add+remove would trip the
-  // version store's "never existed" collapse; see EngineOptions doc).
   std::atomic<bool> stop{false};
   std::atomic<uint64_t> batches{0};
   std::thread writer([&] {
@@ -399,14 +422,24 @@ TEST_P(BatchTest, SnapshotReadsDoNotSeeAConcurrentBatchPartially) {
       edge.push_back(
           Mutation::AddEdge("OnServer", nodes[2].uid, nodes[1].uid, {}));
       if (!db.ApplyBatch(edge).ok()) break;
+      // Still at instant t: every other VM is removed (cascading onto the
+      // edge), every other host renamed.
+      std::vector<Mutation> churn;
+      if (i % 2 == 0) {
+        churn.push_back(Mutation::Remove(nodes[2].uid));
+      } else {
+        churn.push_back(Mutation::Update(
+            nodes[1].uid, {{"name", Value("bh" + std::to_string(i) + "r")}}));
+      }
+      if (!db.ApplyBatch(churn).ok()) break;
       batches.fetch_add(1, std::memory_order_release);
       ++i;
     }
   });
 
   // Reader: every query runs while the writer holds / re-takes the write
-  // path; snapshot mode must keep completing queries (nonzero QPS) and
-  // every result must be internally consistent.
+  // path; it must keep completing queries (nonzero QPS) and every result
+  // must be internally consistent.
   size_t completed = 0;
   const auto deadline =
       std::chrono::steady_clock::now() + std::chrono::milliseconds(400);

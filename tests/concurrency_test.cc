@@ -1,10 +1,10 @@
 // Concurrent reader/writer stress tests. A writer thread keeps advancing
 // the transaction clock and mutating the deployment while several reader
 // threads run queries (including parallel-executor and subquery queries).
-// Every query must observe a consistent store — the engine holds the
-// GraphDb shared lock for the whole evaluation — and the whole test must
-// be clean under TSan (the CI Debug job builds with
-// -fsanitize=thread,undefined).
+// Every query must observe a consistent store — the engine pins each
+// source to a commit epoch and takes the GraphDb shared lock only around
+// planning and each operator call — and the whole test must be clean
+// under TSan (the CI Debug job builds with -fsanitize=thread,undefined).
 
 #include <atomic>
 #include <string>

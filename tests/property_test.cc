@@ -24,8 +24,6 @@
 
 #include "common/rng.h"
 #include "nepal/engine.h"
-#include "nepal/executor.h"
-#include "nepal/snapshot.h"
 #include "persist/durable_store.h"
 #include "tests/testutil.h"
 #include "views/view_catalog.h"
@@ -1006,11 +1004,9 @@ TEST(PropertyTest, ViewServedEqualsColdEvaluation) {
       ASSERT_TRUE(nql::ResolveRpe(db->schema(), cold_plan.max_repetition,
                                   &resolved)
                       .ok());
-      nql::LockedBackend backend(db);
-      auto exec = backend.CreateExecutor();
-      auto cold = nql::EvaluateMatch(
-          *exec, backend, resolved,
-          storage::TimeView::Current().WithEpoch(sv->epoch), cold_plan);
+      auto cold = nepal::testing::EvaluatePinned(
+          db, resolved, storage::TimeView::Current().WithEpoch(sv->epoch),
+          cold_plan);
       ASSERT_TRUE(cold.ok()) << cold.status();
       storage::CanonicalizePaths(&*cold);
 

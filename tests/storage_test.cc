@@ -7,6 +7,7 @@
 #include <algorithm>
 #include <set>
 #include <tuple>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -155,15 +156,58 @@ TEST_P(StorageTest, VersionChainAcrossUpdates) {
 
 TEST_P(StorageTest, SameInstantUpdateCollapsesVersion) {
   Uid a = *db_->AddNode("A", {{"serial", Value("s1")}, {"val", Value(1)}});
-  // Same transaction instant: the intermediate state never existed.
+  const uint64_t insert_epoch = db_->commit_epoch();
+  // Same transaction instant: the intermediate state never existed in time.
   ASSERT_TRUE(db_->UpdateElement(a, {{"val", Value(2)}}).ok());
-  size_t count = 0;
-  db_->backend().Get(a, TimeView::Range(Interval::All()),
-                     [&](const ElementVersion&) { ++count; });
-  EXPECT_EQ(count, 1u);
+  const uint64_t update_epoch = db_->commit_epoch();
+  const size_t val = static_cast<size_t>(
+      schema_->FindClass("A")->FieldIndex("val"));
+  auto values = [&](const TimeView& view) {
+    std::vector<Value> out;
+    db_->backend().Get(a, view, [&](const ElementVersion& v) {
+      out.push_back(v.fields[val]);
+    });
+    return out;
+  };
+  EXPECT_EQ(values(TimeView::Range(Interval::All())),
+            std::vector<Value>{Value(2)});
+  EXPECT_EQ(values(TimeView::Range(Interval::All()).WithEpoch(update_epoch)),
+            std::vector<Value>{Value(2)});
+  // A read pinned between the two commits still sees the replaced value.
+  EXPECT_EQ(values(TimeView::Current().WithEpoch(insert_epoch)),
+            std::vector<Value>{Value(1)});
+  EXPECT_EQ(values(TimeView::Range(Interval::All()).WithEpoch(insert_epoch)),
+            std::vector<Value>{Value(1)});
+  EXPECT_EQ(db_->backend().VersionCount(), 1u);
   auto cur = db_->GetCurrent(a);
-  EXPECT_EQ(cur->fields[static_cast<size_t>(cur->cls->FieldIndex("val"))],
-            Value(2));
+  EXPECT_EQ(cur->fields[val], Value(2));
+}
+
+TEST_P(StorageTest, SameInstantInsertDeleteStaysVisibleToItsEpoch) {
+  const Timestamp t = db_->Now();
+  Uid a = *db_->AddNode("A", {{"serial", Value("s1")}});
+  const uint64_t insert_epoch = db_->commit_epoch();
+  ASSERT_TRUE(db_->RemoveElement(a).ok());
+  const uint64_t delete_epoch = db_->commit_epoch();
+  auto count = [&](const TimeView& view) {
+    size_t n = 0;
+    db_->backend().Get(a, view, [&](const ElementVersion& v) {
+      EXPECT_TRUE(v.is_current()) << "pinned reads see the version open";
+      ++n;
+    });
+    return n;
+  };
+  // Pinned between the insert and the delete, the element exists.
+  EXPECT_EQ(count(TimeView::Current().WithEpoch(insert_epoch)), 1u);
+  EXPECT_EQ(count(TimeView::AsOf(t).WithEpoch(insert_epoch)), 1u);
+  EXPECT_EQ(CountScan("A", TimeView::Current().WithEpoch(insert_epoch)), 1u);
+  // In time it never existed: no view and no later pin admits it.
+  EXPECT_EQ(count(TimeView::Current()), 0u);
+  EXPECT_EQ(count(TimeView::AsOf(t)), 0u);
+  EXPECT_EQ(count(TimeView::Range(Interval::All())), 0u);
+  EXPECT_EQ(count(TimeView::Current().WithEpoch(delete_epoch)), 0u);
+  EXPECT_EQ(CountScan("A", TimeView::Range(Interval::All())), 0u);
+  EXPECT_EQ(db_->backend().VersionCount(), 0u);
 }
 
 TEST_P(StorageTest, ScanUnderTimeViews) {

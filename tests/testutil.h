@@ -1,6 +1,7 @@
 // Shared test fixtures: the Figure-3 style schema, a small deterministic
-// network instance parameterized over both execution backends, and the
-// socket plumbing every replication follower connects through.
+// network instance parameterized over both execution backends, the
+// engine's pinned read path as a cold-evaluation oracle, and the socket
+// plumbing every replication follower connects through.
 
 #ifndef NEPAL_TESTS_TESTUTIL_H_
 #define NEPAL_TESTS_TESTUTIL_H_
@@ -11,6 +12,8 @@
 #include <string>
 
 #include "graphstore/graph_store.h"
+#include "nepal/executor.h"
+#include "nepal/snapshot.h"
 #include "relational/relational_store.h"
 #include "replication/replica_store.h"
 #include "schema/dsl_parser.h"
@@ -88,6 +91,19 @@ inline schema::SchemaPtr Figure3Schema() {
     abort();
   }
   return *result;
+}
+
+/// Evaluates a resolved RPE the way the engine's read path does: planned
+/// against `db`'s live statistics under a brief shared lock, then executed
+/// through a LockedExecutor at `view` (pinned to a commit epoch or not).
+inline Result<storage::PathSet> EvaluatePinned(
+    storage::GraphDb* db, const nql::RpeNode& resolved,
+    const storage::TimeView& view, const nql::PlanOptions& options) {
+  Result<nql::MatchPlan> plan =
+      nql::PlanMatchLocked(db, resolved, options, view);
+  if (!plan.ok()) return plan.status();
+  nql::LockedExecutor exec(db, db->backend().CreateExecutor());
+  return nql::ExecuteMatch(exec, *plan, view, options);
 }
 
 /// Unix socket paths are capped around 104 bytes; anchor them in /tmp by

@@ -16,8 +16,6 @@
 #include <gtest/gtest.h>
 
 #include "nepal/engine.h"
-#include "nepal/executor.h"
-#include "nepal/snapshot.h"
 #include "obs/metrics.h"
 #include "persist/durable_store.h"
 #include "tests/testutil.h"
@@ -142,11 +140,9 @@ PathSet ColdAtEpoch(storage::GraphDb* db, const std::string& rpe_text,
   options.parallelism = parallelism;
   EXPECT_TRUE(
       nql::ResolveRpe(db->schema(), options.max_repetition, &resolved).ok());
-  nql::LockedBackend backend(db);
-  auto exec = backend.CreateExecutor();
   TimeView view =
       (as_of ? TimeView::AsOf(*as_of) : TimeView::Current()).WithEpoch(epoch);
-  auto paths = nql::EvaluateMatch(*exec, backend, resolved, view, options);
+  auto paths = nepal::testing::EvaluatePinned(db, resolved, view, options);
   EXPECT_TRUE(paths.ok()) << paths.status();
   PathSet out = paths.ok() ? *std::move(paths) : PathSet{};
   storage::CanonicalizePaths(&out);
@@ -344,10 +340,8 @@ TEST(ViewsTest, ByteIdentityUnderLiveConcurrentIngest) {
       storage::GraphDb* db = &(*store)->db();
       Net net = Populate(db);
       // Victim chains born at t0: the writer updates / removes these at t1.
-      // Mutating an element at the same transaction instant it was created
-      // collapses its version to "never existed", which an epoch-pinned
-      // snapshot cannot reproduce (the snapshot_reads caveat) — so every
-      // mutated element must predate the clock step below.
+      // It also mutates chains it creates itself at t1, whose versions then
+      // close at the instant they opened (zero-length versions).
       std::vector<Uid> victims;
       for (int v = 0; v < 12; ++v) {
         Uid vfc = *db->AddNode(
@@ -365,7 +359,8 @@ TEST(ViewsTest, ByteIdentityUnderLiveConcurrentIngest) {
 
       // A saturating writer mixing all four ordinary write kinds, single-op
       // and batched commits: adds fresh chains, removes the first half of
-      // the victims, renames the second half.
+      // the victims, renames the second half, and removes or renames some
+      // of its own fresh chains at the instant it created them.
       std::atomic<bool> done{false};
       std::thread writer([&] {
         int round = 0;
@@ -373,22 +368,39 @@ TEST(ViewsTest, ByteIdentityUnderLiveConcurrentIngest) {
         // quadratically slower (and TSan runs 10x slower still).
         while (!done.load(std::memory_order_acquire) && round < 120) {
           ++round;
+          Uid fresh = 0;
           if (round % 2 == 0) {
-            Uid vfc = *db->AddNode(
+            fresh = *db->AddNode(
                 "VFC", {{"name", Value("w" + std::to_string(round))}});
-            (void)db->AddEdge("composed_of", net.vnf1, vfc, {});
-            (void)db->AddEdge("hosted_on", vfc, net.vm1, {});
+            (void)db->AddEdge("composed_of", net.vnf1, fresh, {});
+            (void)db->AddEdge("hosted_on", fresh, net.vm1, {});
           } else {
             std::vector<storage::Mutation> batch;
             batch.push_back(storage::Mutation::AddNode(
                 "VFC", {{"name", Value("b" + std::to_string(round))}}));
             ASSERT_TRUE(db->ApplyBatch(batch).ok());
+            fresh = batch[0].uid;
             std::vector<storage::Mutation> wire;
             wire.push_back(storage::Mutation::AddEdge(
-                "composed_of", net.vnf2, batch[0].uid, {}));
+                "composed_of", net.vnf2, fresh, {}));
             wire.push_back(storage::Mutation::AddEdge(
-                "hosted_on", batch[0].uid, net.vm2, {}));
+                "hosted_on", fresh, net.vm2, {}));
             ASSERT_TRUE(db->ApplyBatch(wire).ok());
+          }
+          if (round % 3 == 0) {
+            ASSERT_TRUE(db->RemoveElement(fresh).ok());  // cascades
+          } else if (round % 3 == 1) {
+            ASSERT_TRUE(
+                db->UpdateElement(
+                      fresh, {{"name", Value("re" + std::to_string(round))}})
+                    .ok());
+          }
+          if (round % 5 == 0) {
+            // Never on a path: its removal goes through ClassOf, which
+            // finds no version visible at the removal epoch.
+            Uid stray = *db->AddNode(
+                "VFC", {{"name", Value("s" + std::to_string(round))}});
+            ASSERT_TRUE(db->RemoveElement(stray).ok());
           }
           const size_t idx = static_cast<size_t>(round - 1);
           if (idx < 6) {
