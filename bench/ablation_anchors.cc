@@ -26,7 +26,8 @@ struct AnchorFixture {
     auto built = BuildVirtualizedNetwork(params, RelationalFactory());
     if (!built.ok()) std::abort();
     net = std::move(*built);
-    engine = std::make_unique<nql::QueryEngine>(net.db.get());
+    engine = std::make_unique<nql::QueryEngine>(net.db.get(),
+                                                SerialEngineOptions());
 
     Rng rng(17);
     std::vector<std::string> both, starts, ends;

@@ -30,7 +30,8 @@ struct BackendsFixture {
     auto built = BuildVirtualizedNetwork(params, factory);
     if (!built.ok()) std::abort();
     load->net = std::move(*built);
-    load->engine = std::make_unique<nql::QueryEngine>(load->net.db.get());
+    load->engine = std::make_unique<nql::QueryEngine>(load->net.db.get(),
+                                                      SerialEngineOptions());
 
     Rng rng(5);
     size_t want = static_cast<size_t>(NumInstances());

@@ -41,6 +41,14 @@ inline int EnvInt(const char* name, int fallback) {
 
 inline int NumInstances() { return EnvInt("NEPAL_BENCH_INSTANCES", 50); }
 
+/// Engine options pinned to one worker lane, so a bench's numbers do not
+/// depend on the host's core count (parallelism 0 means hardware lanes).
+inline nql::EngineOptions SerialEngineOptions() {
+  nql::EngineOptions options;
+  options.plan.parallelism = 1;
+  return options;
+}
+
 inline netmodel::BackendFactory RelationalFactory() {
   return [](schema::SchemaPtr s) -> std::unique_ptr<storage::StorageBackend> {
     return std::make_unique<relational::RelationalStore>(std::move(s));

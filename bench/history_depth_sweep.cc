@@ -30,7 +30,8 @@ DepthLoad& LoadFor(int days) {
   auto built = BuildVirtualizedNetwork(params, RelationalFactory());
   if (!built.ok()) std::abort();
   load.net = std::move(*built);
-  load.engine = std::make_unique<nql::QueryEngine>(load.net.db.get());
+  load.engine = std::make_unique<nql::QueryEngine>(load.net.db.get(),
+                                                   SerialEngineOptions());
   std::vector<std::string> candidates;
   for (Uid vnf : load.net.vnfs) {
     candidates.push_back(

@@ -33,7 +33,8 @@ struct Table1Fixture {
       std::abort();
     }
     net = std::move(*built);
-    engine = std::make_unique<nql::QueryEngine>(net.db.get());
+    engine = std::make_unique<nql::QueryEngine>(net.db.get(),
+                                                SerialEngineOptions());
     std::fprintf(stderr,
                  "[table1] virtualized graph: %zu nodes, %zu edges, history "
                  "+%.1f%% versions\n",

@@ -34,7 +34,8 @@ struct Table2Fixture {
       std::abort();
     }
     net = std::move(*built);
-    engine = std::make_unique<nql::QueryEngine>(net.db.get());
+    engine = std::make_unique<nql::QueryEngine>(net.db.get(),
+                                                SerialEngineOptions());
     std::fprintf(stderr,
                  "[legacy %s] %zu nodes, %zu edges, history +%.1f%% "
                  "versions\n",

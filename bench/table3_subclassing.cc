@@ -38,7 +38,8 @@ struct Table3Fixture {
       std::abort();
     }
     load->net = std::move(*built);
-    load->engine = std::make_unique<nql::QueryEngine>(load->net.db.get());
+    load->engine = std::make_unique<nql::QueryEngine>(load->net.db.get(),
+                                                      SerialEngineOptions());
 
     const std::string hop = load->net.EdgeAtom("service_hop");
     const std::string contains = load->net.EdgeAtom("contains");

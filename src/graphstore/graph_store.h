@@ -8,9 +8,10 @@
 //    pre-order subtree — observably identical to prefix matching, since a
 //    label is a prefix of another exactly when the classes are in the
 //    subtree relation.)
-//  - traversal executes step-wise per traverser; the ExtendBlock operator
-//    (see nepal/operators.h) runs repetition blocks as an unrolled loop
-//    inside the store without shipping intermediate frontiers out.
+//  - traversal executes step-wise per traverser (storage::TraverserExecutor,
+//    storage/traverser_executor.h); a repetition block runs as one
+//    ExtendAtom call per body atom per round, driven by the executor's Loop
+//    (nepal/executor.h), which can then prune each round against the goal.
 //
 // Adjacency is kept as edge-uid lists per node; version visibility is
 // resolved on the edge's chain, so one adjacency structure serves the

@@ -76,6 +76,62 @@ void CoalescePathSet(PathSet* paths) {
   *paths = std::move(out);
 }
 
+uint64_t HashMix(uint64_t h, uint64_t v) {
+  return h ^ (v + 0x9e3779b97f4a7c15ull + (h << 6) + (h >> 2));
+}
+
+/// Spreads a mixed hash over its low bits, which PathIndex probes by
+/// (splitmix64 finalizer).
+uint64_t HashFinish(uint64_t h) {
+  h = (h ^ (h >> 30)) * 0xbf58476d1ce4e5b9ull;
+  h = (h ^ (h >> 27)) * 0x94d049bb133111ebull;
+  return h ^ (h >> 31);
+}
+
+uint64_t HashValues(const std::vector<Value>& values) {
+  uint64_t h = values.size();
+  for (const Value& v : values) h = HashMix(h, v.Hash());
+  return HashFinish(h);
+}
+
+/// Groups keys 0..n-1 in first-seen order, returning each group's members
+/// in input order. `hash(i)` is key i's hash and `same(i, j)` its equality.
+/// Result keys are typed — values compare by Value::Compare (so 1 and 1.0
+/// are one key, as in a comparison, and distinct values never merge
+/// however they render), path columns by uid sequence.
+template <typename Hash, typename Same>
+std::vector<std::vector<size_t>> GroupKeys(size_t n, const Hash& hash,
+                                           const Same& same) {
+  storage::PathIndex index(n);
+  std::vector<std::vector<size_t>> groups;
+  for (size_t i = 0; i < n; ++i) {
+    auto [id, inserted] = index.Insert(
+        hash(i), [&](uint32_t g) { return same(groups[g].front(), i); });
+    if (inserted) groups.emplace_back();
+    groups[id].push_back(i);
+  }
+  return groups;
+}
+
+/// A result row's key: each path column's uid sequence, then its values.
+uint64_t HashRow(const ResultRow& row) {
+  uint64_t h = row.paths.size();
+  for (const Pathway& p : row.paths) {
+    h = HashMix(h, p.uids.size());
+    for (Uid u : p.uids) h = HashMix(h, u);
+  }
+  for (const Value& v : row.values) h = HashMix(h, v.Hash());
+  return HashFinish(h);
+}
+
+bool SameRowKey(const ResultRow& a, const ResultRow& b) {
+  if (a.paths.size() != b.paths.size() || a.values != b.values) return false;
+  for (size_t i = 0; i < a.paths.size(); ++i) {
+    if (a.paths[i].uids != b.paths[i].uids) return false;
+  }
+  return true;
+}
+
 TimeView ViewFor(const std::optional<TimeSpec>& var_at,
                  const std::optional<TimeSpec>& query_at) {
   const std::optional<TimeSpec>& spec = var_at.has_value() ? var_at : query_at;
@@ -429,12 +485,12 @@ struct VarState {
 };
 
 /// EXPLAIN VERBOSE's SQL section for one plan: each operator's backend SQL
-/// under its plan step, in execution order — the anchor Select, the
-/// forwards (suffix) steps, then the backwards (reversed prefix) steps,
-/// descending into Union branches, repetition bodies and automaton
-/// transition atoms. TEMP tables are numbered in rendering order; every
-/// alternative of a step reads the step's input table. Renders nothing
-/// when the backend has no SQL form.
+/// under its plan step, in execution order — the anchor Select (or the
+/// seeds of a join-seeded variable), the forwards (suffix) steps, then the
+/// backwards (reversed prefix) steps, descending into Union branches,
+/// repetition bodies and automaton transition atoms. TEMP tables are
+/// numbered in rendering order; every alternative of a step reads the
+/// step's input table. Renders nothing when the backend has no SQL form.
 class PlanSql {
  public:
   PlanSql(const storage::PathOperatorExecutor& exec, const TimeView& view)
@@ -449,8 +505,19 @@ class PlanSql {
       Steps(anchored.reversed_prefix, storage::Direction::kIn, table, "",
             "backwards ");
     }
-    if (!any_sql_) lines_.clear();
-    return std::move(lines_);
+    return Finish();
+  }
+
+  /// A seeded plan: the seed nodes fill the first TEMP table (the join
+  /// imports them, so no operator creates it), which the program's steps
+  /// extend in the seeded direction.
+  std::vector<std::string> Render(const SeededPlan& plan) {
+    lines_.push_back("SelectSeeds:");
+    const bool source = plan.side == SeedSide::kSource;
+    Steps(plan.program,
+          source ? storage::Direction::kOut : storage::Direction::kIn,
+          ++temps_, "", source ? "forwards " : "backwards ");
+    return Finish();
   }
 
  private:
@@ -503,6 +570,11 @@ class PlanSql {
       }
     }
     return input;
+  }
+
+  std::vector<std::string> Finish() {
+    if (!any_sql_) lines_.clear();
+    return std::move(lines_);
   }
 
   const storage::PathOperatorExecutor& exec_;
@@ -931,19 +1003,19 @@ Result<QueryResult> QueryEngine::RunInternal(
           " — every atom is unselective/optional and no join provides one");
     }
     VarState& vs = vars[best_var];
+    std::optional<SeededPlan> seeded;
     if (best_seeded) {
       if (explain != nullptr) {
         explain->push_back("var " + vs.decl->name + ": anchor imported via "
                            "join (" + std::to_string(best_seeds.size()) +
                            " seed nodes)");
       }
-      SeededPlan seeded;
       {
         std::shared_lock<std::shared_mutex> lock(vs.db->mutex());
         seeded = PlanMatchSeeded(vs.rpe, vs.db->backend(), best_seeds.size(),
                                  best_side, vs.view);
       }
-      vs.paths = ExecuteMatchSeeded(*vs.exec, seeded, best_seeds, vs.view,
+      vs.paths = ExecuteMatchSeeded(*vs.exec, *seeded, best_seeds, vs.view,
                                     options_.plan, vs.stats);
     } else {
       if (explain != nullptr) {
@@ -961,9 +1033,10 @@ Result<QueryResult> QueryEngine::RunInternal(
     if (explain != nullptr) {
       explain->push_back("var " + vs.decl->name + ": " +
                          std::to_string(vs.paths.size()) + " pathway(s)");
-      if (capture.verbose && !best_seeded) {
+      if (capture.verbose) {
+        PlanSql sql(*vs.exec, vs.view);
         for (const std::string& line :
-             PlanSql(*vs.exec, vs.view).Render(*vs.plan)) {
+             seeded ? sql.Render(*seeded) : sql.Render(*vs.plan)) {
           explain->push_back("  " + line);
         }
       }
@@ -1296,58 +1369,50 @@ Result<QueryResult> QueryEngine::RunInternal(
             "' must appear in Group By when aggregates are used");
       }
     }
-    struct Group {
-      std::vector<Value> keys;
-      std::vector<JoinedRow> members;
-    };
-    std::map<std::string, Group> groups;
-    std::vector<std::string> group_order;
-    for (const JoinedRow& row : rows) {
-      std::vector<Value> keys;
-      std::string key_str;
+    std::vector<std::vector<Value>> keys(rows.size());
+    for (size_t r = 0; r < rows.size(); ++r) {
       for (const PathExpr& g : query.group_by) {
-        NEPAL_ASSIGN_OR_RETURN(Value v, eval_expr(g, row));
-        key_str += v.ToString();
-        key_str.push_back('|');
-        keys.push_back(std::move(v));
+        NEPAL_ASSIGN_OR_RETURN(Value v, eval_expr(g, rows[r]));
+        keys[r].push_back(std::move(v));
       }
-      auto [it, inserted] = groups.emplace(key_str, Group{});
-      if (inserted) {
-        it->second.keys = std::move(keys);
-        group_order.push_back(key_str);
-      }
-      it->second.members.push_back(row);
     }
-    for (const std::string& key : group_order) {
-      const Group& group = groups[key];
+    const std::vector<std::vector<size_t>> groups = GroupKeys(
+        rows.size(), [&](size_t i) { return HashValues(keys[i]); },
+        [&](size_t a, size_t b) { return keys[a] == keys[b]; });
+    for (const std::vector<size_t>& members : groups) {
       ResultRow out_row;
       for (const SelectItem& item : query.select_items) {
         switch (item.agg) {
           case SelectItem::Agg::kNone: {
             NEPAL_ASSIGN_OR_RETURN(
-                Value v, eval_expr(item.expr, group.members.front()));
+                Value v, eval_expr(item.expr, rows[members.front()]));
             out_row.values.push_back(std::move(v));
             break;
           }
           case SelectItem::Agg::kCount:
             out_row.values.push_back(
-                Value(static_cast<int64_t>(group.members.size())));
+                Value(static_cast<int64_t>(members.size())));
             break;
           case SelectItem::Agg::kCountDistinct: {
-            std::set<std::string> distinct;
-            for (const JoinedRow& row : group.members) {
-              NEPAL_ASSIGN_OR_RETURN(Value v, eval_expr(item.expr, row));
-              distinct.insert(v.ToString());
+            std::vector<Value> seen;
+            for (size_t m : members) {
+              NEPAL_ASSIGN_OR_RETURN(Value v, eval_expr(item.expr, rows[m]));
+              seen.push_back(std::move(v));
             }
-            out_row.values.push_back(
-                Value(static_cast<int64_t>(distinct.size())));
+            const size_t distinct =
+                GroupKeys(
+                    seen.size(),
+                    [&](size_t i) { return HashFinish(seen[i].Hash()); },
+                    [&](size_t a, size_t b) { return seen[a] == seen[b]; })
+                    .size();
+            out_row.values.push_back(Value(static_cast<int64_t>(distinct)));
             break;
           }
           case SelectItem::Agg::kMin:
           case SelectItem::Agg::kMax: {
             std::optional<Value> best;
-            for (const JoinedRow& row : group.members) {
-              NEPAL_ASSIGN_OR_RETURN(Value v, eval_expr(item.expr, row));
+            for (size_t m : members) {
+              NEPAL_ASSIGN_OR_RETURN(Value v, eval_expr(item.expr, rows[m]));
               if (v.is_null()) continue;
               if (!best ||
                   (item.agg == SelectItem::Agg::kMin ? v < *best
@@ -1362,8 +1427,8 @@ Result<QueryResult> QueryEngine::RunInternal(
             int64_t int_sum = 0;
             double dbl_sum = 0;
             bool any_double = false, any = false;
-            for (const JoinedRow& row : group.members) {
-              NEPAL_ASSIGN_OR_RETURN(Value v, eval_expr(item.expr, row));
+            for (size_t m : members) {
+              NEPAL_ASSIGN_OR_RETURN(Value v, eval_expr(item.expr, rows[m]));
               if (v.kind() == ValueKind::kInt) {
                 int_sum += v.AsInt();
                 any = true;
@@ -1460,29 +1525,15 @@ Result<QueryResult> QueryEngine::RunInternal(
   {
     const uint64_t coalesce_start = result_stats != nullptr ? NowNs() : 0;
     const size_t coalesce_rows_in = result.rows.size();
-    std::unordered_map<std::string, std::vector<size_t>> groups;
-    std::vector<std::string> order;
-    for (size_t i = 0; i < result.rows.size(); ++i) {
-      const ResultRow& row = result.rows[i];
-      std::string key;
-      for (const Pathway& p : row.paths) {
-        for (Uid u : p.uids) {
-          key.append(reinterpret_cast<const char*>(&u), sizeof(u));
-        }
-        key.push_back('|');
-      }
-      for (const Value& v : row.values) {
-        key += v.ToString();
-        key.push_back('|');
-      }
-      auto [it, inserted] = groups.emplace(key, std::vector<size_t>{});
-      if (inserted) order.push_back(key);
-      it->second.push_back(i);
-    }
+    const std::vector<std::vector<size_t>> groups = GroupKeys(
+        result.rows.size(),
+        [&](size_t i) { return HashRow(result.rows[i]); },
+        [&](size_t a, size_t b) {
+          return SameRowKey(result.rows[a], result.rows[b]);
+        });
     std::vector<ResultRow> coalesced;
-    coalesced.reserve(order.size());
-    for (const std::string& key : order) {
-      const std::vector<size_t>& indexes = groups[key];
+    coalesced.reserve(groups.size());
+    for (const std::vector<size_t>& indexes : groups) {
       if (indexes.size() == 1 || !shared_view) {
         // Distinct rows (or rows whose intervals are per-path): keep the
         // first occurrence of each identical row.

@@ -8,6 +8,7 @@
 #include <map>
 #include <optional>
 #include <string>
+#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -35,13 +36,18 @@ uint64_t NowNs() {
 }
 
 /// Resolved concurrency settings for one MATCHES evaluation. Per-state
-/// independence of Extend/ExtendBlock (the paper's Section 3.3 operators
-/// never look across states) is what makes frontier sharding legal.
+/// independence of the extension operators (the paper's Section 3.3
+/// operators never look across states) is what makes frontier sharding
+/// legal.
 struct ParallelContext {
   common::ThreadPool* pool = nullptr;
   size_t parallelism = 1;
   /// Operator-stats sink for this evaluation (null: not instrumented).
   obs::QueryStatsGroup* stats = nullptr;
+  /// Whether goal-directed Loops label their goal. Off for RunAnchoredFrom:
+  /// its callers run one plan per anchor seed, and a goal depth chosen for
+  /// a whole anchor Select would pay the labelling once per seed.
+  bool label_goals = true;
 
   bool enabled() const { return pool != nullptr && parallelism > 1; }
 };
@@ -51,28 +57,6 @@ ParallelContext ContextFor(const PlanOptions& options) {
   ctx.parallelism = EffectiveParallelism(options);
   if (ctx.parallelism > 1) ctx.pool = &common::ThreadPool::Shared();
   return ctx;
-}
-
-/// If the loop body is an atom or an alternation of atoms (the ExtendBlock
-/// payload restriction), returns the atom list.
-std::optional<std::vector<storage::CompiledAtom>> AsAtomAlternation(
-    const Program& body) {
-  if (body.size() != 1) return std::nullopt;
-  const Step& step = body[0];
-  if (step.kind == Step::Kind::kAtom) {
-    return std::vector<storage::CompiledAtom>{step.atom};
-  }
-  if (step.kind == Step::Kind::kUnion) {
-    std::vector<storage::CompiledAtom> atoms;
-    for (const Program& branch : step.branches) {
-      if (branch.size() != 1 || branch[0].kind != Step::Kind::kAtom) {
-        return std::nullopt;
-      }
-      atoms.push_back(branch[0].atom);
-    }
-    return atoms;
-  }
-  return std::nullopt;
 }
 
 /// Short operator rendering for the stats table.
@@ -414,11 +398,78 @@ PathSet RunAutomaton(storage::PathOperatorExecutor& exec, const Step& step,
   return out;
 }
 
-/// Registers one stats node per step, recursing into union branches and
-/// general loop bodies. Bodies delegated to ExtendBlock are not recursed
-/// into — their steps never execute individually.
+/// Node distances to a goal-directed Loop's goal (Step::goal_depth): every
+/// node within goal_depth body hops of a goal match, hops taken in the
+/// Loop's direction, mapped to its fewest hops. Built once per logical Loop
+/// invocation by a backward search from the goal's matches through the
+/// same operators and time view as the Loop itself, so a label is a lower
+/// bound on the hops any path from that node needs (simple-path and
+/// validity constraints only lengthen a path).
+class GoalLabels {
+ public:
+  GoalLabels(storage::PathOperatorExecutor& exec, const Step& loop,
+             const storage::CompiledAtom& goal, Direction dir,
+             const TimeView& view)
+      : depth_(loop.goal_depth), max_rep_(loop.max_rep) {
+    std::vector<Uid> level;
+    for (const PathState& p : exec.Select(goal, view)) {
+      if (hops_.emplace(p.frontier, 0).second) level.push_back(p.frontier);
+    }
+    targets_ = level.size();
+    const Direction back =
+        dir == Direction::kOut ? Direction::kIn : Direction::kOut;
+    const std::vector<storage::CompiledAtom> atoms =
+        *AsAtomAlternation(loop.body);
+    for (int hop = 1; hop <= depth_ && !level.empty(); ++hop) {
+      const PathSet seeds = exec.SelectSeeds(level, view);
+      level.clear();
+      for (const storage::CompiledAtom& atom : atoms) {
+        for (const PathState& p : exec.ExtendAtom(seeds, atom, back, view)) {
+          if (hops_.emplace(p.frontier, hop).second) {
+            level.push_back(p.frontier);
+          }
+        }
+      }
+    }
+  }
+
+  size_t targets() const { return targets_; }
+  size_t labelled() const { return hops_.size(); }
+
+  /// Drops the paths of round `round` whose frontier cannot reach a goal
+  /// match in the rounds left — the paths the goal's Extend would drop —
+  /// keeping the others in order. Until the rounds left fall to the goal
+  /// depth, an unlabelled frontier may still be close enough: no-op.
+  void Prune(PathSet* paths, int round) const {
+    const int left = max_rep_ - round;
+    if (left > depth_) return;
+    std::erase_if(*paths, [&](const PathState& p) {
+      auto it = hops_.find(p.frontier);
+      return it == hops_.end() || it->second > left;
+    });
+  }
+
+ private:
+  int depth_;
+  int max_rep_;
+  size_t targets_ = 0;
+  std::unordered_map<Uid, int> hops_;
+};
+
+/// Registers one stats node per step (and one labelling node before each
+/// goal-directed Loop), recursing into union branches and general loop
+/// bodies. An atom-alternation body is reported as its Loop's one
+/// ExtendBlock node (the paper's repetition block): its per-round steps
+/// are not recorded individually.
 void RegisterProgram(Program* program, obs::QueryStatsGroup* stats) {
-  for (Step& step : *program) {
+  for (size_t i = 0; i < program->size(); ++i) {
+    Step& step = (*program)[i];
+    if (step.goal_depth > 0) {
+      step.goal_op_id = stats->AddOp(
+          "GoalLabel{" + std::to_string(step.goal_depth) + "} " +
+              (*program)[i + 1].atom.ToString(),
+          -1);
+    }
     step.op_id = stats->AddOp(StepLabel(step), step.est_rows);
     if (step.kind == Step::Kind::kUnion) {
       for (Program& branch : step.branches) RegisterProgram(&branch, stats);
@@ -436,12 +487,14 @@ void RegisterProgram(Program* program, obs::QueryStatsGroup* stats) {
 enum class RecordKind { kFull, kShardSlice };
 
 PathSet RunProgramCtx(storage::PathOperatorExecutor& exec,
-                      const Program& program, PathSet frontier, Direction dir,
-                      const TimeView& view, const ParallelContext& ctx);
+                      const Program& program, const PathSet& input,
+                      Direction dir, const TimeView& view,
+                      const ParallelContext& ctx);
 
 PathSet RunStepCtx(storage::PathOperatorExecutor& exec, const Step& step,
-                   PathSet frontier, Direction dir, const TimeView& view,
-                   const ParallelContext& ctx,
+                   const PathSet& frontier, Direction dir,
+                   const TimeView& view, const ParallelContext& ctx,
+                   const GoalLabels* labels,
                    RecordKind record_kind = RecordKind::kFull);
 
 /// Splits `frontier` into `shards` contiguous chunks, runs the step over
@@ -450,24 +503,23 @@ PathSet RunStepCtx(storage::PathOperatorExecutor& exec, const Step& step,
 /// state extends independently, the merged output is deterministic; the
 /// cross-shard DedupPaths restores the single-frontier dedup semantics of
 /// the serial step. `merged_before_dedup` reports the summed shard output
-/// size (the pre-dedup row count of the logical invocation).
+/// size (the pre-dedup row count of the logical invocation). Every shard
+/// prunes with the logical invocation's `labels`.
 PathSet RunStepSharded(storage::PathOperatorExecutor& exec, const Step& step,
-                       PathSet frontier, Direction dir, const TimeView& view,
-                       const ParallelContext& ctx, size_t shards,
+                       const PathSet& frontier, Direction dir,
+                       const TimeView& view, const ParallelContext& ctx,
+                       const GoalLabels* labels, size_t shards,
                        size_t* merged_before_dedup) {
   std::vector<PathSet> inputs(shards);
   const size_t base = frontier.size() / shards;
   const size_t rem = frontier.size() % shards;
   size_t pos = 0;
   for (size_t s = 0; s < shards; ++s) {
-    size_t len = base + (s < rem ? 1 : 0);
-    inputs[s].reserve(len);
-    for (size_t k = 0; k < len; ++k) {
-      inputs[s].push_back(std::move(frontier[pos++]));
-    }
+    const size_t len = base + (s < rem ? 1 : 0);
+    inputs[s].assign(frontier.begin() + static_cast<std::ptrdiff_t>(pos),
+                     frontier.begin() + static_cast<std::ptrdiff_t>(pos + len));
+    pos += len;
   }
-  frontier.clear();
-  frontier.shrink_to_fit();
 
   // Each shard runs the step serially; the parallelism budget is already
   // spent on the shard fan-out itself. The stats sink is carried over so
@@ -478,10 +530,10 @@ PathSet RunStepSharded(storage::PathOperatorExecutor& exec, const Step& step,
   std::vector<std::function<void()>> tasks;
   tasks.reserve(shards);
   for (size_t s = 0; s < shards; ++s) {
-    tasks.push_back([&exec, &step, dir, &view, &serial, &inputs, &outputs,
-                     s] {
-      outputs[s] = RunStepCtx(exec, step, std::move(inputs[s]), dir, view,
-                              serial, RecordKind::kShardSlice);
+    tasks.push_back([&exec, &step, dir, &view, &serial, labels, &inputs,
+                     &outputs, s] {
+      outputs[s] = RunStepCtx(exec, step, inputs[s], dir, view, serial,
+                              labels, RecordKind::kShardSlice);
     });
   }
   ctx.pool->RunBatch(std::move(tasks));
@@ -502,8 +554,9 @@ PathSet RunStepSharded(storage::PathOperatorExecutor& exec, const Step& step,
 }
 
 PathSet RunStepCtx(storage::PathOperatorExecutor& exec, const Step& step,
-                   PathSet frontier, Direction dir, const TimeView& view,
-                   const ParallelContext& ctx, RecordKind record_kind) {
+                   const PathSet& frontier, Direction dir,
+                   const TimeView& view, const ParallelContext& ctx,
+                   const GoalLabels* labels, RecordKind record_kind) {
   obs::QueryStatsGroup* stats = ctx.stats;
   const bool record = stats != nullptr && step.op_id >= 0;
   const size_t rows_in = frontier.size();
@@ -514,8 +567,8 @@ PathSet RunStepCtx(storage::PathOperatorExecutor& exec, const Step& step,
                              frontier.size() / kMinStatesPerShard);
     if (shards >= 2) {
       size_t before_dedup = 0;
-      PathSet out = RunStepSharded(exec, step, std::move(frontier), dir, view,
-                                   ctx, shards, &before_dedup);
+      PathSet out = RunStepSharded(exec, step, frontier, dir, view, ctx,
+                                   labels, shards, &before_dedup);
       if (record) {
         // The logical invocation: partition-invariant row counts. Wall
         // time and shard counts were recorded by the slices themselves.
@@ -549,19 +602,16 @@ PathSet RunStepCtx(storage::PathOperatorExecutor& exec, const Step& step,
       break;
     }
     case Step::Kind::kLoop: {
-      if (auto atoms = AsAtomAlternation(step.body)) {
-        // Delegate to the backend's ExtendBlock operator (loop unrolling
-        // inside the store, no per-step frontier shipping).
-        out = exec.ExtendBlock(frontier, *atoms, step.min_rep, step.max_rep,
-                               dir, view);
-        before_dedup = out.size();
-        break;
-      }
-      // General repetition: one round runs the body program.
+      // One round runs the body program over the previous round, which it
+      // reads in place; a goal-directed Loop then prunes the new round.
+      int round = 0;
       out = storage::RepeatRounds(
-          std::move(frontier), step.min_rep, step.max_rep,
+          frontier, step.min_rep, step.max_rep,
           [&](const PathSet& current) {
-            return RunProgramCtx(exec, step.body, current, dir, view, ctx);
+            PathSet next =
+                RunProgramCtx(exec, step.body, current, dir, view, ctx);
+            if (labels != nullptr) labels->Prune(&next, ++round);
+            return next;
           },
           &before_dedup);
       break;
@@ -587,12 +637,46 @@ PathSet RunStepCtx(storage::PathOperatorExecutor& exec, const Step& step,
   return out;
 }
 
+/// Labels the goal of `program[i]`, when it is a goal-directed Loop, once
+/// for the logical invocation, recording the targets and the nodes
+/// labelled. The goal is the next step's atom.
+std::optional<GoalLabels> LabelGoal(storage::PathOperatorExecutor& exec,
+                                    const Program& program, size_t i,
+                                    Direction dir, const TimeView& view,
+                                    const ParallelContext& ctx) {
+  const Step& loop = program[i];
+  if (loop.goal_depth <= 0 || !ctx.label_goals) return std::nullopt;
+  const bool record = ctx.stats != nullptr && loop.goal_op_id >= 0;
+  const uint64_t start = record ? NowNs() : 0;
+  std::optional<GoalLabels> labels(std::in_place, exec, loop,
+                                   program[i + 1].atom, dir, view);
+  if (record) {
+    obs::OpSample sample;
+    sample.rows_in = labels->targets();
+    sample.rows_out = labels->labelled();
+    sample.shards = 1;
+    sample.wall_ns = NowNs() - start;
+    sample.invocations = 1;
+    ctx.stats->Record(loop.goal_op_id, sample);
+  }
+  return labels;
+}
+
+/// Runs `program` over `input`, which stays intact: the first step reads
+/// it in place.
 PathSet RunProgramCtx(storage::PathOperatorExecutor& exec,
-                      const Program& program, PathSet frontier, Direction dir,
-                      const TimeView& view, const ParallelContext& ctx) {
-  for (const Step& step : program) {
-    if (frontier.empty()) return frontier;
-    frontier = RunStepCtx(exec, step, std::move(frontier), dir, view, ctx);
+                      const Program& program, const PathSet& input,
+                      Direction dir, const TimeView& view,
+                      const ParallelContext& ctx) {
+  if (program.empty()) return input;
+  PathSet frontier;
+  for (size_t i = 0; i < program.size(); ++i) {
+    const PathSet& in = i == 0 ? input : frontier;
+    if (in.empty()) return PathSet();
+    const std::optional<GoalLabels> labels =
+        LabelGoal(exec, program, i, dir, view, ctx);
+    frontier = RunStepCtx(exec, program[i], in, dir, view, ctx,
+                          labels ? &*labels : nullptr);
   }
   return frontier;
 }
@@ -630,15 +714,19 @@ PathSet RunFromSeeds(storage::PathOperatorExecutor& exec,
                      const AnchoredPlan& anchored, PathSet current,
                      const TimeView& view, const ParallelContext& ctx,
                      const AnchorOpIds& ids) {
-  current = RunProgramCtx(exec, anchored.suffix, std::move(current),
-                          Direction::kOut, view, ctx);
+  if (!anchored.suffix.empty()) {
+    current = RunProgramCtx(exec, anchored.suffix, current, Direction::kOut,
+                            view, ctx);
+  }
   size_t in = current.size();
   current = RecordedCall(ctx.stats, ids.finalize_tail, in, [&] {
     return exec.FinalizeTail(current, view);
   });
   ReverseAll(&current);
-  current = RunProgramCtx(exec, anchored.reversed_prefix, std::move(current),
-                          Direction::kIn, view, ctx);
+  if (!anchored.reversed_prefix.empty()) {
+    current = RunProgramCtx(exec, anchored.reversed_prefix, current,
+                            Direction::kIn, view, ctx);
+  }
   in = current.size();
   current = RecordedCall(ctx.stats, ids.finalize_head, in, [&] {
     return exec.FinalizeTail(current, view);
@@ -662,8 +750,10 @@ PathSet RunAnchoredPlan(storage::PathOperatorExecutor& exec,
 PathSet RunAnchoredFrom(storage::PathOperatorExecutor& exec,
                         const AnchoredPlan& anchored, PathSet seeds,
                         const TimeView& view) {
-  return RunFromSeeds(exec, anchored, std::move(seeds), view,
-                      ParallelContext{}, AnchorOpIds{});
+  ParallelContext ctx;
+  ctx.label_goals = false;
+  return RunFromSeeds(exec, anchored, std::move(seeds), view, ctx,
+                      AnchorOpIds{});
 }
 
 Result<PathSet> EvaluateMatch(storage::PathOperatorExecutor& exec,
@@ -769,10 +859,12 @@ SeededPlan PlanMatchSeeded(const RpeNode& resolved_rpe,
   CostEstimator est(backend, view);
   TraversalState st{nullptr, false};  // seeds: bare node frontiers
   double work = 0;
-  plan.est_rows = AnnotateProgram(
-      &plan.program, static_cast<double>(seed_count),
-      side == SeedSide::kSource ? Direction::kOut : Direction::kIn, &st, est,
-      &work);
+  const Direction dir =
+      side == SeedSide::kSource ? Direction::kOut : Direction::kIn;
+  plan.est_rows = AnnotateProgram(&plan.program,
+                                  static_cast<double>(seed_count), dir, &st,
+                                  est, &work);
+  PlanGoals(&plan.program, dir, est);
   return plan;
 }
 
@@ -793,7 +885,7 @@ PathSet ExecuteMatchSeeded(storage::PathOperatorExecutor& exec,
   PathSet current = RecordedCall(stats, select_id, seeds.size(), [&] {
     return exec.SelectSeeds(seeds, view);
   });
-  current = RunProgramCtx(exec, plan.program, std::move(current),
+  current = RunProgramCtx(exec, plan.program, current,
                           plan.side == SeedSide::kSource ? Direction::kOut
                                                          : Direction::kIn,
                           view, ctx);

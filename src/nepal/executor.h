@@ -13,6 +13,9 @@ namespace nepal::nql {
 /// The seeds-in half of one anchored plan, exactly as ExecuteMatch runs
 /// it: grows anchor states (any subset of what its Select returns) through
 /// the suffix, then the reversed prefix, finalizing both ends. Serial.
+/// Goal-directed Loops run unpruned here (same rows): callers run one seed
+/// group at a time, and a goal depth sized for a whole anchor Select would
+/// repeat its labelling per group.
 storage::PathSet RunAnchoredFrom(storage::PathOperatorExecutor& exec,
                                  const AnchoredPlan& anchored,
                                  storage::PathSet seeds,
@@ -24,10 +27,11 @@ storage::PathSet RunAnchoredFrom(storage::PathOperatorExecutor& exec,
 /// caller costed or explained is the one that runs.
 ///
 /// When `stats` is non-null, the evaluation registers one operator node
-/// per Select/Extend/ExtendBlock/Union/Loop step (writing the op ids into
-/// `plan`'s steps) and records rows_in / rows_out / dedup_dropped / shards
-/// / wall_ns samples into it; recording is associative (see
-/// obs/query_stats.h), so it works under any PlanOptions::parallelism.
+/// per Select/Extend/Union/Loop step, plus one GoalLabel node per
+/// goal-directed Loop (writing the op ids into `plan`'s steps), and
+/// records rows_in / rows_out / dedup_dropped / shards / wall_ns samples
+/// into it; recording is associative (see obs/query_stats.h), so it works
+/// under any PlanOptions::parallelism.
 storage::PathSet ExecuteMatch(storage::PathOperatorExecutor& exec,
                               MatchPlan& plan, const storage::TimeView& view,
                               const PlanOptions& options,

@@ -461,16 +461,20 @@ double AnnotateProgram(Program* program, double rows_in, Direction dir,
         // overprices anchors whose first hop is denser than the rest.
         TraversalState bs = *state;
         double total = step.min_rep == 0 ? rows : 0.0;
-        double cur = rows;
+        step.round_est = {rows};
         for (int k = 1; k <= step.max_rep; ++k) {
+          double cur;
           if (k == 1) {
-            cur = AnnotateProgram(&step.body, cur, dir, &bs, est, &nested_work);
+            cur = AnnotateProgram(&step.body, rows, dir, &bs, est,
+                                  &nested_work);
           } else {
             // Scratch copy: the displayed body annotation keeps the
             // first-iteration estimates.
             Program scratch = step.body;
-            cur = AnnotateProgram(&scratch, cur, dir, &bs, est, &nested_work);
+            cur = AnnotateProgram(&scratch, step.round_est.back(), dir, &bs,
+                                  est, &nested_work);
           }
+          step.round_est.push_back(cur);
           if (k >= step.min_rep) total += cur;
         }
         *state = bs;
@@ -560,6 +564,61 @@ double AnnotateProgram(Program* program, double rows_in, Direction dir,
     *work += rows;
   }
   return rows;
+}
+
+// ---- Goal-directed rounds ----
+
+namespace {
+
+/// Step::goal_depth of `loop`, followed by `next` in a program run in
+/// `dir`. Zero unless the body is an alternation of edge atoms and `next`
+/// a node atom N. The backward layer starts at N's scan estimate and grows
+/// one body hop at a time while it stays no larger than the forward
+/// frontier it meets (Step::round_est): level l meets the frontier after
+/// round max_rep - l. A selective N facing a selective anchor settles near
+/// the middle; an unselective N (Host() after a top-down walk) stays at 0.
+int GoalDepth(const Step& loop, const Step& next, Direction dir,
+              const CostEstimator& est) {
+  if (next.kind != Step::Kind::kAtom || next.atom.is_edge() ||
+      loop.round_est.size() != static_cast<size_t>(loop.max_rep) + 1) {
+    return 0;
+  }
+  auto atoms = AsAtomAlternation(loop.body);
+  if (!atoms) return 0;
+  for (const CompiledAtom& atom : *atoms) {
+    if (!atom.is_edge()) return 0;
+  }
+  auto meets = [&](int level) {
+    return loop.round_est[static_cast<size_t>(loop.max_rep - level)];
+  };
+  double layer = est.Scan(next.atom);
+  if (!(layer <= meets(0))) return 0;
+  const Direction back =
+      dir == Direction::kOut ? Direction::kIn : Direction::kOut;
+  TraversalState st = AnchorState(next.atom, back, est);
+  int depth = 0;
+  while (depth < loop.max_rep) {
+    Program scratch = loop.body;
+    double unused = 0;
+    const double grown =
+        AnnotateProgram(&scratch, layer, back, &st, est, &unused);
+    const double frontier = meets(depth + 1);
+    if (frontier <= 0 || grown > frontier) break;
+    layer = grown;
+    ++depth;
+  }
+  return depth;
+}
+
+}  // namespace
+
+void PlanGoals(Program* program, Direction dir, const CostEstimator& est) {
+  for (size_t i = 0; i + 1 < program->size(); ++i) {
+    Step& step = (*program)[i];
+    if (step.kind == Step::Kind::kLoop) {
+      step.goal_depth = GoalDepth(step, (*program)[i + 1], dir, est);
+    }
+  }
 }
 
 // ---- Rewrite driver ----

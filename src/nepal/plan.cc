@@ -37,7 +37,9 @@ std::string Step::ToString() const {
     }
     case Kind::kLoop:
       return "Loop{" + std::to_string(min_rep) + "," +
-             std::to_string(max_rep) + "}(" + ProgramToString(body) + ")";
+             std::to_string(max_rep) +
+             (goal_depth > 0 ? " goal " + std::to_string(goal_depth) : "") +
+             "}(" + ProgramToString(body) + ")";
     case Kind::kAutomaton:
       return "Automaton" + RepSuffix(min_rep, max_rep) + "(" +
              std::to_string(nfa == nullptr ? 0 : nfa->num_states()) +
@@ -127,6 +129,8 @@ Program ReverseProgram(const Program& program) {
       }
     } else if (step.kind == Step::Kind::kLoop) {
       step.body = ReverseProgram(step.body);
+      step.goal_depth = 0;  // its goal was the step after it
+      step.round_est.clear();
     } else if (step.kind == Step::Kind::kAutomaton) {
       if (step.nfa != nullptr) {
         step.nfa = std::make_shared<const Nfa>(ReverseNfa(*step.nfa));
@@ -136,6 +140,24 @@ Program ReverseProgram(const Program& program) {
     out.push_back(std::move(step));
   }
   return out;
+}
+
+std::optional<std::vector<storage::CompiledAtom>> AsAtomAlternation(
+    const Program& body) {
+  if (body.size() != 1) return std::nullopt;
+  const Step& step = body[0];
+  if (step.kind == Step::Kind::kAtom) {
+    return std::vector<storage::CompiledAtom>{step.atom};
+  }
+  if (step.kind != Step::Kind::kUnion) return std::nullopt;
+  std::vector<storage::CompiledAtom> atoms;
+  for (const Program& branch : step.branches) {
+    if (branch.size() != 1 || branch[0].kind != Step::Kind::kAtom) {
+      return std::nullopt;
+    }
+    atoms.push_back(branch[0].atom);
+  }
+  return atoms;
 }
 
 // ---- Physical emission (stage 3) ----
@@ -453,6 +475,8 @@ Result<MatchPlan> PlanMatch(const RpeNode& rpe,
     anchored.est_rows = occ.est_rows;
     anchored.reversed_prefix = std::move(occ.reversed_prefix);
     anchored.suffix = std::move(occ.suffix);
+    PlanGoals(&anchored.suffix, storage::Direction::kOut, est);
+    PlanGoals(&anchored.reversed_prefix, storage::Direction::kIn, est);
     plan.anchors.push_back(std::move(anchored));
   }
   return plan;

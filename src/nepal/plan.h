@@ -23,16 +23,23 @@
 //
 // Programs are linear step lists; Alternation compiles to a Union of
 // sub-programs. A repetition's plan follows from its shape alone: a bounded
-// one ([r]{i,j}) is a Loop step, which runs on the backend's ExtendBlock
-// when its body is one atom or an alternation of atoms and on the body
-// program otherwise; an unbounded one ([r]*, [r]+, [r]{i,}) is an
-// Automaton step (nepal/nfa.h) evaluated as a graph × NFA product with
-// memoized visitation.
+// one ([r]{i,j}) is a Loop step, whose rounds the executor runs itself over
+// the body program; an unbounded one ([r]*, [r]+, [r]{i,}) is an Automaton
+// step (nepal/nfa.h) evaluated as a graph × NFA product with memoized
+// visitation.
+//
+// Goal-directed rounds: a top-level Loop whose body is an alternation of
+// edge atoms and whose next step is a node atom N carries a goal depth h
+// chosen at plan time (Step::goal_depth). The executor then labels every
+// node within h body hops of N's matches — a backward search from them —
+// and drops, after each round, the paths whose frontier cannot reach a
+// match in the rounds left: exactly the paths the Extend of N would drop.
 
 #ifndef NEPAL_NEPAL_PLAN_H_
 #define NEPAL_NEPAL_PLAN_H_
 
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -57,6 +64,15 @@ struct Step {
   int min_rep = 1;                 // kLoop / kAutomaton
   int max_rep = 1;                 // kLoop / kAutomaton (kUnboundedRep = open)
 
+  /// kLoop: goal depth h (see the header comment). 0 runs every round
+  /// unpruned; h > 0 requires the next step of the program to be a node
+  /// atom (the goal) and the body to be an alternation of edge atoms.
+  /// Set by PlanGoals from `round_est`, the frontier estimates after 0..
+  /// max_rep rounds that AnnotateProgram fills in. ReverseProgram clears
+  /// both.
+  int goal_depth = 0;
+  std::vector<double> round_est;
+
   /// kAutomaton: the compiled regular-path automaton. Immutable and shared,
   /// so copying a Step (program reversal, sharded execution) is cheap and
   /// thread-safe.
@@ -72,14 +88,21 @@ struct Step {
 
   /// Operator-stats node id (obs::QueryStatsGroup), assigned by the
   /// executor when it registers the plan for EXPLAIN ANALYZE; -1 when the
-  /// step is not instrumented.
+  /// step is not instrumented. `goal_op_id` is a goal-directed Loop's
+  /// labelling operator.
   int op_id = -1;
+  int goal_op_id = -1;
 
   std::string ToString() const;
 };
 
 /// Mirror-image of a program: steps reversed, recursively.
 Program ReverseProgram(const Program& program);
+
+/// The atoms of a Loop body that is one atom or an alternation of atoms
+/// (the paper's ExtendBlock payload); nullopt for any other body.
+std::optional<std::vector<storage::CompiledAtom>> AsAtomAlternation(
+    const Program& body);
 
 std::string ProgramToString(const Program& program);
 /// As ProgramToString, appending "~N" row estimates to annotated steps.
@@ -123,10 +146,10 @@ struct PlanOptions {
   int max_repetition = 32;
   /// Worker lanes for frontier-parallel evaluation. 1 runs the exact serial
   /// executor (pre-concurrency behavior, byte-identical output); 0 resolves
-  /// to std::thread::hardware_concurrency(). Values > 1 shard each
-  /// Extend/ExtendBlock frontier over the shared work-stealing pool and
-  /// merge with canonical-order deduplication, so parallel results are
-  /// deterministic regardless of thread count or scheduling.
+  /// to std::thread::hardware_concurrency(). Values > 1 shard each step's
+  /// frontier over the shared work-stealing pool and merge with
+  /// canonical-order deduplication, so parallel results are deterministic
+  /// regardless of thread count or scheduling.
   int parallelism = 0;
 };
 

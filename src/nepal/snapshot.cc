@@ -27,15 +27,6 @@ PathSet LockedExecutor::ExtendAtom(const PathSet& frontier,
   return inner_->ExtendAtom(frontier, atom, dir, db_->ReadViewLocked(view));
 }
 
-PathSet LockedExecutor::ExtendBlock(
-    const PathSet& frontier,
-    const std::vector<storage::CompiledAtom>& alternatives, int min_rep,
-    int max_rep, storage::Direction dir, const TimeView& view) {
-  std::shared_lock<std::shared_mutex> lock(db_->mutex());
-  return inner_->ExtendBlock(frontier, alternatives, min_rep, max_rep, dir,
-                             db_->ReadViewLocked(view));
-}
-
 PathSet LockedExecutor::FinalizeTail(const PathSet& frontier,
                                      const TimeView& view) {
   std::shared_lock<std::shared_mutex> lock(db_->mutex());

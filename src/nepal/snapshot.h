@@ -35,9 +35,13 @@
 namespace nepal::nql {
 
 /// Forwards one operator call at a time under a brief shared lock of the
-/// source's mutex. ExtendBlock is forwarded too (not defaulted) so a
-/// backend's specialized block implementation runs, under one lock hold.
-/// The caller must not hold the source's mutex.
+/// source's mutex. The executor runs a Loop's rounds itself (one
+/// ExtendAtom call per body atom per round, plus a goal-directed Loop's
+/// Select/SelectSeeds/ExtendAtom labelling calls), so each round takes the
+/// lock on its own and writers interleave between rounds; the pinned view
+/// keeps every round at the query's snapshot. ExtendBlock is not
+/// overridden: the engine never calls it. The caller must not hold the
+/// source's mutex.
 class LockedExecutor final : public storage::PathOperatorExecutor {
  public:
   LockedExecutor(storage::GraphDb* db,
@@ -52,11 +56,6 @@ class LockedExecutor final : public storage::PathOperatorExecutor {
                               const storage::CompiledAtom& atom,
                               storage::Direction dir,
                               const storage::TimeView& view) override;
-  storage::PathSet ExtendBlock(
-      const storage::PathSet& frontier,
-      const std::vector<storage::CompiledAtom>& alternatives, int min_rep,
-      int max_rep, storage::Direction dir,
-      const storage::TimeView& view) override;
   storage::PathSet FinalizeTail(const storage::PathSet& frontier,
                                 const storage::TimeView& view) override;
   /// Rendering reads only the schema, so it takes no lock.

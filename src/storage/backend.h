@@ -4,9 +4,11 @@
 // implements the same architecture with two in-process engines behind this
 // interface (src/graphstore mirrors the Gremlin strategy, src/relational the
 // Postgres one). The query translator produces a backend-neutral operator
-// DAG; each backend supplies a PathOperatorExecutor (see nepal/operators.h)
-// that evaluates Select/Extend/ExtendBlock/Union with its own physical
-// strategy, plus the primitive reads declared here.
+// DAG (nepal/plan.h); each backend supplies a PathOperatorExecutor (see
+// storage/pathset.h) that evaluates Select, SelectSeeds, Extend and
+// Finalize with its own physical strategy, plus the primitive reads
+// declared here. Union and repetition rounds are the executor's
+// (nepal/executor.h), built from those operators.
 
 #ifndef NEPAL_STORAGE_BACKEND_H_
 #define NEPAL_STORAGE_BACKEND_H_

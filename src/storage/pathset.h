@@ -1,9 +1,10 @@
 // Pathways under construction, compiled atoms, and the retargetable
 // operator-executor interface.
 //
-// A query plan is a DAG of Select / Extend / ExtendBlock / Union operators
-// over *pathway states*. A PathState mirrors the paper's TEMP-table layout:
-// `uids` is the uid_list, `concepts` the concept_list, and `frontier` the
+// A query plan is a DAG of Select / Extend / Union / Loop operators over
+// *pathway states*; the executor (nepal/executor.h) runs a Loop's rounds
+// itself, one Extend per body atom per round (RepeatRounds below). A
+// PathState mirrors the paper's TEMP-table layout: `uids` is the uid_list, `concepts` the concept_list, and `frontier` the
 // curr_uid — the open node at the growing end of the path. Both execution
 // backends implement PathOperatorExecutor: the graphstore with per-traverser
 // adjacency steps, the relational engine with bulk hash joins that also
@@ -211,8 +212,11 @@ class PathOperatorExecutor {
   /// Repetition block [a1|...|an]{min,max}: returns the union of frontiers
   /// after k iterations for every k in [min, max] (including the input
   /// frontier when min == 0). The payload is restricted to an alternation
-  /// of atoms, as in the paper's ExtendBlock. The default implementation
-  /// runs RepeatRounds over ExtendAtom; backends may specialize.
+  /// of atoms, as in the paper's ExtendBlock. The default runs RepeatRounds
+  /// over ExtendAtom; no backend specializes it. The engine never calls
+  /// it — its Loop runs the same rounds itself so that it can prune each
+  /// one — and the virtual stays only because nepalbench's tracing
+  /// decorator overrides it.
   virtual PathSet ExtendBlock(const PathSet& frontier,
                               const std::vector<CompiledAtom>& alternatives,
                               int min_rep, int max_rep, Direction dir,

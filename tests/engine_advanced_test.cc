@@ -118,6 +118,48 @@ TEST_P(EngineAdvancedTest, CountAndGroupBy) {
   EXPECT_EQ(by_host["host2"], 2);
 }
 
+TEST_P(EngineAdvancedTest, ResultKeysKeepDistinctValuesApart) {
+  // Row coalescing, Group By and count(distinct) key rows by typed values.
+  // The two doubles print alike under %g, and the two string pairs render
+  // to the same quoted concatenation; neither pair may merge.
+  auto schema = schema::ParseSchemaDsl(R"(
+    node N : Node { x: double; s: string; t: string; }
+  )");
+  ASSERT_TRUE(schema.ok()) << schema.status();
+  storage::GraphDb db(*schema,
+                      nepal::testing::MakeBackend(GetParam(), *schema));
+  ASSERT_TRUE(db.AddNode("N", {{"name", Value("n1")},
+                               {"x", Value(1234567.0)},
+                               {"s", Value("a'|'b")},
+                               {"t", Value("c")}})
+                  .ok());
+  ASSERT_TRUE(db.AddNode("N", {{"name", Value("n2")},
+                               {"x", Value(1234568.0)},
+                               {"s", Value("a")},
+                               {"t", Value("b'|'c")}})
+                  .ok());
+  nql::QueryEngine engine(&db);
+  auto run = [&](const std::string& query) {
+    auto result = engine.Run(query);
+    EXPECT_TRUE(result.ok()) << result.status() << "\nquery: " << query;
+    return result.ok() ? *result : nql::QueryResult{};
+  };
+  const std::string from = " From PATHS P Where P MATCHES N()";
+  for (const std::string keys : {"source(P).x", "source(P).s, source(P).t"}) {
+    EXPECT_EQ(run("Select " + keys + from).rows.size(), 2u) << keys;
+    nql::QueryResult grouped =
+        run("Select " + keys + ", count(P)" + from + " Group By " + keys);
+    ASSERT_EQ(grouped.rows.size(), 2u) << keys;
+    for (const auto& row : grouped.rows) {
+      EXPECT_EQ(row.values.back().AsInt(), 1) << keys;
+    }
+  }
+  nql::QueryResult distinct =
+      run("Select count(distinct source(P).x)" + from);
+  ASSERT_EQ(distinct.rows.size(), 1u);
+  EXPECT_EQ(distinct.rows[0].values[0].AsInt(), 2);
+}
+
 TEST_P(EngineAdvancedTest, GlobalAggregatesWithoutGroupBy) {
   auto result = Run(
       "Select count(P), count(distinct target(P)), min(source(P).name), "
@@ -285,6 +327,32 @@ TEST_P(EngineAdvancedTest, SqlTraceOnRelationalBackend) {
     ASSERT_TRUE(v1.ok()) << v1.status();
     ASSERT_TRUE(v4.ok()) << v4.status();
     EXPECT_EQ(*v1, *v4) << query;
+  }
+}
+
+TEST_P(EngineAdvancedTest, ExplainVerboseRendersSeededVariableSql) {
+  // Phys has no selective atom, so the join seeds it from D1's targets;
+  // EXPLAIN VERBOSE renders the SQL of its seeded plan too.
+  auto plan = engine_->Explain(
+      "Retrieve Phys From PATHS D1, PATHS Phys "
+      "Where D1 MATCHES VNF(id=" + std::to_string(net_.vnf1) +
+      ")->[Vertical()]{1,6}->Host() "
+      "And Phys MATCHES [Connects()]{1,8} "
+      "And source(Phys) = target(D1)");
+  ASSERT_TRUE(plan.ok()) << plan.status();
+  const size_t seeded = plan->find("anchor imported via join");
+  ASSERT_NE(seeded, std::string::npos) << *plan;
+  const std::string tail = plan->substr(seeded);
+  if (GetParam() == BackendKind::kRelational) {
+    const size_t header = tail.find("SelectSeeds:");
+    ASSERT_NE(header, std::string::npos) << *plan;
+    const size_t extend = tail.find("cast('Connects' as text)", header);
+    EXPECT_NE(extend, std::string::npos) << *plan;
+    // The seeds are the first TEMP table; the first Extend reads it.
+    EXPECT_NE(tail.find("tmp_1 T where", header), std::string::npos)
+        << *plan;
+  } else {
+    EXPECT_EQ(tail.find("SelectSeeds:"), std::string::npos) << *plan;
   }
 }
 

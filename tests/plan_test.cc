@@ -5,9 +5,13 @@
 #include <gtest/gtest.h>
 
 #include "graphstore/graph_store.h"
+#include "relational/relational_store.h"
 #include "nepal/engine.h"
+#include "nepal/executor.h"
 #include "nepal/parser.h"
 #include "nepal/plan.h"
+#include "nepal/snapshot.h"
+#include "netmodel/virtualized.h"
 #include "schema/dsl_parser.h"
 #include "storage/graphdb.h"
 
@@ -216,6 +220,147 @@ TEST_F(PlanTest, EstimateUsesStatistics) {
   EXPECT_DOUBLE_EQ(db_->backend().EstimateScan(spec_for(1)), 7.0);
   EXPECT_DOUBLE_EQ(db_->backend().EstimateScan(spec_for(2)), 3.0);
   EXPECT_DOUBLE_EQ(db_->backend().EstimateScan(spec_for(99)), 0.0);
+}
+
+// Goal depths on the virtualized service graph (paper Table 1 shapes).
+class GoalDepthTest : public ::testing::Test {
+ protected:
+  static void SetUpTestSuite() {
+    netmodel::VirtualizedParams params;
+    params.history_days = 0;
+    auto built = netmodel::BuildVirtualizedNetwork(
+        params, [](schema::SchemaPtr s) -> std::unique_ptr<
+                                             storage::StorageBackend> {
+          return std::make_unique<graphstore::GraphStore>(std::move(s));
+        });
+    ASSERT_TRUE(built.ok()) << built.status();
+    net_ = new netmodel::VirtualizedNetwork(std::move(*built));
+  }
+  static void TearDownTestSuite() {
+    delete net_;
+    net_ = nullptr;
+  }
+
+  static std::string Name(Uid uid) {
+    auto v = net_->db->GetCurrent(uid);
+    EXPECT_TRUE(v.ok());
+    return v.ok() ? v->fields[static_cast<size_t>(
+                                  v->cls->FieldIndex("name"))]
+                        .AsString()
+                  : std::string();
+  }
+
+  /// The goal depth of every Loop in the plan's programs, suffix first.
+  static std::vector<int> GoalDepths(const std::string& text) {
+    auto parsed = ParseRpe(text);
+    EXPECT_TRUE(parsed.ok()) << parsed.status();
+    RpeNode rpe = *parsed;
+    EXPECT_TRUE(ResolveRpe(net_->db->schema(), 32, &rpe).ok());
+    auto plan = PlanMatch(rpe, net_->db->backend(), PlanOptions{});
+    EXPECT_TRUE(plan.ok()) << plan.status();
+    std::vector<int> depths;
+    if (!plan.ok()) return depths;
+    for (const AnchoredPlan& anchored : plan->anchors) {
+      for (const Program* program :
+           {&anchored.suffix, &anchored.reversed_prefix}) {
+        for (const Step& step : *program) {
+          if (step.kind == Step::Kind::kLoop) {
+            depths.push_back(step.goal_depth);
+          }
+        }
+      }
+    }
+    return depths;
+  }
+
+  static netmodel::VirtualizedNetwork* net_;
+};
+
+netmodel::VirtualizedNetwork* GoalDepthTest::net_ = nullptr;
+
+TEST_F(GoalDepthTest, HostToHostMeetsInTheMiddle) {
+  // Both ends are one host: the backward layer from the goal grows like
+  // the forward frontier, so they meet halfway.
+  auto host_to_host = [](int max_rep) {
+    return "Host(name='" + Name(net_->hosts[3]) + "')->[connects()]{1," +
+           std::to_string(max_rep) + "}->Host(name='" +
+           Name(net_->hosts[400]) + "')";
+  };
+  EXPECT_EQ(GoalDepths(host_to_host(6)), std::vector<int>{3});
+  EXPECT_EQ(GoalDepths(host_to_host(4)), std::vector<int>{2});
+}
+
+TEST_F(GoalDepthTest, UnselectiveGoalsStayUnpruned) {
+  // Top-down ends at every host and bottom-up at every VNF: labelling
+  // them would cost more than the walk, so their plans do not change.
+  EXPECT_EQ(GoalDepths("VNF(id=" + std::to_string(net_->vnfs[0]) +
+                       ")->[Vertical()]{1,6}->Host()"),
+            std::vector<int>{0});
+  EXPECT_EQ(GoalDepths("VNF()->[Vertical()]{1,6}->Host(id=" +
+                       std::to_string(net_->hosts[7]) + ")"),
+            std::vector<int>{0});
+}
+
+TEST(GoalPruningTest, KeepsExactlyThePathsThatCanStillReachTheGoal) {
+  // a0 -> a1 -> {a2, b}, a2 -> {b, a4}, a4 -> b, a0 -> a3 (a dead end).
+  // A(id=a0)->[E()]{1,3}->B(id=b) runs with each goal depth forced: a path
+  // survives round k only if its frontier is labelled within 3 - k hops
+  // of b, or is unlabelled while 3 - k exceeds the depth. The Loop's
+  // rows_out per depth pins the budget exactly; the rows never change.
+  auto s = schema::ParseSchemaDsl(R"(
+    node A : Node {}
+    node B : Node {}
+    edge E : Edge {}
+    allow E (Node -> Node);
+  )");
+  ASSERT_TRUE(s.ok()) << s.status();
+  for (auto make : {+[](schema::SchemaPtr schema) {
+                      return std::unique_ptr<storage::StorageBackend>(
+                          std::make_unique<graphstore::GraphStore>(schema));
+                    },
+                    +[](schema::SchemaPtr schema) {
+                      return std::unique_ptr<storage::StorageBackend>(
+                          std::make_unique<relational::RelationalStore>(
+                              schema));
+                    }}) {
+    storage::GraphDb db(*s, make(*s));
+    std::vector<Uid> a;
+    for (int i = 0; i < 5; ++i) {
+      a.push_back(*db.AddNode("A", {{"name", Value("a" + std::to_string(i))}}));
+    }
+    const Uid b = *db.AddNode("B", {{"name", Value("b")}});
+    for (auto [from, to] : std::vector<std::pair<Uid, Uid>>{
+             {a[0], a[1]}, {a[1], a[2]}, {a[1], b}, {a[2], b},
+             {a[2], a[4]}, {a[4], b}, {a[0], a[3]}}) {
+      ASSERT_TRUE(db.AddEdge("E", from, to, {}).ok());
+    }
+    auto parsed = ParseRpe("A(id=" + std::to_string(a[0]) +
+                           ")->[E()]{1,3}->B(id=" + std::to_string(b) + ")");
+    ASSERT_TRUE(parsed.ok()) << parsed.status();
+    RpeNode rpe = *parsed;
+    ASSERT_TRUE(ResolveRpe(**s, 32, &rpe).ok());
+    const Program program = EmitProgram(BuildLogicalPlan(rpe).root);
+    ASSERT_EQ(program.size(), 3u);
+    LockedExecutor exec(&db, db.backend().CreateExecutor());
+    const uint64_t loop_rows[] = {6, 5, 4, 4};  // by goal depth
+    for (int depth = 0; depth <= 3; ++depth) {
+      MatchPlan plan;
+      AnchoredPlan& anchored = plan.anchors.emplace_back();
+      anchored.anchor = program[0].atom;
+      anchored.suffix = {program[1], program[2]};
+      anchored.suffix[0].goal_depth = depth;
+      obs::QueryStatsBuilder builder;
+      const storage::PathSet rows =
+          ExecuteMatch(exec, plan, storage::TimeView::Current(),
+                       PlanOptions{1, 1}, builder.AddGroup("var P"));
+      EXPECT_EQ(rows.size(), 2u) << "depth " << depth;
+      for (const obs::OperatorStats& op : builder.Snapshot().operators) {
+        if (op.op.rfind("ExtendBlock", 0) == 0) {
+          EXPECT_EQ(op.rows_out, loop_rows[depth]) << "depth " << depth;
+        }
+      }
+    }
+  }
 }
 
 }  // namespace

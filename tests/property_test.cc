@@ -15,7 +15,9 @@
 
 #include <algorithm>
 #include <filesystem>
+#include <functional>
 #include <map>
+#include <optional>
 #include <set>
 #include <string>
 #include <vector>
@@ -553,6 +555,260 @@ TEST(PropertyTest, AutomatonAgreesWithSaturatedLoop) {
     }
   }
   EXPECT_GT(checked, 100);
+}
+
+TEST(PropertyTest, GoalDirectedRepetitionsAgree) {
+  // N(id=x)->[e()|f()]{i,j}->M(id=y) is a goal-directed Loop: whichever
+  // end anchors, the other end is the goal each round is pruned against.
+  // Under Current both backends must return exactly the reference matches;
+  // under AsOf and Range they must agree with each other, validity
+  // intervals included; and every answer must be the same at parallelism 1
+  // and 4. Odd rounds use denser graphs, whose wider rounds shard.
+  schema::SchemaPtr schema = *schema::ParseSchemaDsl(kPropertySchema);
+  Rng rng(20261017);
+  const Timestamp base = *ParseTimestamp("2017-04-01 00:00:00");
+  static const char* kNodeAtoms[] = {"A", "A1", "B", "Node"};
+  static const char* kEdgeAtoms[] = {"E()", "E1()", "F()", "Edge()",
+                                     "E(w<2)", "F(w<>1)"};
+  nql::EngineOptions serial;
+  serial.plan.parallelism = 1;
+  nql::EngineOptions wide;
+  wide.plan.parallelism = 4;
+  int checked = 0, nonempty = 0;
+  // By anchor side: the goal after / before the anchor.
+  int anchored[2] = {0, 0};
+  int labelled[2] = {0, 0};
+  for (int round = 0; round < 30; ++round) {
+    std::unique_ptr<storage::GraphDb> dbs[2];
+    for (auto kind : {nepal::testing::BackendKind::kGraphStore,
+                      nepal::testing::BackendKind::kRelational}) {
+      dbs[static_cast<int>(kind)] = std::make_unique<storage::GraphDb>(
+          schema, nepal::testing::MakeBackend(kind, schema));
+    }
+    // One op stream into both databases: nodes, edges, then churn.
+    Rng ops(rng.Next());
+    std::vector<Uid> nodes, edges;
+    const int num_edges = round % 2 == 1 ? 36 : 18;
+    int step = 0;
+    auto apply = [&](const std::function<Result<Uid>(storage::GraphDb&)>& op)
+        -> std::optional<Uid> {
+      const Timestamp t = base + static_cast<Timestamp>(step++) * 1000000;
+      std::vector<Result<Uid>> results;
+      for (auto& db : dbs) {
+        EXPECT_TRUE(db->SetTime(t).ok());
+        results.push_back(op(*db));
+      }
+      EXPECT_EQ(results[0].ok(), results[1].ok());
+      if (!results[0].ok() || !results[1].ok()) return std::nullopt;
+      EXPECT_EQ(*results[0], *results[1]);
+      return *results[0];
+    };
+    for (int i = 0; i < 10; ++i) {
+      const char* cls = kNodeAtoms[ops.Below(3)];
+      const int64_t val = static_cast<int64_t>(ops.Below(4));
+      auto uid = apply([&](storage::GraphDb& db) {
+        return db.AddNode(cls, {{"name", Value("n" + std::to_string(i))},
+                                {"val", Value(val)}});
+      });
+      if (uid) nodes.push_back(*uid);
+    }
+    auto add_edge = [&] {
+      const Uid s = nodes[ops.Below(nodes.size())];
+      const Uid t = nodes[ops.Below(nodes.size())];
+      const char* cls = ops.Chance(0.5) ? "E" : (ops.Chance(0.5) ? "E1" : "F");
+      const int64_t w = static_cast<int64_t>(ops.Below(4));
+      if (s == t) return;
+      auto uid = apply([&](storage::GraphDb& db) {
+        return db.AddEdge(cls, s, t, {{"w", Value(w)}});
+      });
+      if (uid) edges.push_back(*uid);
+    };
+    for (int i = 0; i < num_edges; ++i) add_edge();
+    const Timestamp mid = base + static_cast<Timestamp>(step) * 1000000;
+    for (int i = 0; i < 12; ++i) {
+      if (ops.Chance(0.4)) {
+        add_edge();
+      } else if (!edges.empty() || ops.Chance(0.2)) {
+        const Uid gone = ops.Chance(0.8) && !edges.empty()
+                             ? edges[ops.Below(edges.size())]
+                             : nodes[ops.Below(nodes.size())];
+        apply([&](storage::GraphDb& db) -> Result<Uid> {
+          Status st = db.RemoveElement(gone);
+          if (!st.ok()) return st;
+          return gone;
+        });
+      }
+    }
+    const std::string asof = "AT '" + FormatTimestamp(mid) + "' ";
+    const std::string range = "AT '" + FormatTimestamp(base + 5000000) +
+                              "' : '" + FormatTimestamp(mid + 8000000) + "' ";
+
+    std::vector<Fragment> pathways;
+    EnumeratePathways(dbs[0]->backend(), nodes, 7, &pathways);
+    std::vector<std::unique_ptr<nql::QueryEngine>> engines;
+    for (auto& db : dbs) {
+      engines.push_back(std::make_unique<nql::QueryEngine>(db.get(), serial));
+      engines.push_back(std::make_unique<nql::QueryEngine>(db.get(), wide));
+    }
+
+    for (int r = 0; r < 12; ++r) {
+      const Uid x = nodes[rng.Below(nodes.size())];
+      const Uid y = nodes[rng.Below(nodes.size())];
+      if (x == y) continue;
+      // One draw per statement, so the sequence does not depend on the
+      // compiler's operand evaluation order.
+      const char* n = rng.Chance(0.5) ? "Node" : kNodeAtoms[rng.Below(4)];
+      const char* e = kEdgeAtoms[rng.Below(6)];
+      const char* f = kEdgeAtoms[rng.Below(6)];
+      const uint64_t min_rep = rng.Below(2);
+      const uint64_t max_rep = 1 + rng.Below(3);
+      const char* m = rng.Chance(0.5) ? "Node" : kNodeAtoms[rng.Below(4)];
+      const std::string rpe_text =
+          std::string(n) + "(id=" + std::to_string(x) + ")->[" + e + "|" +
+          f + "]{" + std::to_string(min_rep) + "," + std::to_string(max_rep) +
+          "}->" + m + "(id=" + std::to_string(y) + ")";
+      auto parsed = nql::ParseRpe(rpe_text);
+      ASSERT_TRUE(parsed.ok()) << parsed.status() << "\n" << rpe_text;
+      nql::RpeNode resolved = nql::Normalize(*parsed);
+      ASSERT_TRUE(nql::ResolveRpe(*schema, 8, &resolved).ok()) << rpe_text;
+      auto plan = nql::PlanMatch(resolved, dbs[0]->backend(), serial.plan);
+      ASSERT_TRUE(plan.ok()) << plan.status() << "\n" << rpe_text;
+      if (plan->statically_empty) continue;
+      const int side = plan->anchors[0].suffix.empty() ? 1 : 0;
+      ++anchored[side];
+
+      std::set<std::string> expected;
+      for (const Fragment& frag : pathways) {
+        if (ReferenceMatches(resolved, frag)) expected.insert(FragKey(frag));
+      }
+      bool goal_ran = false;
+      for (const std::string& prefix : {std::string(), asof, range}) {
+        const std::string query =
+            prefix + "Retrieve P From PATHS P Where P MATCHES " + rpe_text;
+        std::vector<std::string> first;
+        for (size_t e = 0; e < engines.size(); ++e) {
+          auto result = engines[e]->Run(query);
+          ASSERT_TRUE(result.ok()) << result.status() << "\n" << query;
+          std::vector<std::string> rows;
+          std::set<std::string> keys;
+          for (const auto& row : result->rows) {
+            rows.push_back(row.paths[0].ToString() + " " +
+                           row.valid.ToString());
+            std::string key;
+            for (Uid u : row.paths[0].uids) key += std::to_string(u) + ",";
+            keys.insert(key);
+          }
+          std::sort(rows.begin(), rows.end());
+          if (prefix.empty()) {
+            EXPECT_EQ(keys, expected) << "engine " << e << ": " << query;
+          }
+          if (e == 0) {
+            first = rows;
+          } else {
+            EXPECT_EQ(rows, first) << "engine " << e << ": " << query;
+          }
+          for (const auto& op : engines[e]->LastQueryStats().operators) {
+            if (op.op.rfind("GoalLabel", 0) == 0 && op.invocations > 0) {
+              goal_ran = true;
+            }
+          }
+        }
+        ++checked;
+        if (!first.empty()) ++nonempty;
+      }
+      if (goal_ran) ++labelled[side];
+    }
+  }
+  EXPECT_GT(checked, 800);
+  EXPECT_GT(nonempty, 120);
+  // Not vacuous: both ends anchor, and either way queries labelled their
+  // goal (a third of them overall; fewer from the far end, since the
+  // optimizer anchors the side whose frontier grows slower).
+  EXPECT_GT(anchored[0], 60);
+  EXPECT_GT(anchored[1], 60);
+  EXPECT_GT(labelled[0], 45);
+  EXPECT_GT(labelled[1], 8);
+}
+
+TEST(PropertyTest, GoalLabelsHoldAcrossLoopShards) {
+  // A Loop fed 16 or more paths shards at parallelism 4; its goal labels
+  // are built once and every shard prunes with them. A()->[E()|F()]{1,3}->
+  // B(id=y), anchored at its unselective end so that every A node enters
+  // the Loop, runs with each goal depth 0..3 forced: every depth and both
+  // parallelisms return the unpruned rows.
+  schema::SchemaPtr schema = *schema::ParseSchemaDsl(kPropertySchema);
+  for (auto kind : {nepal::testing::BackendKind::kGraphStore,
+                    nepal::testing::BackendKind::kRelational}) {
+    storage::GraphDb db(schema, nepal::testing::MakeBackend(kind, schema));
+    Rng rng(4242);
+    std::vector<Uid> as, bs;
+    for (int i = 0; i < 28; ++i) {
+      const char* cls = i < 24 ? "A" : "B";
+      auto uid = db.AddNode(cls, {{"name", Value("n" + std::to_string(i))}});
+      ASSERT_TRUE(uid.ok()) << uid.status();
+      (i < 24 ? as : bs).push_back(*uid);
+    }
+    for (int i = 0; i < 80; ++i) {
+      const Uid s = as[rng.Below(as.size())];
+      const Uid t = rng.Chance(0.15) ? bs[rng.Below(bs.size())]
+                                     : as[rng.Below(as.size())];
+      if (s == t) continue;
+      ASSERT_TRUE(db.AddEdge(rng.Chance(0.5) ? "E" : "F", s, t, {}).ok());
+    }
+    nql::LockedExecutor exec(&db, db.backend().CreateExecutor());
+    int nonempty = 0;
+    for (Uid y : bs) {
+      auto parsed = nql::ParseRpe("A()->[E()|F()]{1,3}->B(id=" +
+                                  std::to_string(y) + ")");
+      ASSERT_TRUE(parsed.ok());
+      nql::RpeNode resolved = *parsed;
+      ASSERT_TRUE(nql::ResolveRpe(*schema, 8, &resolved).ok());
+      nql::Program program =
+          nql::EmitProgram(nql::BuildLogicalPlan(resolved).root);
+      ASSERT_EQ(program.size(), 3u);
+      std::vector<std::string> unpruned;
+      for (int depth = 0; depth <= 3; ++depth) {
+        for (int lanes : {1, 4}) {
+          nql::MatchPlan plan;
+          nql::AnchoredPlan& anchored = plan.anchors.emplace_back();
+          anchored.anchor = program[0].atom;
+          anchored.suffix = {program[1], program[2]};
+          anchored.suffix[0].goal_depth = depth;
+          nql::PlanOptions options;
+          options.parallelism = lanes;
+          obs::QueryStatsBuilder builder;
+          storage::PathSet paths =
+              nql::ExecuteMatch(exec, plan, storage::TimeView::Current(),
+                                options, builder.AddGroup("var P"));
+          std::vector<std::string> rows;
+          for (const storage::PathState& p : paths) {
+            rows.push_back(p.ToString());
+          }
+          std::sort(rows.begin(), rows.end());
+          if (depth == 0 && lanes == 1) {
+            unpruned = rows;
+            nonempty += unpruned.empty() ? 0 : 1;
+          } else {
+            EXPECT_EQ(rows, unpruned)
+                << "depth " << depth << " lanes " << lanes;
+          }
+          for (const obs::OperatorStats& op : builder.Snapshot().operators) {
+            if (op.op.rfind("Select", 0) == 0) {
+              EXPECT_GE(op.rows_out, 16u);
+            }
+            if (op.op.rfind("GoalLabel", 0) == 0) {
+              EXPECT_GT(depth, 0);
+              EXPECT_EQ(op.invocations, 1u);
+            }
+            if (op.op.rfind("ExtendBlock", 0) == 0 && lanes == 4) {
+              EXPECT_GT(op.shards, 1u);
+            }
+          }
+        }
+      }
+    }
+    EXPECT_GE(nonempty, 2);
+  }
 }
 
 TEST(PropertyTest, TimesliceEqualsRebuiltSnapshot) {
