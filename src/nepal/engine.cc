@@ -797,14 +797,10 @@ Result<QueryResult> QueryEngine::RunInternal(
                          std::to_string(served->epoch) + ")");
     }
     if (vs.stats != nullptr) {
-      obs::OpSample sample;
-      sample.rows_out = vs.paths.size();
-      sample.shards = 1;
-      sample.invocations = 1;
       vs.stats->Record(
           vs.stats->AddOp("ServeView(" + served->name + ")",
                           static_cast<double>(vs.paths.size())),
-          sample);
+          obs::OpSample::Invocation(0, vs.paths.size()));
     }
     obs::MetricsRegistry::Global().GetCounter("nepal.views.served")->Add(1);
   }
@@ -1253,13 +1249,9 @@ Result<QueryResult> QueryEngine::RunInternal(
         if (!now_evaluable.empty()) {
           label += " +" + std::to_string(now_evaluable.size()) + " filter(s)";
         }
-        obs::OpSample sample;
-        sample.rows_in = join_rows_in;
-        sample.rows_out = rows.size();
-        sample.shards = 1;
-        sample.wall_ns = NowNs() - join_start;
-        sample.invocations = 1;
-        join_stats->Record(join_stats->AddOp(std::move(label)), sample);
+        join_stats->Record(join_stats->AddOp(std::move(label)),
+                           obs::OpSample::Invocation(join_rows_in, rows.size(),
+                                                     NowNs() - join_start));
       }
       if (rows.empty()) break;
     }
@@ -1302,16 +1294,11 @@ Result<QueryResult> QueryEngine::RunInternal(
     }
     rows = std::move(kept);
     if (join_stats != nullptr) {
-      obs::OpSample sample;
-      sample.rows_in = exists_rows_in;
-      sample.rows_out = rows.size();
-      sample.shards = 1;
-      sample.wall_ns = NowNs() - exists_start;
-      sample.invocations = 1;
       join_stats->Record(
           join_stats->AddOp(std::string(pred->negate_exists ? "Not " : "") +
                             "Exists subquery"),
-          sample);
+          obs::OpSample::Invocation(exists_rows_in, rows.size(),
+                                    NowNs() - exists_start));
     }
   }
 
@@ -1461,12 +1448,9 @@ Result<QueryResult> QueryEngine::RunInternal(
     }
     if (stats != nullptr) {
       obs::QueryStatsGroup* result_stats = stats->AddGroup("result");
-      obs::OpSample sample;
-      sample.rows_in = rows.size();
-      sample.rows_out = result.rows.size();
-      sample.shards = 1;
-      sample.invocations = 1;
-      result_stats->Record(result_stats->AddOp("Aggregate"), sample);
+      result_stats->Record(
+          result_stats->AddOp("Aggregate"),
+          obs::OpSample::Invocation(rows.size(), result.rows.size()));
     }
     return result;
   }
@@ -1512,13 +1496,10 @@ Result<QueryResult> QueryEngine::RunInternal(
     }
   }
   if (result_stats != nullptr) {
-    obs::OpSample sample;
-    sample.rows_in = materialize_rows_in;
-    sample.rows_out = result.rows.size();
-    sample.shards = 1;
-    sample.wall_ns = NowNs() - materialize_start;
-    sample.invocations = 1;
-    result_stats->Record(result_stats->AddOp("Materialize"), sample);
+    result_stats->Record(
+        result_stats->AddOp("Materialize"),
+        obs::OpSample::Invocation(materialize_rows_in, result.rows.size(),
+                                  NowNs() - materialize_start));
   }
 
   // ---- Row-level dedup / coalescing ----
@@ -1551,13 +1532,9 @@ Result<QueryResult> QueryEngine::RunInternal(
     }
     result.rows = std::move(coalesced);
     if (result_stats != nullptr) {
-      obs::OpSample sample;
-      sample.rows_in = coalesce_rows_in;
-      sample.rows_out = result.rows.size();
+      obs::OpSample sample = obs::OpSample::Invocation(
+          coalesce_rows_in, result.rows.size(), NowNs() - coalesce_start);
       sample.dedup_dropped = coalesce_rows_in - result.rows.size();
-      sample.shards = 1;
-      sample.wall_ns = NowNs() - coalesce_start;
-      sample.invocations = 1;
       result_stats->Record(result_stats->AddOp("Coalesce"), sample);
     }
   }

@@ -264,7 +264,10 @@ class PathMemo {
 /// (StateSets). Groups run in the order of their state sets' decimal
 /// renderings and arcs in atom-rendering order; that order fixes the
 /// serial output order. A group's paths move into its ExtendAtom inputs
-/// once and are shared by all of its arcs.
+/// once and are shared by all of its arcs. An emitted path that can still
+/// extend is not copied either: it takes its place in the output when it is
+/// admitted and moves there once the next round's extensions have read it.
+/// `*admitted` counts the (path, state set) admissions.
 ///
 /// Parallelism: the automaton usually sits right after the anchor Select,
 /// so its *input* frontier is tiny and input sharding buys nothing — the
@@ -274,7 +277,8 @@ class PathMemo {
 /// byte-identical to the serial traversal for every thread count.
 PathSet RunAutomaton(storage::PathOperatorExecutor& exec, const Step& step,
                      const PathSet& frontier, Direction dir,
-                     const TimeView& view, const ParallelContext& ctx) {
+                     const TimeView& view, const ParallelContext& ctx,
+                     size_t* admitted) {
   PathSet out;
   if (step.nfa == nullptr) return out;
   const Nfa& nfa = *step.nfa;
@@ -283,22 +287,29 @@ PathSet RunAutomaton(storage::PathOperatorExecutor& exec, const Step& step,
 
   StateSets sets(nfa);
   PathMemo memo(n);
+  constexpr size_t kNoSlot = SIZE_MAX;
   struct Entry {
     PathState path;
-    int set;  // interned set of occupied NFA states
+    int set;      // interned set of occupied NFA states
+    size_t slot;  // its place in `out` once emitted, else kNoSlot
   };
   // Admits path `p` (memo id `id`) with the newly occupied states `set`:
   // emits it on its first accepting arrival, and keeps it for the next
   // round unless no arc leaves `set`.
   std::vector<Entry> next;
   auto admit = [&](PathState&& p, uint32_t id, int set) {
+    ++*admitted;
     const bool emit = sets.accepts(set) && memo.Emit(id);
     if (sets.arcs(set).empty()) {
       if (emit) out.push_back(std::move(p));
       return;
     }
-    if (emit) out.push_back(p);
-    next.push_back({std::move(p), set});
+    size_t slot = kNoSlot;
+    if (emit) {
+      slot = out.size();
+      out.emplace_back();
+    }
+    next.push_back({std::move(p), set, slot});
   };
 
   const int start = sets.Intern({nfa.start});
@@ -346,6 +357,11 @@ PathSet RunAutomaton(storage::PathOperatorExecutor& exec, const Step& step,
     };
     std::vector<PathSet> inputs;
     std::vector<Slice> slices;
+    struct Emitted {
+      size_t input, pos;  // inputs[input][pos]
+      size_t slot;        // its place in `out`
+    };
+    std::vector<Emitted> emitted;
     for (int g : groups) {
       const std::vector<size_t>& m = members[static_cast<size_t>(g)];
       const size_t first = inputs.size();
@@ -353,7 +369,11 @@ PathSet RunAutomaton(storage::PathOperatorExecutor& exec, const Step& step,
         PathSet& input = inputs.emplace_back();
         input.reserve(std::min(chunk, m.size() - b));
         for (size_t k = b; k < std::min(b + chunk, m.size()); ++k) {
-          input.push_back(std::move(cur[m[k]].path));
+          Entry& entry = cur[m[k]];
+          if (entry.slot != kNoSlot) {
+            emitted.push_back({inputs.size() - 1, input.size(), entry.slot});
+          }
+          input.push_back(std::move(entry.path));
         }
       }
       for (StateSets::Arc& arc : sets.arcs(g)) {
@@ -377,6 +397,11 @@ PathSet RunAutomaton(storage::PathOperatorExecutor& exec, const Step& step,
       ctx.pool->RunBatch(std::move(tasks));
     } else {
       for (size_t i = 0; i < slices.size(); ++i) run_slice(i);
+    }
+    // The extensions have read this round's paths: the emitted ones move
+    // to their places in the output.
+    for (const Emitted& e : emitted) {
+      out[e.slot] = std::move(inputs[e.input][e.pos]);
     }
 
     for (size_t i = 0; i < slices.size(); ++i) {
@@ -436,6 +461,16 @@ class GoalLabels {
   size_t targets() const { return targets_; }
   size_t labelled() const { return hops_.size(); }
 
+  /// Whether the goal's Extend can accept `p`: its frontier is a goal match
+  /// (hop 0) or already in the path (the Extend then walks one implicit
+  /// edge). A frontier with no version matching the goal in the view fails
+  /// that Extend, so the Loop hands on only the paths this accepts.
+  bool Collects(const PathState& p) const {
+    if (p.frontier_in_path) return true;
+    auto it = hops_.find(p.frontier);
+    return it != hops_.end() && it->second == 0;
+  }
+
   /// Drops the paths of round `round` whose frontier cannot reach a goal
   /// match in the rounds left — the paths the goal's Extend would drop —
   /// keeping the others in order. Until the rounds left fall to the goal
@@ -482,9 +517,16 @@ void RegisterProgram(Program* program, obs::QueryStatsGroup* stats) {
 
 /// How much a step invocation records about itself. Shard slices of a
 /// sharded step contribute only strategy-level fields (wall time, shard
-/// count); the enclosing logical invocation records the partition-invariant
-/// row counts once.
+/// count, and the builds of a CountsOwnBuilds step); the enclosing logical
+/// invocation records the partition-invariant row counts once.
 enum class RecordKind { kFull, kShardSlice };
+
+/// Whether a step's `built` is its own count rather than its rows_out: a
+/// Loop counts its rounds, an Automaton its admissions.
+bool CountsOwnBuilds(const Step& step) {
+  return step.kind == Step::Kind::kLoop ||
+         step.kind == Step::Kind::kAutomaton;
+}
 
 PathSet RunProgramCtx(storage::PathOperatorExecutor& exec,
                       const Program& program, const PathSet& input,
@@ -571,12 +613,14 @@ PathSet RunStepCtx(storage::PathOperatorExecutor& exec, const Step& step,
                                    labels, shards, &before_dedup);
       if (record) {
         // The logical invocation: partition-invariant row counts. Wall
-        // time and shard counts were recorded by the slices themselves.
+        // time and shard counts — and a Loop's or Automaton's builds —
+        // were recorded by the slices themselves.
         obs::OpSample sample;
         sample.rows_in = rows_in;
         sample.rows_out = out.size();
         sample.dedup_dropped = before_dedup - out.size();
         sample.invocations = 1;
+        if (!CountsOwnBuilds(step)) sample.built = out.size();
         stats->Record(step.op_id, sample);
       }
       return out;
@@ -584,11 +628,12 @@ PathSet RunStepCtx(storage::PathOperatorExecutor& exec, const Step& step,
   }
 
   size_t before_dedup = 0;
+  size_t built = 0;
   PathSet out;
   switch (step.kind) {
     case Step::Kind::kAtom:
       out = exec.ExtendAtom(frontier, step.atom, dir, view);
-      before_dedup = out.size();
+      before_dedup = built = out.size();
       break;
     case Step::Kind::kUnion: {
       for (const Program& branch : step.branches) {
@@ -599,12 +644,19 @@ PathSet RunStepCtx(storage::PathOperatorExecutor& exec, const Step& step,
       }
       before_dedup = out.size();
       storage::DedupPaths(&out);
+      built = out.size();
       break;
     }
     case Step::Kind::kLoop: {
       // One round runs the body program over the previous round, which it
-      // reads in place; a goal-directed Loop then prunes the new round.
+      // reads in place; a goal-directed Loop then prunes the new round, and
+      // hands on only the paths its goal's Extend can accept.
       int round = 0;
+      std::function<bool(const PathState&)> keep;
+      if (labels != nullptr) {
+        keep = [labels](const PathState& p) { return labels->Collects(p); };
+      }
+      storage::RoundCounts counts;
       out = storage::RepeatRounds(
           frontier, step.min_rep, step.max_rep,
           [&](const PathSet& current) {
@@ -613,11 +665,13 @@ PathSet RunStepCtx(storage::PathOperatorExecutor& exec, const Step& step,
             if (labels != nullptr) labels->Prune(&next, ++round);
             return next;
           },
-          &before_dedup);
+          keep, &counts);
+      before_dedup = counts.collected;
+      built = counts.built;
       break;
     }
     case Step::Kind::kAutomaton:
-      out = RunAutomaton(exec, step, frontier, dir, view, ctx);
+      out = RunAutomaton(exec, step, frontier, dir, view, ctx, &built);
       before_dedup = out.size();
       break;
   }
@@ -626,6 +680,9 @@ PathSet RunStepCtx(storage::PathOperatorExecutor& exec, const Step& step,
     obs::OpSample sample;
     sample.wall_ns = NowNs() - start;
     sample.shards = 1;
+    if (record_kind == RecordKind::kFull || CountsOwnBuilds(step)) {
+      sample.built = built;
+    }
     if (record_kind == RecordKind::kFull) {
       sample.rows_in = rows_in;
       sample.rows_out = out.size();
@@ -651,13 +708,10 @@ std::optional<GoalLabels> LabelGoal(storage::PathOperatorExecutor& exec,
   std::optional<GoalLabels> labels(std::in_place, exec, loop,
                                    program[i + 1].atom, dir, view);
   if (record) {
-    obs::OpSample sample;
-    sample.rows_in = labels->targets();
-    sample.rows_out = labels->labelled();
-    sample.shards = 1;
-    sample.wall_ns = NowNs() - start;
-    sample.invocations = 1;
-    ctx.stats->Record(loop.goal_op_id, sample);
+    ctx.stats->Record(loop.goal_op_id,
+                      obs::OpSample::Invocation(labels->targets(),
+                                                labels->labelled(),
+                                                NowNs() - start));
   }
   return labels;
 }
@@ -682,7 +736,7 @@ PathSet RunProgramCtx(storage::PathOperatorExecutor& exec,
 }
 
 void ReverseAll(PathSet* paths) {
-  for (PathState& state : *paths) state = state.Reversed();
+  for (PathState& state : *paths) state.Reverse();
 }
 
 /// Stats node ids of the non-step operators of one anchored plan.
@@ -698,14 +752,24 @@ PathSet RecordedCall(obs::QueryStatsGroup* stats, int op_id, size_t rows_in,
   if (stats == nullptr || op_id < 0) return fn();
   const uint64_t start = NowNs();
   PathSet out = fn();
-  obs::OpSample sample;
-  sample.rows_in = rows_in;
-  sample.rows_out = out.size();
-  sample.shards = 1;
-  sample.wall_ns = NowNs() - start;
-  sample.invocations = 1;
-  stats->Record(op_id, sample);
+  stats->Record(op_id, obs::OpSample::Invocation(rows_in, out.size(),
+                                                 NowNs() - start));
   return out;
+}
+
+/// Closes the growing end of `paths` (FinalizeTail), recorded against
+/// `op_id`. When no state has a pending frontier node, FinalizeTail would
+/// return a copy of its input: the paths pass through instead, and the
+/// sample is recorded all the same.
+PathSet Finalize(storage::PathOperatorExecutor& exec, PathSet paths,
+                 const TimeView& view, obs::QueryStatsGroup* stats,
+                 int op_id) {
+  const bool pending =
+      std::any_of(paths.begin(), paths.end(),
+                  [](const PathState& p) { return !p.frontier_in_path; });
+  return RecordedCall(stats, op_id, paths.size(), [&] {
+    return pending ? exec.FinalizeTail(paths, view) : std::move(paths);
+  });
 }
 
 /// The seeds-in half of an anchored plan: grow the suffix forwards, then
@@ -718,19 +782,15 @@ PathSet RunFromSeeds(storage::PathOperatorExecutor& exec,
     current = RunProgramCtx(exec, anchored.suffix, current, Direction::kOut,
                             view, ctx);
   }
-  size_t in = current.size();
-  current = RecordedCall(ctx.stats, ids.finalize_tail, in, [&] {
-    return exec.FinalizeTail(current, view);
-  });
+  current = Finalize(exec, std::move(current), view, ctx.stats,
+                     ids.finalize_tail);
   ReverseAll(&current);
   if (!anchored.reversed_prefix.empty()) {
     current = RunProgramCtx(exec, anchored.reversed_prefix, current,
                             Direction::kIn, view, ctx);
   }
-  in = current.size();
-  current = RecordedCall(ctx.stats, ids.finalize_head, in, [&] {
-    return exec.FinalizeTail(current, view);
-  });
+  current = Finalize(exec, std::move(current), view, ctx.stats,
+                     ids.finalize_head);
   ReverseAll(&current);
   return current;
 }
@@ -833,13 +893,9 @@ PathSet ExecuteMatch(storage::PathOperatorExecutor& exec, MatchPlan& plan,
   // parallelism == 1 keeps the historical serial order untouched.
   if (ctx.enabled()) storage::CanonicalizePaths(&all);
   if (stats != nullptr) {
-    obs::OpSample sample;
-    sample.rows_in = before_dedup;
-    sample.rows_out = all.size();
+    obs::OpSample sample = obs::OpSample::Invocation(
+        before_dedup, all.size(), NowNs() - merge_start);
     sample.dedup_dropped = before_dedup - all.size();
-    sample.shards = 1;
-    sample.wall_ns = NowNs() - merge_start;
-    sample.invocations = 1;
     stats->Record(merge_id, sample);
   }
   return all;
@@ -889,23 +945,16 @@ PathSet ExecuteMatchSeeded(storage::PathOperatorExecutor& exec,
                           plan.side == SeedSide::kSource ? Direction::kOut
                                                          : Direction::kIn,
                           view, ctx);
-  size_t in = current.size();
-  current = RecordedCall(stats, finalize_id, in, [&] {
-    return exec.FinalizeTail(current, view);
-  });
+  current = Finalize(exec, std::move(current), view, stats, finalize_id);
   if (plan.side == SeedSide::kTarget) ReverseAll(&current);
   const size_t before_dedup = current.size();
   const uint64_t merge_start = stats != nullptr ? NowNs() : 0;
   storage::DedupPaths(&current);
   if (ctx.enabled()) storage::CanonicalizePaths(&current);
   if (stats != nullptr) {
-    obs::OpSample sample;
-    sample.rows_in = before_dedup;
-    sample.rows_out = current.size();
+    obs::OpSample sample = obs::OpSample::Invocation(
+        before_dedup, current.size(), NowNs() - merge_start);
     sample.dedup_dropped = before_dedup - current.size();
-    sample.shards = 1;
-    sample.wall_ns = NowNs() - merge_start;
-    sample.invocations = 1;
     stats->Record(merge_id, sample);
   }
   return current;

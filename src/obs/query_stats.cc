@@ -15,6 +15,7 @@ void OperatorStats::MergeCountsFrom(const OperatorStats& other) {
   shards += other.shards;
   wall_ns += other.wall_ns;
   invocations += other.invocations;
+  built += other.built;
   // Estimates are per-execution figures: merging repeated runs of the same
   // plan sums them alongside the actual rows (est/actual ratios survive).
   if (other.est_rows >= 0) {
@@ -37,6 +38,7 @@ void OperatorStats::AppendJson(std::string* out) const {
           JsonEscape(op) + "\",\"rows_in\":" + std::to_string(rows_in) +
           ",\"rows_out\":" + std::to_string(rows_out) +
           ",\"est_rows\":" + JsonDouble(est_rows) +
+          ",\"built\":" + std::to_string(built) +
           ",\"dedup_dropped\":" + std::to_string(dedup_dropped) +
           ",\"shards\":" + std::to_string(shards) +
           ",\"wall_ns\":" + std::to_string(wall_ns) +
@@ -70,9 +72,9 @@ std::string QueryStats::ToString() const {
   op_width = std::min<size_t>(op_width, 60);
   std::string out;
   char line[256];
-  std::snprintf(line, sizeof(line), "%-*s %9s %9s %9s %7s %6s %6s %10s\n",
+  std::snprintf(line, sizeof(line), "%-*s %9s %9s %9s %9s %7s %6s %6s %10s\n",
                 static_cast<int>(op_width), "operator", "rows_in", "rows_out",
-                "est_rows", "dedup", "shards", "invocs", "wall_ms");
+                "est_rows", "built", "dedup", "shards", "invocs", "wall_ms");
   out += line;
   std::string current_group;
   for (const OperatorStats& op : operators) {
@@ -89,10 +91,11 @@ std::string QueryStats::ToString() const {
       std::snprintf(est, sizeof(est), "%9s", "-");
     }
     std::snprintf(line, sizeof(line),
-                  "%-*s %9llu %9llu %s %7llu %6llu %6llu %10.3f\n",
+                  "%-*s %9llu %9llu %s %9llu %7llu %6llu %6llu %10.3f\n",
                   static_cast<int>(op_width), name.c_str(),
                   static_cast<unsigned long long>(op.rows_in),
                   static_cast<unsigned long long>(op.rows_out), est,
+                  static_cast<unsigned long long>(op.built),
                   static_cast<unsigned long long>(op.dedup_dropped),
                   static_cast<unsigned long long>(op.shards),
                   static_cast<unsigned long long>(op.invocations),
@@ -137,6 +140,7 @@ void QueryStatsGroup::Record(int op_id, const OpSample& sample) {
   node.shards.fetch_add(sample.shards, std::memory_order_relaxed);
   node.wall_ns.fetch_add(sample.wall_ns, std::memory_order_relaxed);
   node.invocations.fetch_add(sample.invocations, std::memory_order_relaxed);
+  node.built.fetch_add(sample.built, std::memory_order_relaxed);
 }
 
 QueryStatsGroup* QueryStatsBuilder::AddGroup(std::string name) {
@@ -166,6 +170,7 @@ QueryStats QueryStatsBuilder::Snapshot() const {
       op.shards = node.shards.load(std::memory_order_relaxed);
       op.wall_ns = node.wall_ns.load(std::memory_order_relaxed);
       op.invocations = node.invocations.load(std::memory_order_relaxed);
+      op.built = node.built.load(std::memory_order_relaxed);
       stats.operators.push_back(std::move(op));
     }
   }

@@ -20,6 +20,11 @@
 // slice per shard and the summed slice time); `dedup_dropped` counts
 // duplicates removed at that node and can differ for operators *nested
 // inside* a sharded step, where per-shard dedup sees only its slice.
+// `built` counts the paths an operator built before it handed on its
+// output: a Loop every round it built (after that round's dedup and
+// pruning), an Automaton every path it admitted, any other operator its
+// rows_out. A sharded Loop or Automaton sums its slices' counts, so like
+// `dedup_dropped` it reflects per-shard dedup.
 //
 // Threading contract: AddGroup is thread-safe; within one group, AddOp
 // calls are sequenced before any Record on that group (registration
@@ -52,6 +57,7 @@ struct OperatorStats {
   /// registration time; -1 when the plan carried no estimate. EXPLAIN
   /// ANALYZE reports it next to the actual rows_out.
   double est_rows = -1;
+  uint64_t built = 0;  // paths built before handing on rows_out
 
   /// Adds `other`'s numeric fields into this node (labels must match).
   void MergeCountsFrom(const OperatorStats& other);
@@ -66,6 +72,21 @@ struct OpSample {
   uint64_t shards = 0;
   uint64_t wall_ns = 0;
   uint64_t invocations = 0;
+  uint64_t built = 0;
+
+  /// One whole serial invocation that built exactly its output: one shard,
+  /// one invocation, `built` = `rows_out`.
+  static OpSample Invocation(uint64_t rows_in, uint64_t rows_out,
+                             uint64_t wall_ns = 0) {
+    OpSample sample;
+    sample.rows_in = rows_in;
+    sample.rows_out = rows_out;
+    sample.built = rows_out;
+    sample.shards = 1;
+    sample.wall_ns = wall_ns;
+    sample.invocations = 1;
+    return sample;
+  }
 };
 
 /// The finished, immutable stats of one query run.
@@ -118,6 +139,7 @@ class QueryStatsGroup {
     std::atomic<uint64_t> shards{0};
     std::atomic<uint64_t> wall_ns{0};
     std::atomic<uint64_t> invocations{0};
+    std::atomic<uint64_t> built{0};
     Node(std::string o, double est) : op(std::move(o)), est_rows(est) {}
   };
   std::string name_;

@@ -1,10 +1,13 @@
 #include "relational/sql_executor.h"
 
+#include <unordered_map>
+
 namespace nepal::relational {
 
 using storage::CompiledAtom;
 using storage::Direction;
 using storage::ElementVersion;
+using storage::ExtendedState;
 using storage::PathSet;
 using storage::PathState;
 using storage::TimeView;
@@ -35,16 +38,6 @@ std::string ViewSql(const TimeView& view) {
 
 }  // namespace
 
-SqlBulkExecutor::FrontierIndex SqlBulkExecutor::BuildFrontierIndex(
-    const PathSet& frontier) {
-  FrontierIndex index;
-  index.reserve(frontier.size());
-  for (size_t i = 0; i < frontier.size(); ++i) {
-    index[frontier[i].frontier].push_back(i);
-  }
-  return index;
-}
-
 PathSet SqlBulkExecutor::Select(const CompiledAtom& atom,
                                 const TimeView& view) {
   PathSet out;
@@ -59,14 +52,17 @@ PathSet SqlBulkExecutor::SelectSeeds(const std::vector<Uid>& nodes,
   return storage::SeedStates(nodes);
 }
 
-PathSet SqlBulkExecutor::MaterializeFrontiers(const PathSet& frontier,
-                                              const TimeView& view,
-                                              const CompiledAtom* node_atom) {
-  PathSet out;
-  out.reserve(frontier.size());
+// Every extension below checks first and copies last (see ExtendedState):
+// a path is built only once all of its cycle checks and its interval
+// intersection have passed on the parent state.
+
+void SqlBulkExecutor::MaterializeFrontiers(const PathSet& frontier,
+                                           const TimeView& view,
+                                           const CompiledAtom* node_atom,
+                                           PathSet* out) const {
   for (const PathState& state : frontier) {
     if (state.frontier_in_path) {
-      if (node_atom == nullptr) out.push_back(state);
+      if (node_atom == nullptr) out->push_back(state);
       continue;
     }
     store_->Get(state.frontier, view, [&](const ElementVersion& v) {
@@ -75,35 +71,63 @@ PathSet SqlBulkExecutor::MaterializeFrontiers(const PathSet& frontier,
       if (!TryAppendElement(state, v, &next)) return;
       next.frontier = v.uid;
       next.frontier_in_path = true;
-      out.push_back(std::move(next));
+      out->push_back(std::move(next));
     });
   }
-  return out;
 }
 
+std::vector<SqlBulkExecutor::JoinInput> SqlBulkExecutor::EdgeJoinInputs(
+    const PathSet& frontier, const TimeView& view) const {
+  std::vector<JoinInput> inputs;
+  inputs.reserve(frontier.size());
+  for (size_t i = 0; i < frontier.size(); ++i) {
+    const PathState& state = frontier[i];
+    if (state.frontier_in_path) {
+      inputs.push_back({i, {}, state.valid});
+      continue;
+    }
+    store_->Get(state.frontier, view, [&](const ElementVersion& v) {
+      if (state.Contains(v.uid)) return;
+      const Interval iv = state.valid.Intersect(v.valid);
+      if (iv.empty()) return;
+      inputs.push_back({i, {v.uid, v.cls}, iv});
+    });
+  }
+  return inputs;
+}
+
+template <typename Emit>
 void SqlBulkExecutor::EdgeJoin(const PathSet& frontier,
+                               const std::vector<JoinInput>& inputs,
                                const CompiledAtom& atom, Direction dir,
-                               const TimeView& view, PathSet* out) {
-  FrontierIndex index = BuildFrontierIndex(frontier);
+                               const TimeView& view, const Emit& emit) const {
+  // Inputs grouped by frontier uid. The keys, their first-insertion order
+  // and the reserve are those of a map over the materialized inputs, so the
+  // index join below walks the uids in the same order as one would.
+  std::unordered_map<Uid, std::vector<size_t>> index;
+  index.reserve(inputs.size());
+  for (size_t i = 0; i < inputs.size(); ++i) {
+    index[frontier[inputs[i].state].frontier].push_back(i);
+  }
   const bool forward = dir == Direction::kOut;
 
   auto join_row = [&](const ElementVersion& raw) {
     if (!atom.Matches(raw)) return;
-    // Emit patches epoch-open intervals so TryAppendElement's running
-    // interval intersection sees what a locked read at the snapshot would.
+    // Emit patches epoch-open intervals so the running interval
+    // intersection sees what a locked read at the snapshot would.
     view.Emit(raw, [&](const ElementVersion& e) {
-      Uid join_key = forward ? e.source : e.target;
-      auto it = index.find(join_key);
+      auto it = index.find(forward ? e.source : e.target);
       if (it == index.end()) return;
-      for (size_t state_idx : it->second) {
-        const PathState& state = frontier[state_idx];
-        Uid far = forward ? e.target : e.source;
-        if (state.Contains(far)) continue;
-        PathState next;
-        if (!TryAppendElement(state, e, &next)) continue;
-        next.frontier = far;
-        next.frontier_in_path = false;
-        out->push_back(std::move(next));
+      const Uid far = forward ? e.target : e.source;
+      for (size_t input_idx : it->second) {
+        const JoinInput& input = inputs[input_idx];
+        if (far == input.node.uid || e.uid == input.node.uid ||
+            frontier[input.state].ContainsAny(far, e.uid)) {
+          continue;
+        }
+        const Interval iv = input.valid.Intersect(e.valid);
+        if (iv.empty()) continue;
+        emit(input, e, far, iv);
       }
     });
   };
@@ -115,7 +139,7 @@ void SqlBulkExecutor::EdgeJoin(const PathSet& frontier,
     tables.insert(tables.end(), hist.begin(), hist.end());
   }
   for (const Table* table : tables) {
-    if (table->row_count() <= frontier.size()) {
+    if (table->row_count() <= inputs.size()) {
       // Hash join: build over the frontier, probe with the stored rows.
       table->ScanAll(join_row);
     } else {
@@ -136,37 +160,62 @@ PathSet SqlBulkExecutor::ExtendAtom(const PathSet& frontier,
                                     const TimeView& view) {
   PathSet out;
   if (atom.is_edge()) {
-    // Promote post-edge states by materializing the implicit node, then run
-    // one bulk edge join for the whole frontier. (MaterializeFrontiers
-    // passes in-path states through unchanged.)
-    PathSet in_path = MaterializeFrontiers(frontier, view, nullptr);
-    EdgeJoin(in_path, atom, dir, view, &out);
+    // One bulk edge join for the whole frontier; a state whose frontier is
+    // not yet in its path gets the implicit node in the same copy.
+    EdgeJoin(frontier, EdgeJoinInputs(frontier, view), atom, dir, view,
+             [&](const JoinInput& input, const ElementVersion& e, Uid far,
+                 const Interval& iv) {
+               out.push_back(ExtendedState(frontier[input.state], input.node,
+                                           {e.uid, e.cls}, iv, far, false));
+             });
     return out;
   }
 
   // Node atom. Post-edge states: the frontier node itself must match.
-  PathSet matched = MaterializeFrontiers(frontier, view, &atom);
-  out.insert(out.end(), matched.begin(), matched.end());
+  MaterializeFrontiers(frontier, view, &atom, &out);
 
-  // In-path states: implicit edge join, then node join on the far endpoint.
-  PathSet in_path;
-  for (const PathState& state : frontier) {
-    if (state.frontier_in_path) in_path.push_back(state);
+  // In-path states: implicit edge join, then node join on the far endpoint;
+  // the edge and the node are appended in one copy.
+  std::vector<JoinInput> inputs;
+  for (size_t i = 0; i < frontier.size(); ++i) {
+    if (frontier[i].frontier_in_path) {
+      inputs.push_back({i, {}, frontier[i].valid});
+    }
   }
-  if (in_path.empty()) return out;
+  if (inputs.empty()) return out;
   CompiledAtom any_edge;
   any_edge.cls = store_->schema().edge_root();
-  PathSet after_edge;
-  EdgeJoin(in_path, any_edge, dir, view, &after_edge);
+  struct EdgeHop {
+    size_t state;
+    storage::PathElement edge;
+    Uid far;
+    Interval valid;
+  };
+  std::vector<EdgeHop> hops;
+  EdgeJoin(frontier, inputs, any_edge, dir, view,
+           [&](const JoinInput& input, const ElementVersion& e, Uid far,
+               const Interval& iv) {
+             hops.push_back({input.state, {e.uid, e.cls}, far, iv});
+           });
   // Node join: probe the uid registry / id index of the atom's subtree.
-  PathSet node_joined = MaterializeFrontiers(after_edge, view, &atom);
-  out.insert(out.end(), node_joined.begin(), node_joined.end());
+  for (const EdgeHop& hop : hops) {
+    store_->Get(hop.far, view, [&](const ElementVersion& v) {
+      if (!atom.Matches(v) || v.uid == hop.edge.uid) return;
+      const Interval iv = hop.valid.Intersect(v.valid);
+      if (iv.empty()) return;
+      out.push_back(ExtendedState(frontier[hop.state], hop.edge,
+                                  {v.uid, v.cls}, iv, v.uid, true));
+    });
+  }
   return out;
 }
 
 PathSet SqlBulkExecutor::FinalizeTail(const PathSet& frontier,
                                       const TimeView& view) {
-  return MaterializeFrontiers(frontier, view, nullptr);
+  PathSet out;
+  out.reserve(frontier.size());
+  MaterializeFrontiers(frontier, view, nullptr, &out);
+  return out;
 }
 
 std::vector<std::string> SqlBulkExecutor::ToSql(const CompiledAtom& atom,

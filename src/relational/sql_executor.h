@@ -16,7 +16,6 @@
 #define NEPAL_RELATIONAL_SQL_EXECUTOR_H_
 
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "relational/relational_store.h"
@@ -44,22 +43,40 @@ class SqlBulkExecutor : public storage::PathOperatorExecutor {
                                  int output) const override;
 
  private:
-  using FrontierIndex = std::unordered_map<Uid, std::vector<size_t>>;
+  /// One input row of an edge join: a frontier state and, when its frontier
+  /// node is not yet in its path, the version of that node the join appends
+  /// before the edge (the implicit node of edge·edge, or a seed's node).
+  struct JoinInput {
+    size_t state;               // index into the joined frontier
+    storage::PathElement node;  // no element: frontier already in path
+    Interval valid;             // the state's interval, narrowed by `node`
+  };
 
-  /// Groups state indexes by frontier uid.
-  static FrontierIndex BuildFrontierIndex(const storage::PathSet& frontier);
+  /// The inputs of an edge atom over `frontier`: an in-path state joins as
+  /// it is; any other state joins once per version of its frontier node
+  /// that passes the cycle check and the interval intersection.
+  std::vector<JoinInput> EdgeJoinInputs(const storage::PathSet& frontier,
+                                        const storage::TimeView& view) const;
 
-  /// Splits off the states whose frontier node is not yet materialized and
-  /// appends its version(s), so all returned states are in-path.
-  storage::PathSet MaterializeFrontiers(const storage::PathSet& frontier,
-                                        const storage::TimeView& view,
-                                        const storage::CompiledAtom* node_atom);
+  /// Appends each post-edge state extended by a version of its frontier
+  /// node (one that matches `node_atom`, when given) to `out`, so appended
+  /// states are in-path. In-path states pass through unchanged when
+  /// `node_atom` is null and are skipped otherwise.
+  void MaterializeFrontiers(const storage::PathSet& frontier,
+                            const storage::TimeView& view,
+                            const storage::CompiledAtom* node_atom,
+                            storage::PathSet* out) const;
 
-  /// Bulk join of in-path states against the edge tables of `atom`'s
-  /// subtree. Emits post-edge states.
+  /// Bulk join of `inputs` (over `frontier`) against the edge tables of
+  /// `atom`'s subtree. Runs every check on the parent state — cycle checks
+  /// of the implicit node, the edge and the far endpoint, and the interval
+  /// intersection — and calls emit(input, edge, far, valid) for each pair
+  /// that passes, in join order. Builds no path itself.
+  template <typename Emit>
   void EdgeJoin(const storage::PathSet& frontier,
+                const std::vector<JoinInput>& inputs,
                 const storage::CompiledAtom& atom, storage::Direction dir,
-                const storage::TimeView& view, storage::PathSet* out);
+                const storage::TimeView& view, const Emit& emit) const;
 
   const RelationalStore* store_;
 };

@@ -160,16 +160,11 @@ std::string CompiledAtom::ToString() const {
   return out;
 }
 
-PathState PathState::Reversed() const {
-  PathState rev;
-  rev.uids.assign(uids.rbegin(), uids.rend());
-  rev.concepts.assign(concepts.rbegin(), concepts.rend());
-  rev.valid = valid;
-  rev.frontier = head_frontier;
-  rev.frontier_in_path = head_in_path;
-  rev.head_frontier = frontier;
-  rev.head_in_path = frontier_in_path;
-  return rev;
+void PathState::Reverse() {
+  std::reverse(uids.begin(), uids.end());
+  std::reverse(concepts.begin(), concepts.end());
+  std::swap(frontier, head_frontier);
+  std::swap(frontier_in_path, head_in_path);
 }
 
 uint64_t PathState::IdentityHash() const {
@@ -238,28 +233,43 @@ PathSet SeedStates(const std::vector<Uid>& nodes) {
   return out;
 }
 
+PathState ExtendedState(const PathState& state, const PathElement& implicit,
+                        const PathElement& matched, const Interval& valid,
+                        Uid frontier, bool frontier_in_path) {
+  const bool two = implicit.cls != nullptr;
+  PathState next;
+  next.uids.reserve(state.uids.size() + (two ? 2 : 1));
+  next.uids.assign(state.uids.begin(), state.uids.end());
+  next.concepts.reserve(state.concepts.size() + (two ? 2 : 1));
+  next.concepts.assign(state.concepts.begin(), state.concepts.end());
+  if (two) {
+    next.uids.push_back(implicit.uid);
+    next.concepts.push_back(implicit.cls);
+  }
+  next.uids.push_back(matched.uid);
+  next.concepts.push_back(matched.cls);
+  next.valid = valid;
+  next.frontier = frontier;
+  next.frontier_in_path = frontier_in_path;
+  if (state.uids.empty()) {
+    // First element of a seed-grown path becomes the head.
+    const PathElement& first = two ? implicit : matched;
+    next.head_frontier = first.uid;
+    next.head_in_path = !first.cls->is_edge();
+  } else {
+    next.head_frontier = state.head_frontier;
+    next.head_in_path = state.head_in_path;
+  }
+  return next;
+}
+
 bool TryAppendElement(const PathState& state, const ElementVersion& v,
                       PathState* out) {
   if (state.Contains(v.uid)) return false;
-  Interval iv = state.valid.Intersect(v.valid);
+  const Interval iv = state.valid.Intersect(v.valid);
   if (iv.empty()) return false;
-  out->uids.reserve(state.uids.size() + 1);
-  out->uids.assign(state.uids.begin(), state.uids.end());
-  out->uids.push_back(v.uid);
-  out->concepts.reserve(state.concepts.size() + 1);
-  out->concepts.assign(state.concepts.begin(), state.concepts.end());
-  out->concepts.push_back(v.cls);
-  out->valid = iv;
-  out->frontier = state.frontier;
-  out->frontier_in_path = state.frontier_in_path;
-  if (state.uids.empty()) {
-    // First element of a seed-grown path becomes the head.
-    out->head_frontier = v.uid;
-    out->head_in_path = !v.is_edge();
-  } else {
-    out->head_frontier = state.head_frontier;
-    out->head_in_path = state.head_in_path;
-  }
+  *out = ExtendedState(state, {}, {v.uid, v.cls}, iv, state.frontier,
+                       state.frontier_in_path);
   return true;
 }
 
@@ -314,23 +324,50 @@ void CanonicalizePaths(PathSet* paths) {
                paths->end());
 }
 
-PathSet RepeatRounds(PathSet frontier, int min_rep, int max_rep,
+PathSet RepeatRounds(const PathSet& frontier, int min_rep, int max_rep,
                      const std::function<PathSet(const PathSet&)>& round,
-                     size_t* before_dedup) {
+                     const std::function<bool(const PathState&)>& keep,
+                     RoundCounts* counts) {
   PathSet collected;
-  PathSet current = std::move(frontier);
-  for (int k = 0; !current.empty(); ++k) {
-    PathSet next;
-    if (k < max_rep) {
-      next = round(current);
-      DedupPaths(&next);
+  RoundCounts tally;
+  // By path length, the latest collected round holding one: a second round
+  // with that length is the only way the union can repeat a path.
+  std::vector<int> round_of_length;
+  bool collide = false;
+  auto collect = [&](auto&& path, int k) {
+    if (keep && !keep(path)) return;
+    const size_t length = path.uids.size();
+    if (length >= round_of_length.size()) {
+      round_of_length.resize(length + 1, -1);
     }
-    // Round k is finished once round k+1 is built: move it, don't copy.
-    if (k >= min_rep) AppendMoved(&current, &collected);
-    current = std::move(next);
+    collide = collide || (round_of_length[length] >= 0 &&
+                          round_of_length[length] != k);
+    round_of_length[length] = k;
+    collected.push_back(std::forward<decltype(path)>(path));
+  };
+  if (min_rep == 0) {
+    for (const PathState& path : frontier) collect(path, 0);
   }
-  if (before_dedup != nullptr) *before_dedup = collected.size();
-  DedupPaths(&collected);
+  PathSet current;  // round k, once built
+  for (int k = 1; k <= max_rep; ++k) {
+    const PathSet& previous = k == 1 ? frontier : current;
+    if (previous.empty()) break;
+    PathSet next = round(previous);
+    DedupPaths(&next);
+    tally.built += next.size();
+    // Round k-1 is finished once round k is built: move out what it hands
+    // on, and free the rest with it.
+    if (k > 1 && k - 1 >= min_rep) {
+      for (PathState& path : current) collect(std::move(path), k - 1);
+    }
+    current = std::move(next);
+    if (k == max_rep && k >= min_rep) {
+      for (PathState& path : current) collect(std::move(path), k);
+    }
+  }
+  tally.collected = collected.size();
+  if (collide) DedupPaths(&collected);
+  if (counts != nullptr) *counts = tally;
   return collected;
 }
 

@@ -90,10 +90,17 @@ struct PathState {
     }
     return false;
   }
+  /// Contains(a) || Contains(b), in one pass over `uids`.
+  bool ContainsAny(Uid a, Uid b) const {
+    for (Uid u : uids) {
+      if (u == a || u == b) return true;
+    }
+    return false;
+  }
 
-  /// Swaps head and tail: reverses uids/concepts and exchanges the frontier
-  /// bookkeeping. Used to grow the prefix side of an anchored plan.
-  PathState Reversed() const;
+  /// Swaps head and tail in place: reverses uids/concepts and exchanges the
+  /// frontier bookkeeping. Used to grow the prefix side of an anchored plan.
+  void Reverse();
 
   /// A state's identity — what deduplication compares — is
   /// (uids, frontier, frontier_in_path, valid). IdentityHash is a 64-bit
@@ -116,10 +123,29 @@ PathState AnchorState(const ElementVersion& v);
 /// frontiers at the node and not yet recorded.
 PathSet SeedStates(const std::vector<Uid>& nodes);
 
+/// An element a path extension appends: its uid and concept. A null `cls`
+/// marks no element.
+struct PathElement {
+  Uid uid = kInvalidUid;
+  const schema::ClassDef* cls = nullptr;
+};
+
+/// The one copy of a path extension. Both backends' Extend operators check
+/// first and copy last: every cycle check runs on the parent `state` (the
+/// matched element, the implicit node or edge before it, the far endpoint)
+/// together with the interval intersection that yields `valid`, and only a
+/// path that passes them all is built here. `state`'s vectors are copied
+/// once, with room for `implicit` (when it names an element) and `matched`,
+/// the tail frontier moves to `frontier`, and a seed state's first element
+/// becomes its head.
+PathState ExtendedState(const PathState& state, const PathElement& implicit,
+                        const PathElement& matched, const Interval& valid,
+                        Uid frontier, bool frontier_in_path);
+
 /// Appends `v` to a copy of `state` if the cycle check and interval
-/// intersection admit it; returns false otherwise. Copies `state`'s vectors
-/// once, with room for `v`, and maintains head bookkeeping for seed
-/// states. Shared by executors.
+/// intersection admit it; returns false otherwise, having copied nothing.
+/// The frontier bookkeeping is `state`'s; the caller moves it. The
+/// one-element form of ExtendedState, shared by executors.
 bool TryAppendElement(const PathState& state, const ElementVersion& v,
                       PathState* out);
 
@@ -138,14 +164,26 @@ void DedupPaths(PathSet* paths);
 /// different anchor choices byte-for-byte.
 void CanonicalizePaths(PathSet* paths);
 
+/// What one RepeatRounds call built and handed on.
+struct RoundCounts {
+  size_t built = 0;      // paths of rounds 1..max_rep, each deduplicated
+  size_t collected = 0;  // paths collected, before the union dedup
+};
+
 /// The round loop of a repetition {min_rep, max_rep}: round 0 is
 /// `frontier`, round k+1 is `round(round k)` deduplicated, and the loop
-/// stops after round max_rep or at the first empty round. Returns rounds
-/// min_rep..max_rep in round order, deduplicated. `*before_dedup`, when
-/// given, receives the size of that union before the final dedup.
-PathSet RepeatRounds(PathSet frontier, int min_rep, int max_rep,
+/// stops after round max_rep or at the first empty round. Returns the paths
+/// of rounds min_rep..max_rep that `keep` accepts (all of them when `keep`
+/// is empty), in round order, deduplicated. Round k lives only until round
+/// k+1 is built: its kept paths then move to the output and the rest are
+/// freed; `frontier` is read in place, and copied only for the paths of
+/// round 0 that are kept. Each round is already deduplicated and a path's
+/// identity includes its uid list, so the union is deduplicated again only
+/// when two collected rounds hold paths of the same length.
+PathSet RepeatRounds(const PathSet& frontier, int min_rep, int max_rep,
                      const std::function<PathSet(const PathSet&)>& round,
-                     size_t* before_dedup = nullptr);
+                     const std::function<bool(const PathState&)>& keep = {},
+                     RoundCounts* counts = nullptr);
 
 /// Open-addressing hash index that hands out dense ids 0, 1, 2, ... in
 /// insertion order, keyed by 64-bit hashes (PathState::IdentityHash). It

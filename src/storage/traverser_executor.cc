@@ -31,21 +31,31 @@ PathSet TraverserExecutor::ExtendAtom(const PathSet& frontier,
   return out;
 }
 
+// Every extension below checks first and copies last (see ExtendedState):
+// a path is built only once all of its cycle checks and its interval
+// intersection have passed on the parent state.
+
 void TraverserExecutor::EdgeStep(const PathState& state,
+                                 const PathElement& node,
+                                 const Interval& valid,
                                  const CompiledAtom& atom, Direction dir,
                                  const TimeView& view, PathSet* out) {
   backend_->IncidentEdges(
       state.frontier, dir == Direction::kOut ? Direction::kOut : Direction::kIn,
       atom.cls, view, [&](const ElementVersion& e) {
         if (!atom.Matches(e)) return;
-        PathState next;
-        if (!TryAppendElement(state, e, &next)) return;
-        next.frontier = dir == Direction::kOut ? e.target : e.source;
-        next.frontier_in_path = false;
-        // The far endpoint must not already appear in the path; it will be
-        // materialized by a later step, but reject the cycle early.
-        if (next.Contains(next.frontier)) return;
-        out->push_back(std::move(next));
+        const Uid far = dir == Direction::kOut ? e.target : e.source;
+        // Neither the edge nor its far endpoint may already appear in the
+        // path; the endpoint is materialized by a later step, but the cycle
+        // is rejected here.
+        if (e.uid == node.uid || far == node.uid || far == e.uid ||
+            state.ContainsAny(e.uid, far)) {
+          return;
+        }
+        const Interval iv = valid.Intersect(e.valid);
+        if (iv.empty()) return;
+        out->push_back(
+            ExtendedState(state, node, {e.uid, e.cls}, iv, far, false));
       });
 }
 
@@ -54,17 +64,16 @@ void TraverserExecutor::ExtendByEdgeAtom(const PathState& state,
                                          Direction dir, const TimeView& view,
                                          PathSet* out) {
   if (state.frontier_in_path) {
-    EdgeStep(state, atom, dir, view, out);
+    EdgeStep(state, {}, state.valid, atom, dir, view, out);
     return;
   }
-  // Edge atom right after an edge atom (or on a seed): materialize the
-  // implicit, unconstrained node between them first.
+  // Edge atom right after an edge atom (or on a seed): the implicit,
+  // unconstrained node between them is appended with the edge.
   backend_->Get(state.frontier, view, [&](const ElementVersion& v) {
-    PathState with_node;
-    if (!TryAppendElement(state, v, &with_node)) return;
-    with_node.frontier = v.uid;
-    with_node.frontier_in_path = true;
-    EdgeStep(with_node, atom, dir, view, out);
+    if (state.Contains(v.uid)) return;
+    const Interval iv = state.valid.Intersect(v.valid);
+    if (iv.empty()) return;
+    EdgeStep(state, {v.uid, v.cls}, iv, atom, dir, view, out);
   });
 }
 
@@ -85,21 +94,20 @@ void TraverserExecutor::ExtendByNodeAtom(const PathState& state,
     return;
   }
   // Node atom right after a node atom: traverse one implicit,
-  // unconstrained edge, then match the far node.
+  // unconstrained edge, then match the far node; both are appended at once.
   backend_->IncidentEdges(
       state.frontier, dir == Direction::kOut ? Direction::kOut : Direction::kIn,
       /*edge_cls=*/nullptr, view, [&](const ElementVersion& e) {
-        Uid far = dir == Direction::kOut ? e.target : e.source;
-        if (state.Contains(far)) return;
-        PathState with_edge;
-        if (!TryAppendElement(state, e, &with_edge)) return;
+        const Uid far = dir == Direction::kOut ? e.target : e.source;
+        if (far == e.uid || state.ContainsAny(e.uid, far)) return;
+        const Interval iv = state.valid.Intersect(e.valid);
+        if (iv.empty()) return;
         backend_->Get(far, view, [&](const ElementVersion& v) {
-          if (!atom.Matches(v)) return;
-          PathState next;
-          if (!TryAppendElement(with_edge, v, &next)) return;
-          next.frontier = far;
-          next.frontier_in_path = true;
-          out->push_back(std::move(next));
+          if (!atom.Matches(v) || v.uid == e.uid) return;
+          const Interval both = iv.Intersect(v.valid);
+          if (both.empty()) return;
+          out->push_back(ExtendedState(state, {e.uid, e.cls}, {v.uid, v.cls},
+                                       both, far, true));
         });
       });
 }

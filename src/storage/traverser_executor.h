@@ -32,8 +32,12 @@ class TraverserExecutor : public PathOperatorExecutor {
                         Direction dir, const TimeView& view, PathSet* out);
   void ExtendByNodeAtom(const PathState& state, const CompiledAtom& atom,
                         Direction dir, const TimeView& view, PathSet* out);
-  /// Runs the edge-matching step from a state whose frontier is in-path.
-  void EdgeStep(const PathState& state, const CompiledAtom& atom,
+  /// Runs the edge-matching step from `state`'s frontier node. `node` is
+  /// that node when the step also appends it (the implicit node of
+  /// edge·edge or of a seed), no element when it is already in the path;
+  /// `valid` is `state.valid`, narrowed by `node`.
+  void EdgeStep(const PathState& state, const PathElement& node,
+                const Interval& valid, const CompiledAtom& atom,
                 Direction dir, const TimeView& view, PathSet* out);
 
   const StorageBackend* backend_;

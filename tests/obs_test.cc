@@ -278,6 +278,7 @@ TEST(QueryStatsTest, ToStringRendersOperatorsAndTotals) {
   stats.operators.push_back({"var P", "Select VM()", 0, 5, 0, 1, 900000, 1});
   std::string text = stats.ToString();
   EXPECT_NE(text.find("Select VM()"), std::string::npos) << text;
+  EXPECT_NE(text.find(" built "), std::string::npos) << text;
   EXPECT_NE(text.find("var P"), std::string::npos);
   EXPECT_NE(text.find("7 row(s)"), std::string::npos);
   EXPECT_NE(text.find("parallelism 4"), std::string::npos);
@@ -286,6 +287,7 @@ TEST(QueryStatsTest, ToStringRendersOperatorsAndTotals) {
 
 TEST(QueryStatsTest, OperatorJsonHasAllFields) {
   OperatorStats op{"var P", "Select VM()", 1, 2, 3, 4, 5, 6};
+  op.built = 7;
   std::string out;
   op.AppendJson(&out);
   EXPECT_NE(out.find("\"group\":\"var P\""), std::string::npos) << out;
@@ -295,6 +297,7 @@ TEST(QueryStatsTest, OperatorJsonHasAllFields) {
   EXPECT_NE(out.find("\"shards\":4"), std::string::npos);
   EXPECT_NE(out.find("\"wall_ns\":5"), std::string::npos);
   EXPECT_NE(out.find("\"invocations\":6"), std::string::npos);
+  EXPECT_NE(out.find("\"built\":7"), std::string::npos);
 }
 
 }  // namespace

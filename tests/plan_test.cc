@@ -306,7 +306,9 @@ TEST(GoalPruningTest, KeepsExactlyThePathsThatCanStillReachTheGoal) {
   // A(id=a0)->[E()]{1,3}->B(id=b) runs with each goal depth forced: a path
   // survives round k only if its frontier is labelled within 3 - k hops
   // of b, or is unlabelled while 3 - k exceeds the depth. The Loop's
-  // rows_out per depth pins the budget exactly; the rows never change.
+  // `built` per depth pins the budget exactly. From depth 1 on, the Loop
+  // hands on only the paths that end at b (its rows_out); the rows never
+  // change.
   auto s = schema::ParseSchemaDsl(R"(
     node A : Node {}
     node B : Node {}
@@ -342,7 +344,8 @@ TEST(GoalPruningTest, KeepsExactlyThePathsThatCanStillReachTheGoal) {
     const Program program = EmitProgram(BuildLogicalPlan(rpe).root);
     ASSERT_EQ(program.size(), 3u);
     LockedExecutor exec(&db, db.backend().CreateExecutor());
-    const uint64_t loop_rows[] = {6, 5, 4, 4};  // by goal depth
+    const uint64_t loop_built[] = {6, 5, 4, 4};  // by goal depth
+    const uint64_t loop_rows[] = {6, 2, 2, 2};
     for (int depth = 0; depth <= 3; ++depth) {
       MatchPlan plan;
       AnchoredPlan& anchored = plan.anchors.emplace_back();
@@ -356,6 +359,7 @@ TEST(GoalPruningTest, KeepsExactlyThePathsThatCanStillReachTheGoal) {
       EXPECT_EQ(rows.size(), 2u) << "depth " << depth;
       for (const obs::OperatorStats& op : builder.Snapshot().operators) {
         if (op.op.rfind("ExtendBlock", 0) == 0) {
+          EXPECT_EQ(op.built, loop_built[depth]) << "depth " << depth;
           EXPECT_EQ(op.rows_out, loop_rows[depth]) << "depth " << depth;
         }
       }

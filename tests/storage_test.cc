@@ -1,17 +1,20 @@
 // Unit tests for the storage layer: GraphDb semantics (validation, unique
 // constraints, cascades, the transaction clock) and backend behaviour
 // (version chains, scans under time views, incident-edge lookups,
-// statistics), run against both backends; plus the path-identity
-// properties of DedupPaths, CanonicalizePaths and PathIndex.
+// statistics), run against both backends; the path-identity properties
+// of DedupPaths, CanonicalizePaths and PathIndex; and the path extension
+// of both backends' executors and of RepeatRounds against references.
 
 #include <algorithm>
 #include <set>
 #include <tuple>
+#include <unordered_map>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
+#include "relational/relational_store.h"
 #include "storage/pathset.h"
 #include "tests/testutil.h"
 
@@ -465,6 +468,411 @@ TEST(PathIdentityTest, PathIndexConfirmsEveryHashMatch) {
     }
   }
   EXPECT_EQ(index.size(), keys.size());
+}
+
+// ---- Path extension ------------------------------------------------------
+//
+// Both backends' ExtendAtom and FinalizeTail, against references built the
+// two-step way: materialize the implicit element into a copy of the path,
+// append the matched element to another copy, and only then check the far
+// endpoint. The relational reference keeps the bulk join's order (one hash
+// map over the materialized frontier, walked as the executor walks it), so
+// outputs compare in order, field by field.
+
+using storage::CompiledAtom;
+using storage::StorageBackend;
+
+Uid FarEnd(const ElementVersion& e, Direction dir) {
+  return dir == Direction::kOut ? e.target : e.source;
+}
+
+/// Appends `v` to a copy of `state` when the cycle check and the interval
+/// intersection admit it; a seed's first element becomes its head.
+bool RefAppend(const PathState& state, const ElementVersion& v,
+               PathState* out) {
+  if (state.Contains(v.uid)) return false;
+  const Interval iv = state.valid.Intersect(v.valid);
+  if (iv.empty()) return false;
+  *out = state;
+  out->uids.push_back(v.uid);
+  out->concepts.push_back(v.cls);
+  out->valid = iv;
+  if (state.uids.empty()) {
+    out->head_frontier = v.uid;
+    out->head_in_path = !v.is_edge();
+  }
+  return true;
+}
+
+/// Appends `state`'s frontier node (each version matching `atom`, when
+/// given) to copies of it.
+void RefMaterialize(const StorageBackend& store, const PathState& state,
+                    const TimeView& view, const CompiledAtom* atom,
+                    PathSet* out) {
+  store.Get(state.frontier, view, [&](const ElementVersion& v) {
+    if (atom != nullptr && !atom->Matches(v)) return;
+    PathState next;
+    if (!RefAppend(state, v, &next)) return;
+    next.frontier = v.uid;
+    next.frontier_in_path = true;
+    out->push_back(std::move(next));
+  });
+}
+
+/// Appends `state` followed by edge `e` to `out`, unless the far endpoint
+/// closes a cycle.
+void RefEdge(const PathState& state, const ElementVersion& e, Direction dir,
+             PathSet* out) {
+  PathState next;
+  if (!RefAppend(state, e, &next)) return;
+  next.frontier = FarEnd(e, dir);
+  next.frontier_in_path = false;
+  if (next.Contains(next.frontier)) return;
+  out->push_back(std::move(next));
+}
+
+/// The graphstore's traversal, one state at a time.
+PathSet RefTraverse(const StorageBackend& store, const PathSet& frontier,
+                    const CompiledAtom& atom, Direction dir,
+                    const TimeView& view) {
+  PathSet out;
+  auto edge_step = [&](const PathState& from) {
+    store.IncidentEdges(from.frontier, dir, atom.cls, view,
+                        [&](const ElementVersion& e) {
+                          if (atom.Matches(e)) RefEdge(from, e, dir, &out);
+                        });
+  };
+  for (const PathState& state : frontier) {
+    if (atom.is_edge()) {
+      PathSet with_node;
+      if (state.frontier_in_path) {
+        with_node.push_back(state);
+      } else {
+        RefMaterialize(store, state, view, nullptr, &with_node);
+      }
+      for (const PathState& from : with_node) edge_step(from);
+    } else if (!state.frontier_in_path) {
+      RefMaterialize(store, state, view, &atom, &out);
+    } else {
+      store.IncidentEdges(state.frontier, dir, nullptr, view,
+                          [&](const ElementVersion& e) {
+                            PathSet with_edge;
+                            RefEdge(state, e, dir, &with_edge);
+                            for (const PathState& from : with_edge) {
+                              RefMaterialize(store, from, view, &atom, &out);
+                            }
+                          });
+    }
+  }
+  return out;
+}
+
+/// The relational bulk join of in-path `frontier` against `atom`'s tables.
+PathSet RefEdgeJoin(const relational::RelationalStore& store,
+                    const PathSet& frontier, const CompiledAtom& atom,
+                    Direction dir, const TimeView& view) {
+  std::unordered_map<Uid, std::vector<size_t>> index;
+  index.reserve(frontier.size());
+  for (size_t i = 0; i < frontier.size(); ++i) {
+    index[frontier[i].frontier].push_back(i);
+  }
+  const bool forward = dir == Direction::kOut;
+  PathSet out;
+  auto join_row = [&](const ElementVersion& raw) {
+    if (!atom.Matches(raw)) return;
+    view.Emit(raw, [&](const ElementVersion& e) {
+      auto it = index.find(forward ? e.source : e.target);
+      if (it == index.end()) return;
+      for (size_t i : it->second) RefEdge(frontier[i], e, dir, &out);
+    });
+  };
+  std::vector<const relational::Table*> tables =
+      store.SubtreeTables(atom.cls, /*history=*/false);
+  if (view.includes_closed()) {
+    auto hist = store.SubtreeTables(atom.cls, /*history=*/true);
+    tables.insert(tables.end(), hist.begin(), hist.end());
+  }
+  for (const relational::Table* table : tables) {
+    if (table->row_count() <= frontier.size()) {
+      table->ScanAll(join_row);
+    } else {
+      for (const auto& [uid, states] : index) {
+        if (forward) {
+          table->ForEachBySource(uid, join_row);
+        } else {
+          table->ForEachByTarget(uid, join_row);
+        }
+      }
+    }
+  }
+  return out;
+}
+
+/// The relational executor's bulk form of the same four extensions.
+PathSet RefBulk(const relational::RelationalStore& store,
+                const PathSet& frontier, const CompiledAtom& atom,
+                Direction dir, const TimeView& view) {
+  PathSet out;
+  PathSet in_path;
+  for (const PathState& state : frontier) {
+    if (state.frontier_in_path) {
+      in_path.push_back(state);
+    } else if (atom.is_edge()) {
+      RefMaterialize(store, state, view, nullptr, &in_path);
+    } else {
+      RefMaterialize(store, state, view, &atom, &out);
+    }
+  }
+  if (atom.is_edge()) return RefEdgeJoin(store, in_path, atom, dir, view);
+  if (in_path.empty()) return out;
+  CompiledAtom any_edge;
+  any_edge.cls = store.schema().edge_root();
+  for (const PathState& state :
+       RefEdgeJoin(store, in_path, any_edge, dir, view)) {
+    RefMaterialize(store, state, view, &atom, &out);
+  }
+  return out;
+}
+
+void ExpectSamePaths(const PathSet& got, const PathSet& want,
+                     const std::string& context) {
+  ASSERT_EQ(got.size(), want.size()) << context;
+  for (size_t i = 0; i < got.size(); ++i) {
+    const PathState& g = got[i];
+    const PathState& w = want[i];
+    EXPECT_TRUE(g.uids == w.uids && g.concepts == w.concepts &&
+                g.valid == w.valid && g.frontier == w.frontier &&
+                g.frontier_in_path == w.frontier_in_path &&
+                g.head_frontier == w.head_frontier &&
+                g.head_in_path == w.head_in_path)
+        << context << " at " << i << ": " << g.ToString() << " head "
+        << g.head_frontier << "/" << g.head_in_path << " vs "
+        << w.ToString() << " head " << w.head_frontier << "/"
+        << w.head_in_path;
+  }
+}
+
+class PathExtensionTest : public ::testing::TestWithParam<BackendKind> {};
+
+TEST_P(PathExtensionTest, OneCopyExtensionMatchesTwoStepReference) {
+  // Small random temporal graphs: 2-cycles and self-loops, subclassed edge
+  // atoms, versions closed and reopened by updates and removals. Frontiers
+  // mix anchor, seed and once-extended states with the reverses of all of
+  // them; each goes to ExtendAtom whole (the relational hash join) and in
+  // chunks of one to three states (its index join).
+  auto schema = schema::ParseSchemaDsl(R"(
+    node A : Node { val: int; }
+    node B : Node {}
+    edge E : Edge { w: int; }
+    edge F : E {}
+    allow E (Node -> Node);
+  )");
+  ASSERT_TRUE(schema.ok()) << schema.status();
+  auto atom = [&](const char* cls, const char* field = nullptr) {
+    CompiledAtom a;
+    a.cls = (*schema)->FindClass(cls);
+    if (field != nullptr) {
+      storage::FieldCondition cond;
+      cond.field_index = a.cls->FieldIndex(field);
+      cond.field_name = field;
+      cond.value = Value(1);
+      a.conditions.push_back(cond);
+    }
+    return a;
+  };
+  const std::vector<CompiledAtom> atoms = {
+      atom("Node"), atom("A"), atom("A", "val"), atom("B"),
+      atom("Edge"), atom("E"), atom("F"),        atom("E", "w")};
+  size_t compared = 0, two_element = 0;
+  Rng rng(1705);
+  for (int graph = 0; graph < 12; ++graph) {
+    storage::GraphDb db(*schema,
+                        nepal::testing::MakeBackend(GetParam(), *schema));
+    const Timestamp t0 = db.Now();
+    std::vector<Uid> nodes, edges;
+    for (int i = 0; i < 4 + static_cast<int>(rng.Below(3)); ++i) {
+      const bool a = rng.Chance(0.6);
+      auto uid = a ? db.AddNode("A", {{"val", Value(static_cast<int64_t>(
+                                                  rng.Below(2)))}})
+                   : db.AddNode("B", {});
+      ASSERT_TRUE(uid.ok()) << uid.status();
+      nodes.push_back(*uid);
+    }
+    auto add_edge = [&] {
+      const Uid s = nodes[rng.Below(nodes.size())];
+      const Uid t = rng.Chance(0.1) ? s : nodes[rng.Below(nodes.size())];
+      const int64_t w = static_cast<int64_t>(rng.Below(2));
+      const char* cls = rng.Chance(0.5) ? "E" : "F";
+      auto uid = db.AddEdge(cls, s, t, {{"w", Value(w)}});
+      ASSERT_TRUE(uid.ok()) << uid.status();
+      edges.push_back(*uid);
+      if (s != t && rng.Chance(0.4)) {  // a 2-cycle
+        auto back = db.AddEdge(cls, t, s, {{"w", Value(w)}});
+        ASSERT_TRUE(back.ok()) << back.status();
+        edges.push_back(*back);
+      }
+    };
+    for (int i = 0; i < 8; ++i) add_edge();
+    for (int step = 1; step <= 2; ++step) {
+      ASSERT_TRUE(db.SetTime(t0 + 10 * step).ok());
+      for (int i = 0; i < 3; ++i) {
+        const Uid n = nodes[rng.Below(nodes.size())];
+        if (db.GetCurrent(n).ok() && db.GetCurrent(n)->cls->name() == "A") {
+          ASSERT_TRUE(db.UpdateElement(n, {{"val", Value(int64_t{1})}}).ok());
+        }
+        const Uid e = edges[rng.Below(edges.size())];
+        if (db.GetCurrent(e).ok()) {
+          ASSERT_TRUE(rng.Chance(0.5)
+                          ? db.RemoveElement(e).ok()
+                          : db.UpdateElement(e, {{"w", Value(int64_t{1})}})
+                                .ok());
+        }
+      }
+      add_edge();
+    }
+    ASSERT_TRUE(db.SetTime(t0 + 30).ok());
+
+    const StorageBackend& store = db.backend();
+    auto exec = store.CreateExecutor();
+    for (const TimeView& view :
+         {TimeView::Current(), TimeView::AsOf(t0 + 15),
+          TimeView::Range(t0 + 5, t0 + 25)}) {
+      PathSet frontier = exec->Select(atom("Node"), view);
+      for (const PathState& p : exec->Select(atom("Edge"), view)) {
+        frontier.push_back(p);
+      }
+      for (const PathState& p : storage::SeedStates(nodes)) {
+        frontier.push_back(p);
+      }
+      for (const PathState& p :
+           RefTraverse(store, frontier, atom("E"), Direction::kOut, view)) {
+        frontier.push_back(p);
+      }
+      for (size_t i = 0, n = frontier.size(); i < n; ++i) {
+        PathState reversed = frontier[i];
+        reversed.Reverse();
+        frontier.push_back(std::move(reversed));
+      }
+      std::vector<PathSet> chunks;
+      for (size_t i = 0; i < frontier.size();) {
+        const size_t len =
+            std::min<size_t>(1 + rng.Below(3), frontier.size() - i);
+        chunks.emplace_back(frontier.begin() + static_cast<ptrdiff_t>(i),
+                            frontier.begin() + static_cast<ptrdiff_t>(i + len));
+        i += len;
+      }
+      chunks.push_back(frontier);
+
+      for (const PathSet& input : chunks) {
+        for (const CompiledAtom& a : atoms) {
+          for (Direction dir : {Direction::kOut, Direction::kIn}) {
+            const PathSet want =
+                GetParam() == BackendKind::kGraphStore
+                    ? RefTraverse(store, input, a, dir, view)
+                    : RefBulk(
+                          static_cast<const relational::RelationalStore&>(
+                              store),
+                          input, a, dir, view);
+            const PathSet got = exec->ExtendAtom(input, a, dir, view);
+            ExpectSamePaths(got, want,
+                            "graph " + std::to_string(graph) + " " +
+                                a.ToString() +
+                                (dir == Direction::kOut ? " out" : " in"));
+            compared += got.size();
+            for (const PathState& p : got) {
+              if (input.size() == 1 &&
+                  p.uids.size() == input[0].uids.size() + 2) {
+                ++two_element;
+              }
+            }
+          }
+        }
+        PathSet finalized;
+        for (const PathState& state : input) {
+          if (state.frontier_in_path) {
+            finalized.push_back(state);
+          } else {
+            RefMaterialize(store, state, view, nullptr, &finalized);
+          }
+        }
+        ExpectSamePaths(exec->FinalizeTail(input, view), finalized,
+                        "finalize, graph " + std::to_string(graph));
+      }
+    }
+  }
+  // Not vacuous: many extensions, some of them appending two elements.
+  EXPECT_GT(compared, 50000u) << compared;
+  EXPECT_GT(two_element, 2000u) << two_element;
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Backends, PathExtensionTest,
+    ::testing::Values(BackendKind::kGraphStore, BackendKind::kRelational),
+    [](const ::testing::TestParamInfo<BackendKind>& info) {
+      return nepal::testing::BackendName(info.param);
+    });
+
+// ---- RepeatRounds ---------------------------------------------------------
+
+/// States with the given uid lists, every frontier at uid 0 and open.
+PathSet StatesOf(const std::vector<std::vector<Uid>>& uid_lists) {
+  PathSet out;
+  for (const std::vector<Uid>& uids : uid_lists) {
+    PathState p;
+    p.uids = uids;
+    p.concepts.assign(uids.size(), nullptr);
+    out.push_back(std::move(p));
+  }
+  return out;
+}
+
+TEST(RepeatRoundsTest, UnionDedupRunsOnlyWhenRoundsShareALength) {
+  const PathSet seed = StatesOf({{1}});
+  // Rounds of disjoint lengths: round k holds paths of length k + 1.
+  auto grow = [](const PathSet& current) {
+    PathSet next;
+    for (const PathState& p : current) {
+      for (Uid u : {Uid{10}, Uid{20}}) {
+        PathState q = p;
+        q.uids.push_back(u + q.uids.size());
+        q.concepts.push_back(nullptr);
+        next.push_back(std::move(q));
+      }
+    }
+    return next;
+  };
+  storage::RoundCounts counts;
+  PathSet out = storage::RepeatRounds(seed, 0, 3, grow, {}, &counts);
+  EXPECT_EQ(out.size(), 1u + 2 + 4 + 8);
+  EXPECT_EQ(counts.collected, out.size());
+  EXPECT_EQ(counts.built, 2u + 4 + 8);
+
+  // A round that rebuilds an earlier round's path at the same length: every
+  // round k >= 1 holds {1, 2} and one path of its own length.
+  auto echo = [](const PathSet& current) {
+    PathSet next = StatesOf({{1, 2}});
+    PathState longest = current.back();
+    longest.uids.push_back(99);
+    longest.concepts.push_back(nullptr);
+    next.push_back(std::move(longest));
+    return next;
+  };
+  out = storage::RepeatRounds(seed, 1, 3, echo, {}, &counts);
+  std::vector<std::vector<Uid>> got;
+  for (const PathState& p : out) got.push_back(p.uids);
+  const std::vector<std::vector<Uid>> want = {
+      {1, 2}, {1, 99}, {1, 99, 99}, {1, 99, 99, 99}};
+  EXPECT_EQ(got, want);
+  EXPECT_EQ(counts.collected, 6u);
+  EXPECT_EQ(counts.built, 6u);
+
+  // `keep` filters what is collected, not what the next round reads.
+  out = storage::RepeatRounds(
+      seed, 1, 3, echo,
+      [](const PathState& p) { return p.uids.back() == 99; }, &counts);
+  EXPECT_EQ(out.size(), 3u);
+  EXPECT_EQ(counts.collected, 3u);
+  EXPECT_EQ(counts.built, 6u);
 }
 
 }  // namespace
