@@ -1,16 +1,20 @@
 // Regular-path engine: the two repetition executors on one small core.
 //
-// The planner picks a repetition's executor from the RPE alone. A bounded
-// repetition ([r]{i,j}) is a Loop step — here on the backend's ExtendBlock,
-// since the body is one atom — and an unbounded one ([r]*, [r]+, [r]{i,})
-// runs on the graph × NFA product automaton with memoized visitation. The
-// DepthN_Loop records time {1,N} host-to-host queries as planned.
-// Saturated_Automaton reruns the depth-12 instances with the maximum
-// opened ([connects()]+). No simple connects path from a host on this
-// core has more than 12 hops, so + enumerates exactly the paths {1,12}
-// does and the two records do the same work. Unbounded Kleene-star
-// reachability ([connects()]*) has no bounded counterpart at all: only
-// the automaton's memoized traversal terminates.
+// The planner picks a repetition's executor from the RPE alone. A
+// repetition whose body is one atom or an alternation of atoms is a Loop
+// step, bounded ([r]{i,j}) or open ([r]*, [r]+, [r]{i,}); an open Loop ends
+// at its first empty round, since every round lengthens every simple path.
+// Any other open repetition runs on the graph × NFA product automaton with
+// memoized visitation. The DepthN_Loop records time {1,N} host-to-host
+// queries as planned. Saturated_Loop reruns the depth-12 instances with the
+// maximum opened ([connects()]+). No simple connects path from a host on
+// this core has more than 12 hops, so + enumerates exactly the paths {1,12}
+// does and the two records do the same work. Saturated_Automaton runs the
+// same host pairs through a general body with the same matches,
+// [connects()->Node()]*->connects(), which only the automaton plans.
+// StarReachability_Loop is unbounded Kleene-star reachability
+// ([connects()]*->Router()), an open Loop that hands on only paths ending
+// at a Router.
 
 #include <map>
 #include <string>
@@ -27,7 +31,8 @@ struct RaFixture {
   netmodel::VirtualizedNetwork net;
   std::unique_ptr<nql::QueryEngine> engine;
   std::map<int, InstanceSet> by_depth;
-  InstanceSet saturated;
+  InstanceSet saturated_loop;
+  InstanceSet saturated_automaton;
   InstanceSet star;
 
   RaFixture() {
@@ -72,11 +77,16 @@ struct RaFixture {
       }
       by_depth[depth] = SampleNonEmpty(*engine, candidates, want);
     }
-    // The depth-12 instances with an open maximum: the same host pairs,
-    // run by the automaton.
-    for (std::string query : by_depth[12].queries) {
-      query.replace(query.find("{1,12}"), 6, "+");
-      saturated.queries.push_back(std::move(query));
+    // The depth-12 instances with an open maximum, and through a general
+    // body: the same host pairs, run by an open Loop and by the automaton.
+    for (const std::string& query : by_depth[12].queries) {
+      const size_t at = query.find("[connects()]{1,12}");
+      std::string open = query;
+      open.replace(at + 12, 6, "+");
+      saturated_loop.queries.push_back(std::move(open));
+      std::string general = query;
+      general.replace(at, 18, "[connects()->Node()]*->connects()");
+      saturated_automaton.queries.push_back(std::move(general));
     }
     {
       // Unbounded reachability: every router reachable from a host over
@@ -138,15 +148,20 @@ void BM_Depth12_Loop(benchmark::State& state) {
 }
 BENCHMARK(BM_Depth12_Loop)->Unit(benchmark::kMillisecond);
 
+void BM_Saturated_Loop(benchmark::State& state) {
+  RunInstances(state, "Saturated_Loop", Fixture().saturated_loop);
+}
+BENCHMARK(BM_Saturated_Loop)->Unit(benchmark::kMillisecond);
+
 void BM_Saturated_Automaton(benchmark::State& state) {
-  RunInstances(state, "Saturated_Automaton", Fixture().saturated);
+  RunInstances(state, "Saturated_Automaton", Fixture().saturated_automaton);
 }
 BENCHMARK(BM_Saturated_Automaton)->Unit(benchmark::kMillisecond);
 
-void BM_StarReachability_Automaton(benchmark::State& state) {
-  RunInstances(state, "StarReachability_Automaton", Fixture().star);
+void BM_StarReachability_Loop(benchmark::State& state) {
+  RunInstances(state, "StarReachability_Loop", Fixture().star);
 }
-BENCHMARK(BM_StarReachability_Automaton)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_StarReachability_Loop)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 }  // namespace nepal::bench

@@ -67,8 +67,7 @@ std::string StepLabel(const Step& step) {
     case Step::Kind::kUnion:
       return "Union x" + std::to_string(step.branches.size());
     case Step::Kind::kLoop: {
-      std::string rep = "{" + std::to_string(step.min_rep) + "," +
-                        std::to_string(step.max_rep) + "}";
+      const std::string rep = RepSuffix(step.min_rep, step.max_rep);
       if (auto atoms = AsAtomAlternation(step.body)) {
         std::string alts;
         for (size_t i = 0; i < atoms->size(); ++i) {
@@ -239,9 +238,12 @@ class PathMemo {
   storage::PathIndex index_;
 };
 
-/// Graph × NFA product traversal for an Automaton step. The frontier is a
-/// set of (path, NFA-state set) entries — classic NFA simulation over the
-/// product with the store. Entries are grouped by state set and extended
+/// Graph × NFA product traversal for an Automaton step: an open repetition
+/// whose body is not one atom or an alternation of atoms ([E()->A()]*, a
+/// nested repetition, an alternation with a pruned optional branch). Every
+/// other repetition is a Loop. The frontier is a set of (path, NFA-state
+/// set) entries — classic NFA simulation over the product with the store.
+/// Entries are grouped by state set and extended
 /// with one batched ExtendAtom call per *distinct* transition atom, so
 /// both backends (and the snapshot-read decorators) serve the traversal
 /// through the same operator as every other step, and a path occupying
@@ -251,13 +253,14 @@ class PathMemo {
 ///
 /// A per-path memo of occupied states admits each (path, state) pair
 /// once, which is what makes cyclic automata — unbounded repetitions —
-/// terminate: path states are simple paths over a finite store, so the
-/// memo domain is finite, and a suppressed re-arrival could only spawn
+/// terminate even when the body can match the empty sequence
+/// ([[E()]{0,2}]*): path states are simple paths over a finite store, so
+/// the memo domain is finite, and a suppressed re-arrival could only spawn
 /// the exact continuations its first arrival already spawned. For bounded
-/// automata (a DAG with one state set per iteration copy) the memo is
-/// equivalent to the Loop step's per-round DedupPaths, so the final
-/// output sets match. The memo also emits each path at most once, so the
-/// output needs no dedup pass.
+/// automata (a DAG with one state set per iteration copy, nested in an open
+/// body) the memo is equivalent to the Loop step's per-round DedupPaths.
+/// The memo also emits each path at most once, so the output needs no
+/// dedup pass.
 ///
 /// Everything per round is integer-keyed: the memo by the path identity
 /// hash (PathMemo), state sets and atoms by ids interned once per call
@@ -425,11 +428,12 @@ PathSet RunAutomaton(storage::PathOperatorExecutor& exec, const Step& step,
 
 /// Node distances to a goal-directed Loop's goal (Step::goal_depth): every
 /// node within goal_depth body hops of a goal match, hops taken in the
-/// Loop's direction, mapped to its fewest hops. Built once per logical Loop
-/// invocation by a backward search from the goal's matches through the
-/// same operators and time view as the Loop itself, so a label is a lower
-/// bound on the hops any path from that node needs (simple-path and
-/// validity constraints only lengthen a path).
+/// Loop's direction, mapped to its fewest hops (an open Loop's goal depth
+/// is 0: the goal's matches alone). Built once per logical Loop invocation
+/// by a backward search from the goal's matches through the same operators
+/// and time view as the Loop itself, so a label is a lower bound on the
+/// hops any path from that node needs (simple-path and validity
+/// constraints only lengthen a path).
 class GoalLabels {
  public:
   GoalLabels(storage::PathOperatorExecutor& exec, const Step& loop,
@@ -474,7 +478,9 @@ class GoalLabels {
   /// Drops the paths of round `round` whose frontier cannot reach a goal
   /// match in the rounds left — the paths the goal's Extend would drop —
   /// keeping the others in order. Until the rounds left fall to the goal
-  /// depth, an unlabelled frontier may still be close enough: no-op.
+  /// depth, an unlabelled frontier may still be close enough: no-op. An
+  /// open Loop's rounds left (kUnboundedRep - round) never fall to its
+  /// depth 0: it is never pruned.
   void Prune(PathSet* paths, int round) const {
     const int left = max_rep_ - round;
     if (left > depth_) return;
@@ -499,7 +505,7 @@ class GoalLabels {
 void RegisterProgram(Program* program, obs::QueryStatsGroup* stats) {
   for (size_t i = 0; i < program->size(); ++i) {
     Step& step = (*program)[i];
-    if (step.goal_depth > 0) {
+    if (step.goal_directed()) {
       step.goal_op_id = stats->AddOp(
           "GoalLabel{" + std::to_string(step.goal_depth) + "} " +
               (*program)[i + 1].atom.ToString(),
@@ -650,12 +656,15 @@ PathSet RunStepCtx(storage::PathOperatorExecutor& exec, const Step& step,
     case Step::Kind::kLoop: {
       // One round runs the body program over the previous round, which it
       // reads in place; a goal-directed Loop then prunes the new round, and
-      // hands on only the paths its goal's Extend can accept.
+      // hands on only the paths its goal's Extend can accept. A one-atom
+      // body's rounds after the first need no dedup (RepeatRounds).
       int round = 0;
       std::function<bool(const PathState&)> keep;
       if (labels != nullptr) {
         keep = [labels](const PathState& p) { return labels->Collects(p); };
       }
+      const bool single_atom = step.body.size() == 1 &&
+                               step.body[0].kind == Step::Kind::kAtom;
       storage::RoundCounts counts;
       out = storage::RepeatRounds(
           frontier, step.min_rep, step.max_rep,
@@ -665,7 +674,7 @@ PathSet RunStepCtx(storage::PathOperatorExecutor& exec, const Step& step,
             if (labels != nullptr) labels->Prune(&next, ++round);
             return next;
           },
-          keep, &counts);
+          keep, &counts, single_atom);
       before_dedup = counts.collected;
       built = counts.built;
       break;
@@ -702,7 +711,7 @@ std::optional<GoalLabels> LabelGoal(storage::PathOperatorExecutor& exec,
                                     Direction dir, const TimeView& view,
                                     const ParallelContext& ctx) {
   const Step& loop = program[i];
-  if (loop.goal_depth <= 0 || !ctx.label_goals) return std::nullopt;
+  if (!loop.goal_directed() || !ctx.label_goals) return std::nullopt;
   const bool record = ctx.stats != nullptr && loop.goal_op_id >= 0;
   const uint64_t start = record ? NowNs() : 0;
   std::optional<GoalLabels> labels(std::in_place, exec, loop,

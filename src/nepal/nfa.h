@@ -10,11 +10,12 @@
 // Bounded repetitions [r]{i,j} expand to i mandatory body copies followed by
 // j-i optional ones (a DAG — each copy encodes a distinct iteration count).
 // The planner builds automata only for unbounded repetitions ([r]*, [r]+,
-// [r]{i,}), so a bounded one reaches this code nested in an unbounded
-// body. An unbounded repetition adds a single looping body copy, which is
-// the part no finite unroll can express. The executor (nepal/executor.cc)
-// runs the product traversal with memoized (state, path) visitation, so
-// cyclic automata terminate on cyclic graphs.
+// [r]{i,}) whose body is not one atom or an alternation of atoms (those
+// run as open Loops), so a bounded one reaches this code nested in an
+// unbounded body. An unbounded repetition adds a single looping body copy,
+// which is the part no finite unroll can express. The executor
+// (nepal/executor.cc) runs the product traversal with memoized
+// (state, path) visitation, so cyclic automata terminate on cyclic graphs.
 
 #ifndef NEPAL_NEPAL_NFA_H_
 #define NEPAL_NEPAL_NFA_H_

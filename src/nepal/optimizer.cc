@@ -396,6 +396,19 @@ double ClassSelectivity(const CostEstimator& est,
   return root > 0 ? std::min(1.0, est.Cardinality(atom_cls) / root) : 1.0;
 }
 
+/// Cardinality of the frontier's class guess, history-scaled: the cap on
+/// the rows a repetition's frontier can reach. Unknown statistics leave it
+/// effectively uncapped.
+double FrontierCap(const TraversalState& st, const CostEstimator& est) {
+  const schema::ClassDef* cls = st.cls;
+  if (cls == nullptr && est.schema() != nullptr) {
+    cls = est.schema()->node_root();
+  }
+  double card =
+      cls != nullptr ? est.Cardinality(cls) * est.HistoryScale(cls) : 0.0;
+  return card > 0 ? card : 1e12;
+}
+
 double AtomStepRows(double rows, const CompiledAtom& atom, Direction dir,
                     TraversalState* st, const CostEstimator& est) {
   if (atom.is_edge()) {
@@ -419,6 +432,43 @@ double AtomStepRows(double rows, const CompiledAtom& atom, Direction dir,
     st->in_path = true;
   }
   return rows;
+}
+
+/// Rounds an open Loop is annotated over past its mandatory ones.
+constexpr int kOpenLoopRounds = 12;
+
+/// The rows rounds max(min_rep, 1), max(min_rep, 1) + 1, ... of an open
+/// Loop hand on, from `rows` input rows. Each round re-costs the body from
+/// the previous round's fresh rows, as a bounded Loop does, and caps them
+/// by FrontierCap — the rows of the repeating rounds together, each
+/// mandatory round below min_rep alone — as an Automaton caps each state's
+/// arrivals. The walk stops at the first round that adds nothing, or after
+/// kOpenLoopRounds rounds past the mandatory ones, so the estimate is
+/// finite although the rounds are not numbered. round_est stays empty:
+/// goal depths are sized for bounded Loops only.
+double OpenLoopRows(Step* loop, double rows, Direction dir,
+                    TraversalState* state, const CostEstimator& est) {
+  loop->round_est.clear();
+  const int first = std::max(loop->min_rep, 1);
+  double reached = 0;  // rows of the repeating rounds so far
+  double fresh = rows;
+  for (int k = 1; k < first + kOpenLoopRounds && fresh > 1e-9; ++k) {
+    double unused = 0;
+    // Scratch copies after the first round: the displayed body annotation
+    // keeps the first-iteration estimates.
+    Program scratch;
+    if (k > 1) scratch = loop->body;
+    const double grown = AnnotateProgram(k == 1 ? &loop->body : &scratch,
+                                         fresh, dir, state, est, &unused);
+    const double cap = FrontierCap(*state, est);
+    if (k < first) {
+      fresh = std::min(grown, cap);
+    } else {
+      fresh = std::min(grown, std::max(0.0, cap - reached));
+      reached += fresh;
+    }
+  }
+  return reached;
 }
 
 }  // namespace
@@ -461,6 +511,12 @@ double AnnotateProgram(Program* program, double rows_in, Direction dir,
         // overprices anchors whose first hop is denser than the rest.
         TraversalState bs = *state;
         double total = step.min_rep == 0 ? rows : 0.0;
+        if (step.max_rep == kUnboundedRep) {
+          total += OpenLoopRows(&step, rows, dir, &bs, est);
+          *state = bs;
+          rows = total;
+          break;
+        }
         step.round_est = {rows};
         for (int k = 1; k <= step.max_rep; ++k) {
           double cur;
@@ -504,17 +560,6 @@ double AnnotateProgram(Program* program, double rows_in, Direction dir,
         arrivals[nstart] = cur[nstart] = rows;
         has_cls[nstart] = true;
         double out_rows = nfa.accept[nstart] ? rows : 0.0;
-        auto cap_for = [&](const TraversalState& ts) {
-          const schema::ClassDef* cls = ts.cls;
-          if (cls == nullptr && est.schema() != nullptr) {
-            cls = est.schema()->node_root();
-          }
-          double card = cls != nullptr
-                            ? est.Cardinality(cls) * est.HistoryScale(cls)
-                            : 0.0;
-          // Unknown statistics: effectively uncapped, bounded by rounds.
-          return card > 0 ? card : 1e12;
-        };
         // Bounded automata are DAGs of depth <= n; cyclic ones converge
         // once every state saturates its cap, so n rounds suffice for the
         // caps to bite and 2n+2 is a safe fixpoint bound.
@@ -535,7 +580,8 @@ double AnnotateProgram(Program* program, double rows_in, Direction dir,
           }
           bool moved = false;
           for (size_t t = 0; t < n; ++t) {
-            double room = std::max(0.0, cap_for(scls[t]) - arrivals[t]);
+            double room =
+                std::max(0.0, FrontierCap(scls[t], est) - arrivals[t]);
             double fresh = std::min(next[t], room);
             cur[t] = fresh;
             if (fresh > 1e-9) {
@@ -570,29 +616,37 @@ double AnnotateProgram(Program* program, double rows_in, Direction dir,
 
 namespace {
 
-/// Step::goal_depth of `loop`, followed by `next` in a program run in
-/// `dir`. Zero unless the body is an alternation of edge atoms and `next`
-/// a node atom N. The backward layer starts at N's scan estimate and grows
-/// one body hop at a time while it stays no larger than the forward
-/// frontier it meets (Step::round_est): level l meets the frontier after
-/// round max_rep - l. A selective N facing a selective anchor settles near
-/// the middle; an unselective N (Host() after a top-down walk) stays at 0.
+/// Whether `loop`, followed by `next`, can have a goal: its body is an
+/// alternation of edge atoms, `next` a node atom N, and N's scan estimate
+/// is no larger than `frontier`, the Loop's rows where they meet N.
+bool HasGoal(const Step& loop, const Step& next, double frontier,
+             const CostEstimator& est) {
+  if (next.kind != Step::Kind::kAtom || next.atom.is_edge()) return false;
+  auto atoms = AsAtomAlternation(loop.body);
+  if (!atoms) return false;
+  for (const CompiledAtom& atom : *atoms) {
+    if (!atom.is_edge()) return false;
+  }
+  return est.Scan(next.atom) <= frontier;
+}
+
+/// Step::goal_depth of a bounded `loop`, followed by `next` in a program
+/// run in `dir`: zero unless HasGoal holds against the last round's
+/// estimate. The backward layer starts at N's scan estimate and grows one
+/// body hop at a time while it stays no larger than the forward frontier
+/// it meets (Step::round_est): level l meets the frontier after round
+/// max_rep - l. A selective N facing a selective anchor settles near the
+/// middle; an unselective N (Host() after a top-down walk) stays at 0.
 int GoalDepth(const Step& loop, const Step& next, Direction dir,
               const CostEstimator& est) {
-  if (next.kind != Step::Kind::kAtom || next.atom.is_edge() ||
-      loop.round_est.size() != static_cast<size_t>(loop.max_rep) + 1) {
+  if (loop.round_est.size() != static_cast<size_t>(loop.max_rep) + 1) {
     return 0;
-  }
-  auto atoms = AsAtomAlternation(loop.body);
-  if (!atoms) return 0;
-  for (const CompiledAtom& atom : *atoms) {
-    if (!atom.is_edge()) return 0;
   }
   auto meets = [&](int level) {
     return loop.round_est[static_cast<size_t>(loop.max_rep - level)];
   };
+  if (!HasGoal(loop, next, meets(0), est)) return 0;
   double layer = est.Scan(next.atom);
-  if (!(layer <= meets(0))) return 0;
   const Direction back =
       dir == Direction::kOut ? Direction::kIn : Direction::kOut;
   TraversalState st = AnchorState(next.atom, back, est);
@@ -615,7 +669,11 @@ int GoalDepth(const Step& loop, const Step& next, Direction dir,
 void PlanGoals(Program* program, Direction dir, const CostEstimator& est) {
   for (size_t i = 0; i + 1 < program->size(); ++i) {
     Step& step = (*program)[i];
-    if (step.kind == Step::Kind::kLoop) {
+    if (step.kind != Step::Kind::kLoop) continue;
+    if (step.max_rep == kUnboundedRep) {
+      // No rounds to size a depth by: the goal filters the output alone.
+      step.open_goal = HasGoal(step, (*program)[i + 1], step.est_rows, est);
+    } else {
       step.goal_depth = GoalDepth(step, (*program)[i + 1], dir, est);
     }
   }

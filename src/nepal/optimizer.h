@@ -94,11 +94,12 @@ double AnnotateProgram(Program* program, double rows_in,
                        storage::Direction dir, TraversalState* state,
                        const CostEstimator& est, double* work);
 
-/// Sets Step::goal_depth on each top-level Loop of `program`, which
-/// AnnotateProgram annotated for a run in `dir` (suffix, reversed prefix
-/// or seeded program). Nested Loops keep depth 0, so a goal's labelling
-/// runs once per logical invocation at every parallelism. Called for the
-/// plan that runs only, not for every anchor candidate costed.
+/// Sets Step::goal_depth on each top-level bounded Loop of `program`, and
+/// Step::open_goal on each top-level open one, which AnnotateProgram
+/// annotated for a run in `dir` (suffix, reversed prefix or seeded
+/// program). Nested Loops get no goal, so a goal's labelling runs once per
+/// logical invocation at every parallelism. Called for the plan that runs
+/// only, not for every anchor candidate costed.
 void PlanGoals(Program* program, storage::Direction dir,
                const CostEstimator& est);
 

@@ -35,11 +35,15 @@ std::string Step::ToString() const {
       }
       return out + ")";
     }
-    case Kind::kLoop:
-      return "Loop{" + std::to_string(min_rep) + "," +
-             std::to_string(max_rep) +
-             (goal_depth > 0 ? " goal " + std::to_string(goal_depth) : "") +
-             "}(" + ProgramToString(body) + ")";
+    case Kind::kLoop: {
+      std::string rep = RepSuffix(min_rep, max_rep);
+      if (goal_depth > 0) {
+        rep.insert(rep.size() - 1, " goal " + std::to_string(goal_depth));
+      } else if (open_goal) {
+        rep += "{goal 0}";
+      }
+      return "Loop" + rep + "(" + ProgramToString(body) + ")";
+    }
     case Kind::kAutomaton:
       return "Automaton" + RepSuffix(min_rep, max_rep) + "(" +
              std::to_string(nfa == nullptr ? 0 : nfa->num_states()) +
@@ -130,6 +134,7 @@ Program ReverseProgram(const Program& program) {
     } else if (step.kind == Step::Kind::kLoop) {
       step.body = ReverseProgram(step.body);
       step.goal_depth = 0;  // its goal was the step after it
+      step.open_goal = false;
       step.round_est.clear();
     } else if (step.kind == Step::Kind::kAutomaton) {
       if (step.nfa != nullptr) {
@@ -199,16 +204,19 @@ Program EmitProgram(const LogicalNode& node) {
     case LogicalNode::Kind::kRep: {
       if (node.pruned) return {};
       Step step;
+      step.kind = Step::Kind::kLoop;
       step.min_rep = node.min_rep;
       step.max_rep = node.max_rep;
-      if (node.max_rep == kUnboundedRep) {
-        // No round cap: the automaton's memoized traversal bounds it.
+      step.body = EmitProgram(node.children[0]);
+      if (node.max_rep == kUnboundedRep &&
+          !AsAtomAlternation(step.body).has_value()) {
+        // Only an atom alternation lengthens every path in every round;
+        // any other open body (one may match the empty sequence) runs on
+        // the automaton, whose memoized traversal bounds its rounds.
         obs::ScopedSpan span("nfa.build");
         step.kind = Step::Kind::kAutomaton;
+        step.body.clear();
         step.nfa = std::make_shared<const Nfa>(BuildNfa(node));
-      } else {
-        step.kind = Step::Kind::kLoop;
-        step.body = EmitProgram(node.children[0]);
       }
       return {std::move(step)};
     }

@@ -22,18 +22,29 @@
 //     (run backwards) and a suffix program (run forwards).
 //
 // Programs are linear step lists; Alternation compiles to a Union of
-// sub-programs. A repetition's plan follows from its shape alone: a bounded
-// one ([r]{i,j}) is a Loop step, whose rounds the executor runs itself over
-// the body program; an unbounded one ([r]*, [r]+, [r]{i,}) is an Automaton
-// step (nepal/nfa.h) evaluated as a graph × NFA product with memoized
-// visitation.
+// sub-programs. A repetition's plan follows from its shape alone:
+//  - a repetition whose body is one atom or an alternation of atoms is a
+//    Loop step, bounded ([r]{i,j}) or open ([r]*, [r]+, [r]{i,}); the
+//    executor runs its rounds itself. An open Loop ends on its own: every
+//    round appends at least one element to every path and no element
+//    repeats, so the rounds stop at the first empty one, after at most as
+//    many rounds as the view has visible elements;
+//  - any other bounded repetition is a Loop over its body program;
+//  - any other open repetition ([E()->A()]*, a nested repetition, an
+//    alternation with a pruned optional branch) is an Automaton step
+//    (nepal/nfa.h) evaluated as a graph × NFA product with memoized
+//    visitation: such a body need not lengthen every path in every round
+//    (it may match the empty sequence), so only the memo bounds its rounds.
 //
 // Goal-directed rounds: a top-level Loop whose body is an alternation of
-// edge atoms and whose next step is a node atom N carries a goal depth h
-// chosen at plan time (Step::goal_depth). The executor then labels every
-// node within h body hops of N's matches — a backward search from them —
-// and drops, after each round, the paths whose frontier cannot reach a
-// match in the rounds left: exactly the paths the Extend of N would drop.
+// edge atoms and whose next step is a node atom N can be goal-directed.
+// A bounded one carries a goal depth h chosen at plan time
+// (Step::goal_depth). The executor then labels every node within h body
+// hops of N's matches — a backward search from them — and drops, after
+// each round, the paths whose frontier cannot reach a match in the rounds
+// left: exactly the paths the Extend of N would drop. An open one
+// (Step::open_goal) labels N's matches alone: it has no rounds left to
+// prune by. Either hands on only the paths the Extend of N can accept.
 
 #ifndef NEPAL_NEPAL_PLAN_H_
 #define NEPAL_NEPAL_PLAN_H_
@@ -64,14 +75,23 @@ struct Step {
   int min_rep = 1;                 // kLoop / kAutomaton
   int max_rep = 1;                 // kLoop / kAutomaton (kUnboundedRep = open)
 
-  /// kLoop: goal depth h (see the header comment). 0 runs every round
-  /// unpruned; h > 0 requires the next step of the program to be a node
-  /// atom (the goal) and the body to be an alternation of edge atoms.
+  /// Bounded kLoop: goal depth h (see the header comment). 0 runs every
+  /// round unpruned; h > 0 requires the next step of the program to be a
+  /// node atom (the goal) and the body to be an alternation of edge atoms.
   /// Set by PlanGoals from `round_est`, the frontier estimates after 0..
-  /// max_rep rounds that AnnotateProgram fills in. ReverseProgram clears
-  /// both.
+  /// max_rep rounds that AnnotateProgram fills in.
   int goal_depth = 0;
   std::vector<double> round_est;
+  /// Open kLoop: the goal filter — the Loop labels the matches of its goal
+  /// (the next step, a node atom) and hands on only the paths that end at
+  /// one or whose frontier is already in the path. Set by PlanGoals under
+  /// the same conditions as a bounded Loop's goal, with goal_depth 0.
+  /// ReverseProgram clears it, goal_depth and round_est.
+  bool open_goal = false;
+
+  /// Whether a Loop labels its goal: a bounded one with goal_depth > 0 or
+  /// an open one with open_goal.
+  bool goal_directed() const { return goal_depth > 0 || open_goal; }
 
   /// kAutomaton: the compiled regular-path automaton. Immutable and shared,
   /// so copying a Step (program reversal, sharded execution) is cheap and

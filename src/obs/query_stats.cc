@@ -84,9 +84,13 @@ std::string QueryStats::ToString() const {
     }
     std::string name = "  " + op.op;
     if (name.size() > op_width) name = name.substr(0, op_width - 3) + "...";
+    // The est_rows column stays 9 wide for any estimate: one decimal below
+    // 10^7, whole rows below 10^9, an exponent beyond.
     char est[16];
     if (op.est_rows >= 0) {
-      std::snprintf(est, sizeof(est), "%9.1f", op.est_rows);
+      for (const char* format : {"%9.1f", "%9.0f", "%9.2e"}) {
+        if (std::snprintf(est, sizeof(est), format, op.est_rows) <= 9) break;
+      }
     } else {
       std::snprintf(est, sizeof(est), "%9s", "-");
     }

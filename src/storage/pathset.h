@@ -180,10 +180,25 @@ struct RoundCounts {
 /// round 0 that are kept. Each round is already deduplicated and a path's
 /// identity includes its uid list, so the union is deduplicated again only
 /// when two collected rounds hold paths of the same length.
+///
+/// An open repetition passes max_rep = kUnboundedRep (nepal/rpe.h). The
+/// loop then ends at the first empty round, which comes when `round`
+/// appends at least one element to every path it builds (every Extend does,
+/// and runs the cycle check).
+///
+/// `single_atom` says that `round` extends by one atom. Round 1 is then
+/// deduplicated as always — `frontier` may mix node-ended and edge-ended
+/// paths, which the atom can extend to the same path — but rounds 2 and
+/// later are not passed to DedupPaths, since they can hold no duplicate:
+/// their input ends in the atom's kind, so every parent gains the same
+/// number of elements; children of parents with different uid lists
+/// differ, parents with equal uid lists differ in versions, whose
+/// intervals are disjoint and stay so in their children, and the children
+/// of one parent differ in the matched element or in a version pair.
 PathSet RepeatRounds(const PathSet& frontier, int min_rep, int max_rep,
                      const std::function<PathSet(const PathSet&)>& round,
                      const std::function<bool(const PathState&)>& keep = {},
-                     RoundCounts* counts = nullptr);
+                     RoundCounts* counts = nullptr, bool single_atom = false);
 
 /// Open-addressing hash index that hands out dense ids 0, 1, 2, ... in
 /// insertion order, keyed by 64-bit hashes (PathState::IdentityHash). It

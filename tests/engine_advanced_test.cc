@@ -389,6 +389,65 @@ TEST_P(EngineAdvancedTest, ExplainAnalyzeReportsPerOperatorStats) {
   EXPECT_GT(op_wall, 0u);
 }
 
+TEST_P(EngineAdvancedTest, LoopsDedupEveryRoundThatCanRepeatAPath) {
+  // Rows alone cannot show a skipped dedup (the Merge dedups too), so each
+  // Loop's `built` is pinned: every round it built, after its dedup.
+  // A(a)->E()->[Node()]{0,1} hands the next Loop both [a,e1]~>x and
+  // [a,e1,x]; its one-atom body E() extends each to the same two paths
+  // [a,e1,x,e2|e4], so only round 1's dedup keeps them apart: `built` is
+  // round 1 (2) plus round 2 ([..,y,e3]~>z: 1). A body of a class and its
+  // subclass, [E()|E1()], builds y's E1 edge twice in round 3, so every
+  // round of an alternation keeps its dedup: 1 + 2 + 1.
+  auto schema = schema::ParseSchemaDsl(R"(
+    node A : Node {}
+    edge E : Edge {}
+    edge E1 : E {}
+    allow E (Node -> Node);
+  )");
+  ASSERT_TRUE(schema.ok()) << schema.status();
+  storage::GraphDb db(*schema, nepal::testing::MakeBackend(GetParam(),
+                                                           *schema));
+  std::map<std::string, Uid> n;
+  for (const char* name : {"a", "x", "y", "z", "w"}) {
+    n[name] = *db.AddNode("A", {{"name", Value(name)}});
+  }
+  for (auto [from, to] : std::vector<std::pair<const char*, const char*>>{
+           {"a", "x"}, {"x", "y"}, {"y", "z"}, {"x", "w"}}) {
+    const char* cls = std::string(from) == "y" ? "E1" : "E";
+    ASSERT_TRUE(db.AddEdge(cls, n[from], n[to], {}).ok());
+  }
+  nql::EngineOptions options;
+  options.plan.parallelism = 1;
+  nql::QueryEngine engine(&db, options);
+  struct Case {
+    std::string rpe, loop;
+    uint64_t rows_in, built, rows_out, rows;
+  };
+  const std::string a = "A(id=" + std::to_string(n["a"]) + ")";
+  for (const Case& c : std::vector<Case>{
+           {a + "->E()->[Node()]{0,1}->[E()]{1,2}", "ExtendBlock{1,2} E()", 2,
+            3, 3, 3},
+           {a + "->[E()|E1()]{1,3}", "ExtendBlock{1,3} E()|E1()", 1, 4, 4,
+            4}}) {
+    auto result = engine.Run(
+        "EXPLAIN ANALYZE Retrieve P From PATHS P Where P MATCHES " + c.rpe);
+    ASSERT_TRUE(result.ok()) << result.status();
+    const std::string& text = result->explain_text;
+    EXPECT_NE(text.find("total: " + std::to_string(c.rows) + " row(s)"),
+              std::string::npos)
+        << text;
+    int loops = 0;
+    for (const obs::OperatorStats& op : engine.LastQueryStats().operators) {
+      if (op.op != c.loop) continue;
+      ++loops;
+      EXPECT_EQ(op.rows_in, c.rows_in) << text;
+      EXPECT_EQ(op.built, c.built) << text;
+      EXPECT_EQ(op.rows_out, c.rows_out) << text;
+    }
+    EXPECT_EQ(loops, 1) << text;
+  }
+}
+
 TEST_P(EngineAdvancedTest, ExplainAnalyzeStatsInvariantAcrossParallelism) {
   const std::string query =
       "EXPLAIN ANALYZE Retrieve P From PATHS P Where P MATCHES "

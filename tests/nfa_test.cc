@@ -230,7 +230,8 @@ TEST_P(KleeneStarTest, OpenLowerBoundForm) {
 
 TEST_P(KleeneStarTest, BareEdgeStarMaterializesImplicitNodes) {
   // Edge-after-edge concatenation materializes the implicit node between
-  // iterations, so [Connects()]* must reach exactly the same endpoints.
+  // iterations, so [Connects()]* must reach exactly the same endpoints
+  // (it runs as an open Loop, the general body on the automaton).
   auto explicit_nodes = Paths("Host(name='host1')->[Connects()->Node()]*");
   auto implicit_nodes = Paths("Host(name='host1')->[Connects()]*");
   EXPECT_EQ(explicit_nodes, implicit_nodes);

@@ -285,6 +285,36 @@ TEST(QueryStatsTest, ToStringRendersOperatorsAndTotals) {
   EXPECT_NE(text.find("relational"), std::string::npos);
 }
 
+TEST(QueryStatsTest, ToStringKeepsColumnsForAnyEstimate) {
+  // Every line's `built` column ends where the header's does, however wide
+  // the estimate before it.
+  QueryStats stats;
+  for (double est : {-1.0, 5.25, 9999999.9, 26075137.8, 1e8, 1e15, 1e300}) {
+    OperatorStats op{"var P", "ExtendBlock* E()", 1, 2, 0, 1, 1000, 1};
+    op.est_rows = est;
+    op.built = 123456789;
+    stats.operators.push_back(op);
+  }
+  const std::string text = stats.ToString();
+  std::vector<std::string> lines;
+  for (size_t pos = 0, end; pos < text.size(); pos = end + 1) {
+    end = text.find('\n', pos);
+    lines.push_back(text.substr(pos, end - pos));
+  }
+  const size_t built_end = lines[0].find(" built") + 6;
+  size_t checked = 0;
+  for (const std::string& line : lines) {
+    if (line.find("ExtendBlock") == std::string::npos) continue;
+    EXPECT_EQ(line.substr(built_end - 9, 9), "123456789") << text;
+    EXPECT_EQ(line.size(), lines[0].size()) << text;
+    ++checked;
+  }
+  EXPECT_EQ(checked, 7u);
+  EXPECT_NE(text.find(" 26075138 "), std::string::npos) << text;
+  EXPECT_NE(text.find(" 100000000 "), std::string::npos) << text;
+  EXPECT_NE(text.find(" 1.00e+15 "), std::string::npos) << text;
+}
+
 TEST(QueryStatsTest, OperatorJsonHasAllFields) {
   OperatorStats op{"var P", "Select VM()", 1, 2, 3, 4, 5, 6};
   op.built = 7;

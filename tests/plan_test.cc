@@ -148,10 +148,10 @@ TEST_F(PlanTest, ProgramReversalIsInvolutive) {
 }
 
 TEST_F(PlanTest, RepetitionCompilesByShape) {
-  // The RPE alone picks a repetition's executor: a bounded repetition is a
-  // Loop, run on ExtendBlock when its body is one atom or an alternation
-  // of atoms and on its body program otherwise; an unbounded one is an
-  // Automaton.
+  // The RPE alone picks a repetition's executor: a repetition whose body is
+  // one atom or an alternation of atoms is a Loop reported as one
+  // ExtendBlock, bounded or open; any other bounded repetition is a Loop
+  // over its body program, and any other open one an Automaton.
   auto compiled = [&](const std::string& text) {
     Program program = CompileSeededProgram(
         Resolved(text), db_->backend(), storage::TimeView::Current(), -1);
@@ -189,9 +189,25 @@ TEST_F(PlanTest, RepetitionCompilesByShape) {
   EXPECT_EQ(explain.find("ExtendBlock"), std::string::npos) << explain;
   EXPECT_NE(explain.find("total: 3 row(s)"), std::string::npos) << explain;
 
+  // Open repetitions over the 100-node chain: rounds 0..99 and 2..99.
   for (const char* text : {"[E()]*", "[E()]{2,}"}) {
-    EXPECT_EQ(compiled(text).kind, Step::Kind::kAutomaton) << text;
+    const Step step = compiled(text);
+    EXPECT_EQ(step.kind, Step::Kind::kLoop) << text;
+    EXPECT_EQ(step.max_rep, kUnboundedRep) << text;
   }
+  explain = analyzed("[E()]*");
+  EXPECT_NE(explain.find("ExtendBlock* E()"), std::string::npos) << explain;
+  EXPECT_NE(explain.find("total: 100 row(s)"), std::string::npos) << explain;
+  explain = analyzed("[E()]{2,}");
+  EXPECT_NE(explain.find("ExtendBlock{2,} E()"), std::string::npos)
+      << explain;
+  EXPECT_NE(explain.find("total: 98 row(s)"), std::string::npos) << explain;
+  EXPECT_EQ(explain.find("2147483647"), std::string::npos) << explain;
+
+  EXPECT_EQ(compiled("[E()->A()]*").kind, Step::Kind::kAutomaton);
+  explain = analyzed("[E()->A()]*");
+  EXPECT_NE(explain.find("Automaton*"), std::string::npos) << explain;
+  EXPECT_NE(explain.find("total: 100 row(s)"), std::string::npos) << explain;
 }
 
 TEST_F(PlanTest, EstimateUsesStatistics) {

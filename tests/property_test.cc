@@ -469,18 +469,29 @@ TEST(PropertyTest, BackendsAgreeOnTimeRangeQueries) {
 }
 
 TEST(PropertyTest, AutomatonAgreesWithSaturatedLoop) {
-  // An open repetition ({m,}) runs on the product automaton and a bounded
-  // one on the Loop step. On a graph of N nodes a simple pathway has at
-  // most 2N-1 elements, so 2N-1 rounds saturate every repetition: the RPE
-  // with every maximum opened and the same RPE with every maximum set to
-  // 2N-1 must return byte-identical rows (pathway and validity interval),
-  // on both backends, under Current, AsOf, and Range views. N stays at 16
-  // or below, so 2N-1 is within the default length limit.
+  // An open repetition ({m,}) runs as an open Loop when its body is one
+  // atom or an alternation of atoms and on the product automaton
+  // otherwise; a bounded one runs on the Loop step. On a graph of N nodes
+  // a simple pathway has at most 2N-1 elements, so 2N-1 rounds saturate
+  // every repetition: the RPE with every maximum opened and the same RPE
+  // with every maximum set to 2N-1 must return byte-identical rows
+  // (pathway and validity interval), on both backends, under Current,
+  // AsOf, and Range views. N stays at 16 or below, so 2N-1 is within the
+  // default length limit.
   schema::SchemaPtr schema = *schema::ParseSchemaDsl(kPropertySchema);
   Rng rng(20260808);
   const Timestamp base = *ParseTimestamp("2017-04-01 00:00:00");
   constexpr size_t kMaxNodes = 16;
   int checked = 0;
+  // Open RPEs (Current view) that ran an Automaton / an open Loop.
+  int ran_automaton = 0, ran_open_loop = 0;
+  auto open_loop = [](const std::string& op) {
+    const std::string block = "ExtendBlock";
+    if (op.rfind(block, 0) != 0) return false;
+    const char bound = op.size() > block.size() ? op[block.size()] : ' ';
+    return bound == '*' || bound == '+' ||
+           op.find(",} ") != std::string::npos;
+  };
   for (auto kind : {nepal::testing::BackendKind::kGraphStore,
                     nepal::testing::BackendKind::kRelational}) {
     for (int round = 0; round < 8; ++round) {
@@ -530,9 +541,18 @@ TEST(PropertyTest, AutomatonAgreesWithSaturatedLoop) {
         if (open == bounded) continue;  // no repetition to compare
         for (const std::string& prefix : {std::string(), asof, range}) {
           auto r1 = engine.Run(prefix + open);
+          if (r1.ok() && prefix.empty()) {
+            bool automaton = false, loop = false;
+            for (const auto& op : engine.LastQueryStats().operators) {
+              automaton = automaton || op.op.rfind("Automaton", 0) == 0;
+              loop = loop || open_loop(op.op);
+            }
+            ran_automaton += automaton ? 1 : 0;
+            ran_open_loop += loop ? 1 : 0;
+          }
           auto r2 = engine.Run(prefix + bounded);
           ASSERT_EQ(r1.ok(), r2.ok())
-              << open << "\nautomaton: " << r1.status() << "\nloop: "
+              << open << "\nopen: " << r1.status() << "\nsaturated: "
               << r2.status();
           if (!r1.ok()) continue;
           // Row order is not part of the contract (the serial executors
@@ -555,6 +575,196 @@ TEST(PropertyTest, AutomatonAgreesWithSaturatedLoop) {
     }
   }
   EXPECT_GT(checked, 100);
+  // Both executors of open repetitions ran (random bodies are mostly
+  // atoms or atom alternations, so Automata are the rarer).
+  EXPECT_GE(ran_automaton, 5);
+  EXPECT_GE(ran_open_loop, 40);
+}
+
+/// `program` with every open Loop swapped for the Automaton over the same
+/// repetition: BuildNfa of [atoms]{min,}, reversed with ReverseNfa when the
+/// program runs backwards (a reversed prefix). Returns the Loops swapped.
+int OpenLoopsToAutomata(nql::Program* program, bool reversed) {
+  int swapped = 0;
+  for (nql::Step& step : *program) {
+    for (nql::Program& branch : step.branches) {
+      swapped += OpenLoopsToAutomata(&branch, reversed);
+    }
+    if (step.kind != nql::Step::Kind::kLoop) continue;
+    if (step.max_rep != nql::kUnboundedRep) {
+      swapped += OpenLoopsToAutomata(&step.body, reversed);
+      continue;
+    }
+    nql::LogicalNode rep;
+    rep.kind = nql::LogicalNode::Kind::kRep;
+    rep.min_rep = step.min_rep;
+    rep.max_rep = step.max_rep;
+    nql::LogicalNode& body = rep.children.emplace_back();
+    const std::vector<storage::CompiledAtom> atoms =
+        *nql::AsAtomAlternation(step.body);
+    if (atoms.size() == 1) {
+      body.atom = atoms[0];
+    } else {
+      body.kind = nql::LogicalNode::Kind::kAlt;
+      for (const storage::CompiledAtom& atom : atoms) {
+        body.children.emplace_back().atom = atom;
+      }
+    }
+    nql::Nfa nfa = nql::BuildNfa(rep);
+    step.kind = nql::Step::Kind::kAutomaton;
+    step.body.clear();
+    step.open_goal = false;
+    step.nfa = std::make_shared<const nql::Nfa>(
+        reversed ? nql::ReverseNfa(nfa) : std::move(nfa));
+    ++swapped;
+  }
+  return swapped;
+}
+
+/// Whether some step of `program` is an open Loop with a goal filter.
+bool HasOpenGoal(const nql::Program& program) {
+  for (const nql::Step& step : program) {
+    if (step.kind == nql::Step::Kind::kLoop && step.open_goal) return true;
+  }
+  return false;
+}
+
+TEST(PropertyTest, UnboundedLoopAgreesWithAutomaton) {
+  // An open repetition whose body is one atom or an alternation of atoms
+  // runs as a Loop, ended by its first empty round and, before a node
+  // atom, handing on only goal-ending paths. The same plan with each open
+  // Loop swapped for the product automaton over the same repetition must
+  // return the same rows, validity intervals included, on both backends
+  // under Current, AsOf and Range views; a one-atom body in the same
+  // order as well. The repetition sits after the anchor (suffix) or before
+  // it (reversed prefix, reversed automaton), with or without a node atom
+  // on its far side.
+  schema::SchemaPtr schema = *schema::ParseSchemaDsl(kPropertySchema);
+  Rng rng(20261018);
+  const Timestamp base = *ParseTimestamp("2017-04-01 00:00:00");
+  constexpr size_t kMaxNodes = 16;
+  // One edge atom, one node atom, two edge atoms, a node and an edge atom,
+  // a class and its subclass.
+  static const std::vector<std::vector<std::string>> kBodies = {
+      {"E()", "F()", "Edge()", "E(w<2)"},
+      {"A()", "Node()", "B(val<>1)"},
+      {"E()|F()", "E1()|F(w<>1)"},
+      {"A()|E()", "Node()|F()"},
+      {"E()|E1()", "A()|A1()"}};
+  static const char* kBounds[] = {"*", "+", "{2,}"};
+  static const char* kGoals[] = {"A()", "B()", "A1()"};
+  int checked = 0, nonempty = 0, ordered = 0, goal_filtered = 0;
+  int by_side[2] = {0, 0};
+  for (auto kind : {nepal::testing::BackendKind::kGraphStore,
+                    nepal::testing::BackendKind::kRelational}) {
+    for (int round = 0; round < 8; ++round) {
+      storage::GraphDb db(schema, nepal::testing::MakeBackend(kind, schema));
+      Rng ops(rng.Next());
+      // Anchors are drawn from the live nodes; Range views see the removed
+      // ones too.
+      std::vector<Uid> nodes, removed;
+      for (int step = 0; step < 60; ++step) {
+        ASSERT_TRUE(
+            db.SetTime(base + static_cast<Timestamp>(step) * 1000000).ok());
+        const double dice = ops.NextDouble();
+        if ((dice < 0.3 || nodes.size() < 2) &&
+            nodes.size() + removed.size() < kMaxNodes) {
+          const char* cls = ops.Chance(0.5) ? "A" : (ops.Chance(0.5) ? "A1"
+                                                                     : "B");
+          auto u = db.AddNode(
+              cls, {{"name", Value("n" + std::to_string(step))},
+                    {"val", Value(static_cast<int64_t>(ops.Below(3)))}});
+          ASSERT_TRUE(u.ok());
+          nodes.push_back(*u);
+        } else if (dice < 0.95) {
+          const Uid s = nodes[ops.Below(nodes.size())];
+          const Uid t = nodes[ops.Below(nodes.size())];
+          const char* cls = ops.Chance(0.5) ? "E" : (ops.Chance(0.5) ? "E1"
+                                                                     : "F");
+          const int64_t w = static_cast<int64_t>(ops.Below(3));
+          if (s != t) (void)db.AddEdge(cls, s, t, {{"w", Value(w)}});
+        } else if (nodes.size() > 2) {
+          const size_t gone = ops.Below(nodes.size());
+          if (db.RemoveElement(nodes[gone]).ok()) {
+            removed.push_back(nodes[gone]);
+            nodes.erase(nodes.begin() + static_cast<std::ptrdiff_t>(gone));
+          }
+        }
+      }
+      const storage::TimeView views[] = {
+          storage::TimeView::Current(),
+          storage::TimeView::AsOf(base + 30 * 1000000),
+          storage::TimeView::Range(base + 10 * 1000000, base + 45 * 1000000)};
+      nql::LockedExecutor exec(&db, db.backend().CreateExecutor());
+      for (int r = 0; r < 24; ++r) {
+        // One draw per statement, so the sequence does not depend on the
+        // compiler's operand evaluation order.
+        const size_t shape = rng.Below(kBodies.size());
+        const std::string body =
+            kBodies[shape][rng.Below(kBodies[shape].size())];
+        const std::string rep = "[" + body + "]" + kBounds[rng.Below(3)];
+        const std::string anchor =
+            "Node(id=" + std::to_string(nodes[rng.Below(nodes.size())]) + ")";
+        const bool goal = rng.Chance(0.5);
+        const std::string far = kGoals[rng.Below(3)];
+        const bool suffix = rng.Chance(0.5);
+        std::string text =
+            suffix ? anchor + "->" + rep : rep + "->" + anchor;
+        if (goal) text = suffix ? text + "->" + far : far + "->" + text;
+        auto parsed = nql::ParseRpe(text);
+        ASSERT_TRUE(parsed.ok()) << parsed.status() << "\n" << text;
+        nql::RpeNode resolved = nql::Normalize(*parsed);
+        ASSERT_TRUE(nql::ResolveRpe(*schema, 32, &resolved).ok()) << text;
+        for (const storage::TimeView& view : views) {
+          auto loops = nql::PlanMatch(resolved, db.backend(),
+                                      nql::PlanOptions{32, 1}, view);
+          ASSERT_TRUE(loops.ok()) << loops.status() << "\n" << text;
+          nql::MatchPlan automata = *loops;
+          int swapped = 0;
+          bool filtered = false;
+          for (nql::AnchoredPlan& anchored : automata.anchors) {
+            filtered = filtered || HasOpenGoal(anchored.suffix) ||
+                       HasOpenGoal(anchored.reversed_prefix);
+            const int forwards = OpenLoopsToAutomata(&anchored.suffix, false);
+            const int backwards =
+                OpenLoopsToAutomata(&anchored.reversed_prefix, true);
+            by_side[0] += forwards;
+            by_side[1] += backwards;
+            swapped += forwards + backwards;
+          }
+          if (swapped == 0) continue;  // the plan has no open Loop
+          auto rows = [&](nql::MatchPlan& plan) {
+            std::vector<std::string> out;
+            for (const storage::PathState& p : nql::ExecuteMatch(
+                     exec, plan, view, nql::PlanOptions{32, 1})) {
+              out.push_back(p.ToString() + " " + p.valid.ToString());
+            }
+            return out;
+          };
+          std::vector<std::string> got = rows(*loops);
+          std::vector<std::string> want = rows(automata);
+          if (shape == 0 || shape == 1) {
+            EXPECT_EQ(got, want) << text;
+            ++ordered;
+          }
+          std::sort(got.begin(), got.end());
+          std::sort(want.begin(), want.end());
+          EXPECT_EQ(got, want) << text;
+          ++checked;
+          if (!got.empty()) ++nonempty;
+          if (filtered) ++goal_filtered;
+        }
+      }
+    }
+  }
+  // Not vacuous: most plans ran, half of them found paths, and open Loops
+  // ran on both sides of the anchor and with their goal filter.
+  EXPECT_GT(checked, 1000);
+  EXPECT_GT(nonempty, 450);
+  EXPECT_GT(ordered, 350);
+  EXPECT_GT(goal_filtered, 150);
+  EXPECT_GT(by_side[0], 400);
+  EXPECT_GT(by_side[1], 400);
 }
 
 TEST(PropertyTest, GoalDirectedRepetitionsAgree) {

@@ -875,5 +875,33 @@ TEST(RepeatRoundsTest, UnionDedupRunsOnlyWhenRoundsShareALength) {
   EXPECT_EQ(counts.built, 6u);
 }
 
+TEST(RepeatRoundsTest, SingleAtomRoundsDedupOnlyTheFirstRound) {
+  // A round that builds every child twice. Deduplicated, each round holds
+  // one path; with `single_atom` set, round 1 still is, and rounds 2 and 3
+  // keep what the round built: the caller vouches that a one-atom round
+  // over a deduplicated round builds no duplicate.
+  const PathSet seed = StatesOf({{1}});
+  auto twice = [](const PathSet& current) {
+    PathSet next;
+    for (const PathState& p : current) {
+      PathState q = p;
+      q.uids.push_back(10 + q.uids.size());
+      q.concepts.push_back(nullptr);
+      next.push_back(q);
+      next.push_back(std::move(q));
+    }
+    return next;
+  };
+  storage::RoundCounts counts;
+  PathSet out = storage::RepeatRounds(seed, 1, 3, twice, {}, &counts);
+  EXPECT_EQ(out.size(), 3u);
+  EXPECT_EQ(counts.built, 3u);
+  out = storage::RepeatRounds(seed, 1, 3, twice, {}, &counts, true);
+  std::vector<size_t> lengths;
+  for (const PathState& p : out) lengths.push_back(p.uids.size());
+  EXPECT_EQ(lengths, (std::vector<size_t>{2, 3, 3, 4, 4, 4, 4}));
+  EXPECT_EQ(counts.built, 1u + 2 + 4);
+}
+
 }  // namespace
 }  // namespace nepal
