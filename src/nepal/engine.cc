@@ -4,7 +4,6 @@
 #include <cctype>
 #include <chrono>
 #include <functional>
-#include <set>
 #include <shared_mutex>
 #include <thread>
 #include <unordered_map>
@@ -487,8 +486,8 @@ struct VarState {
 /// EXPLAIN VERBOSE's SQL section for one plan: each operator's backend SQL
 /// under its plan step, in execution order — the anchor Select (or the
 /// seeds of a join-seeded variable), the forwards (suffix) steps, then the
-/// backwards (reversed prefix) steps, descending into Union branches,
-/// repetition bodies and automaton transition atoms. TEMP tables are
+/// backwards (reversed prefix) steps, descending into Union branches and
+/// repetition bodies. TEMP tables are
 /// numbered in rendering order; every alternative of a step reads the
 /// step's input table. Renders nothing when the backend has no SQL form.
 class PlanSql {
@@ -554,19 +553,6 @@ class PlanSql {
         case Step::Kind::kLoop:
           input = Steps(step.body, dir, step_input, inner, "");
           break;
-        case Step::Kind::kAutomaton: {
-          // RunAutomaton extends a path once per distinct transition atom.
-          if (step.nfa == nullptr) break;
-          std::set<std::string> seen;
-          for (const auto& transitions : step.nfa->states) {
-            for (const NfaTransition& tr : transitions) {
-              if (seen.insert(tr.atom.ToString()).second) {
-                input = Atom(tr.atom, dir, step_input, inner);
-              }
-            }
-          }
-          break;
-        }
       }
     }
     return input;

@@ -3,9 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cstddef>
-#include <deque>
 #include <functional>
-#include <map>
 #include <optional>
 #include <string>
 #include <unordered_map>
@@ -78,137 +76,42 @@ std::string StepLabel(const Step& step) {
       }
       return "Loop" + rep;
     }
-    case Step::Kind::kAutomaton:
-      return "Automaton" + RepSuffix(step.min_rep, step.max_rep) + " " +
-             std::to_string(step.nfa == nullptr ? 0
-                                                : step.nfa->num_states()) +
-             " states";
   }
   return "?";
 }
 
-/// Integer views of one NFA for one RunAutomaton call. Transition atoms get
-/// ids in the order of their renderings, so a set's arcs iterate in the
-/// order a rendering-keyed map would give them. Each distinct set of
-/// occupied states is interned once; its arcs — one per distinct atom of
-/// its states, with the merged sorted target set — are computed then, not
-/// once per round.
-class StateSets {
- public:
-  struct Arc {
-    const storage::CompiledAtom* atom = nullptr;
-    std::vector<int> targets;  // sorted
-    int target_set = -1;       // interned `targets`, filled on first use
-  };
-
-  explicit StateSets(const Nfa& nfa) : nfa_(nfa), trans_(nfa.num_states()) {
-    std::map<std::string, int> by_rendering;
-    for (const auto& state : nfa.states) {
-      for (const NfaTransition& tr : state) {
-        by_rendering.emplace(tr.atom.ToString(), 0);
-      }
-    }
-    int next_id = 0;
-    for (auto& [unused, id] : by_rendering) id = next_id++;
-    atoms_.assign(by_rendering.size(), nullptr);
-    for (size_t s = 0; s < nfa.num_states(); ++s) {
-      for (const NfaTransition& tr : nfa.states[s]) {
-        const int id = by_rendering.at(tr.atom.ToString());
-        if (atoms_[static_cast<size_t>(id)] == nullptr) {
-          atoms_[static_cast<size_t>(id)] = &tr.atom;
-        }
-        trans_[s].emplace_back(id, tr.target);
-      }
-    }
-  }
-
-  /// Returns the id of the sorted state set `states`, interning it.
-  int Intern(const std::vector<int>& states) {
-    auto [it, inserted] =
-        ids_.try_emplace(states, static_cast<int>(sets_.size()));
-    if (!inserted) return it->second;
-    Set& set = sets_.emplace_back();
-    std::vector<std::pair<int, int>> moves;  // (atom id, target)
-    for (int s : states) {
-      const auto& out = trans_[static_cast<size_t>(s)];
-      moves.insert(moves.end(), out.begin(), out.end());
-      set.key += std::to_string(s) + ",";
-      set.accepts = set.accepts || nfa_.accept[static_cast<size_t>(s)];
-    }
-    std::sort(moves.begin(), moves.end());
-    moves.erase(std::unique(moves.begin(), moves.end()), moves.end());
-    for (size_t i = 0; i < moves.size(); ++i) {
-      if (i == 0 || moves[i].first != moves[i - 1].first) {
-        set.arcs.push_back({atoms_[static_cast<size_t>(moves[i].first)], {}});
-      }
-      set.arcs.back().targets.push_back(moves[i].second);
-    }
-    return it->second;
-  }
-
-  int TargetSet(Arc* arc) {
-    if (arc->target_set < 0) arc->target_set = Intern(arc->targets);
-    return arc->target_set;
-  }
-
-  std::vector<Arc>& arcs(int set) { return at(set).arcs; }
-  bool accepts(int set) const { return at(set).accepts; }
-  /// Groups run in the order of their sets' "s1,s2,...," renderings.
-  bool Before(int a, int b) const { return at(a).key < at(b).key; }
-  size_t size() const { return sets_.size(); }
-
- private:
-  struct Set {
-    std::string key;
-    std::vector<Arc> arcs;
-    bool accepts = false;
-  };
-
-  Set& at(int set) { return sets_[static_cast<size_t>(set)]; }
-  const Set& at(int set) const { return sets_[static_cast<size_t>(set)]; }
-
-  const Nfa& nfa_;
-  std::vector<const storage::CompiledAtom*> atoms_;      // by atom id
-  std::vector<std::vector<std::pair<int, int>>> trans_;  // per state
-  std::map<std::vector<int>, int> ids_;
-  std::deque<Set> sets_;  // stable addresses: slices point into arcs
-};
-
-/// Every path one RunAutomaton call admitted, stored once: its identity
-/// (uids flattened into one arena), the NFA states it has occupied (one
-/// bitset row per path) and whether it was emitted. Lookups go through a
-/// PathIndex on PathState::IdentityHash, confirmed field by field.
+/// The paths an open Loop over a general body reached in its rounds at or
+/// past min_rep, each stored once: its uids flattened into one arena, the
+/// rest of its identity beside them. Lookups go through a PathIndex on
+/// PathState::IdentityHash, confirmed field by field.
 class PathMemo {
  public:
-  explicit PathMemo(size_t num_states) : words_((num_states + 63) / 64) {}
-
-  /// Returns the memo id of `p`'s identity, recording it on first sight.
-  uint32_t Find(const PathState& p) {
-    auto [id, inserted] = index_.Insert(
-        p.IdentityHash(), [&](uint32_t other) { return Same(other, p); });
+  /// Records `p`; false if a path with its identity was recorded before.
+  bool Insert(const PathState& p) {
+    const bool inserted =
+        index_
+            .Insert(p.IdentityHash(),
+                    [&](uint32_t other) { return Same(other, p); })
+            .second;
     if (inserted) {
       paths_.push_back({uids_.size(), p.uids.size(), p.frontier,
-                        p.frontier_in_path, false, p.valid});
+                        p.frontier_in_path, p.valid});
       uids_.insert(uids_.end(), p.uids.begin(), p.uids.end());
-      visited_.resize(visited_.size() + words_, 0);
     }
-    return id;
+    return inserted;
   }
 
-  /// Marks `state` occupied by path `id`; false if it already was.
-  bool Visit(uint32_t id, int state) {
-    uint64_t& word = visited_[id * words_ + static_cast<size_t>(state) / 64];
-    const uint64_t bit = uint64_t{1} << (static_cast<size_t>(state) % 64);
-    if ((word & bit) != 0) return false;
-    word |= bit;
-    return true;
-  }
-
-  /// Marks path `id` emitted; false if it already was.
-  bool Emit(uint32_t id) {
-    if (paths_[id].emitted) return false;
-    paths_[id].emitted = true;
-    return true;
+  /// Keeps, in order, the paths of `paths` recorded here for the first
+  /// time, recording them: what is left is deduplicated and new.
+  void Filter(PathSet* paths) {
+    PathSet& all = *paths;
+    size_t kept = 0;
+    for (size_t i = 0; i < all.size(); ++i) {
+      if (!Insert(all[i])) continue;
+      if (kept != i) all[kept] = std::move(all[i]);
+      ++kept;
+    }
+    all.erase(all.begin() + static_cast<std::ptrdiff_t>(kept), all.end());
   }
 
  private:
@@ -217,7 +120,6 @@ class PathMemo {
     size_t length;
     Uid frontier;
     bool frontier_in_path;
-    bool emitted;
     Interval valid;
   };
 
@@ -231,200 +133,10 @@ class PathMemo {
                       uids_.begin() + static_cast<std::ptrdiff_t>(m.offset));
   }
 
-  size_t words_;
   std::vector<Identity> paths_;
   std::vector<Uid> uids_;
-  std::vector<uint64_t> visited_;
   storage::PathIndex index_;
 };
-
-/// Graph × NFA product traversal for an Automaton step: an open repetition
-/// whose body is not one atom or an alternation of atoms ([E()->A()]*, a
-/// nested repetition, an alternation with a pruned optional branch). Every
-/// other repetition is a Loop. The frontier is a set of (path, NFA-state
-/// set) entries — classic NFA simulation over the product with the store.
-/// Entries are grouped by state set and extended
-/// with one batched ExtendAtom call per *distinct* transition atom, so
-/// both backends (and the snapshot-read decorators) serve the traversal
-/// through the same operator as every other step, and a path occupying
-/// many states is still extended only once per atom. (Reversed bounded
-/// automata need this: their start's ε-closure fans into every iteration
-/// copy, so per-state frontiers would re-extend each path per copy.)
-///
-/// A per-path memo of occupied states admits each (path, state) pair
-/// once, which is what makes cyclic automata — unbounded repetitions —
-/// terminate even when the body can match the empty sequence
-/// ([[E()]{0,2}]*): path states are simple paths over a finite store, so
-/// the memo domain is finite, and a suppressed re-arrival could only spawn
-/// the exact continuations its first arrival already spawned. For bounded
-/// automata (a DAG with one state set per iteration copy, nested in an open
-/// body) the memo is equivalent to the Loop step's per-round DedupPaths.
-/// The memo also emits each path at most once, so the output needs no
-/// dedup pass.
-///
-/// Everything per round is integer-keyed: the memo by the path identity
-/// hash (PathMemo), state sets and atoms by ids interned once per call
-/// (StateSets). Groups run in the order of their state sets' decimal
-/// renderings and arcs in atom-rendering order; that order fixes the
-/// serial output order. A group's paths move into its ExtendAtom inputs
-/// once and are shared by all of its arcs. An emitted path that can still
-/// extend is not copied either: it takes its place in the output when it is
-/// admitted and moves there once the next round's extensions have read it.
-/// `*admitted` counts the (path, state set) admissions.
-///
-/// Parallelism: the automaton usually sits right after the anchor Select,
-/// so its *input* frontier is tiny and input sharding buys nothing — the
-/// work lives in the per-round intermediate frontiers. Each round's
-/// (group, atom) extensions are therefore sliced across the pool, while
-/// memo admission stays serial in fixed slice order; the output is
-/// byte-identical to the serial traversal for every thread count.
-PathSet RunAutomaton(storage::PathOperatorExecutor& exec, const Step& step,
-                     const PathSet& frontier, Direction dir,
-                     const TimeView& view, const ParallelContext& ctx,
-                     size_t* admitted) {
-  PathSet out;
-  if (step.nfa == nullptr) return out;
-  const Nfa& nfa = *step.nfa;
-  const size_t n = nfa.num_states();
-  if (n == 0 || nfa.start < 0) return out;
-
-  StateSets sets(nfa);
-  PathMemo memo(n);
-  constexpr size_t kNoSlot = SIZE_MAX;
-  struct Entry {
-    PathState path;
-    int set;      // interned set of occupied NFA states
-    size_t slot;  // its place in `out` once emitted, else kNoSlot
-  };
-  // Admits path `p` (memo id `id`) with the newly occupied states `set`:
-  // emits it on its first accepting arrival, and keeps it for the next
-  // round unless no arc leaves `set`.
-  std::vector<Entry> next;
-  auto admit = [&](PathState&& p, uint32_t id, int set) {
-    ++*admitted;
-    const bool emit = sets.accepts(set) && memo.Emit(id);
-    if (sets.arcs(set).empty()) {
-      if (emit) out.push_back(std::move(p));
-      return;
-    }
-    size_t slot = kNoSlot;
-    if (emit) {
-      slot = out.size();
-      out.emplace_back();
-    }
-    next.push_back({std::move(p), set, slot});
-  };
-
-  const int start = sets.Intern({nfa.start});
-  for (const PathState& p : frontier) {
-    const uint32_t id = memo.Find(p);
-    // Zero iterations are admissible: an accepting start passes the input.
-    if (memo.Visit(id, nfa.start)) admit(PathState(p), id, start);
-  }
-
-  std::vector<int> fresh;
-  while (!next.empty()) {
-    std::vector<Entry> cur = std::move(next);
-    next.clear();
-
-    // Group entries by state set, in rendering order of the sets.
-    std::vector<std::vector<size_t>> members(sets.size());
-    std::vector<int> groups;
-    for (size_t i = 0; i < cur.size(); ++i) {
-      std::vector<size_t>& m = members[static_cast<size_t>(cur[i].set)];
-      if (m.empty()) groups.push_back(cur[i].set);
-      m.push_back(i);
-    }
-    std::sort(groups.begin(), groups.end(),
-              [&sets](int a, int b) { return sets.Before(a, b); });
-
-    // One extension task per (group, arc, chunk). Chunk boundaries are a
-    // pure function of the frontier, so the admission order below is
-    // scheduling-independent. A chunk's input is built once and serves
-    // every arc of its group.
-    size_t round_rows = 0;
-    for (int g : groups) {
-      round_rows +=
-          members[static_cast<size_t>(g)].size() * sets.arcs(g).size();
-    }
-    const size_t shards =
-        ctx.enabled()
-            ? std::min(ctx.parallelism * 2, round_rows / kMinStatesPerShard)
-            : 0;
-    const size_t chunk =
-        shards >= 2 ? std::max(kMinStatesPerShard, round_rows / shards)
-                    : std::max<size_t>(round_rows, 1);
-    struct Slice {
-      size_t input;  // index into `inputs`
-      StateSets::Arc* arc;
-    };
-    std::vector<PathSet> inputs;
-    std::vector<Slice> slices;
-    struct Emitted {
-      size_t input, pos;  // inputs[input][pos]
-      size_t slot;        // its place in `out`
-    };
-    std::vector<Emitted> emitted;
-    for (int g : groups) {
-      const std::vector<size_t>& m = members[static_cast<size_t>(g)];
-      const size_t first = inputs.size();
-      for (size_t b = 0; b < m.size(); b += chunk) {
-        PathSet& input = inputs.emplace_back();
-        input.reserve(std::min(chunk, m.size() - b));
-        for (size_t k = b; k < std::min(b + chunk, m.size()); ++k) {
-          Entry& entry = cur[m[k]];
-          if (entry.slot != kNoSlot) {
-            emitted.push_back({inputs.size() - 1, input.size(), entry.slot});
-          }
-          input.push_back(std::move(entry.path));
-        }
-      }
-      for (StateSets::Arc& arc : sets.arcs(g)) {
-        for (size_t c = first; c < inputs.size(); ++c) {
-          slices.push_back({c, &arc});
-        }
-      }
-    }
-
-    std::vector<PathSet> ext(slices.size());
-    auto run_slice = [&exec, dir, &view, &inputs, &slices, &ext](size_t i) {
-      ext[i] = exec.ExtendAtom(inputs[slices[i].input], *slices[i].arc->atom,
-                               dir, view);
-    };
-    if (shards >= 2 && slices.size() >= 2) {
-      std::vector<std::function<void()>> tasks;
-      tasks.reserve(slices.size());
-      for (size_t i = 0; i < slices.size(); ++i) {
-        tasks.push_back([&run_slice, i] { run_slice(i); });
-      }
-      ctx.pool->RunBatch(std::move(tasks));
-    } else {
-      for (size_t i = 0; i < slices.size(); ++i) run_slice(i);
-    }
-    // The extensions have read this round's paths: the emitted ones move
-    // to their places in the output.
-    for (const Emitted& e : emitted) {
-      out[e.slot] = std::move(inputs[e.input][e.pos]);
-    }
-
-    for (size_t i = 0; i < slices.size(); ++i) {
-      StateSets::Arc& arc = *slices[i].arc;
-      for (PathState& p : ext[i]) {
-        const uint32_t id = memo.Find(p);
-        fresh.clear();
-        for (int t : arc.targets) {
-          if (memo.Visit(id, t)) fresh.push_back(t);
-        }
-        if (fresh.empty()) continue;
-        const int set = fresh.size() == arc.targets.size()
-                            ? sets.TargetSet(&arc)
-                            : sets.Intern(fresh);
-        admit(std::move(p), id, set);
-      }
-    }
-  }
-  return out;
-}
 
 /// Node distances to a goal-directed Loop's goal (Step::goal_depth): every
 /// node within goal_depth body hops of a goal match, hops taken in the
@@ -528,10 +240,33 @@ void RegisterProgram(Program* program, obs::QueryStatsGroup* stats) {
 enum class RecordKind { kFull, kShardSlice };
 
 /// Whether a step's `built` is its own count rather than its rows_out: a
-/// Loop counts its rounds, an Automaton its admissions.
+/// Loop counts its rounds.
 bool CountsOwnBuilds(const Step& step) {
-  return step.kind == Step::Kind::kLoop ||
-         step.kind == Step::Kind::kAutomaton;
+  return step.kind == Step::Kind::kLoop;
+}
+
+/// Whether round `round` of `loop` needs a DedupPaths of its own (an open
+/// general Loop's memo aside), so that each round is deduplicated once.
+/// Not when the body's last step deduplicates its output: a Union, or a
+/// Loop that collects no round 0 (its rounds are deduplicated and so is
+/// their union; a round 0 is its input, which may repeat a path). Nor
+/// after round 1 of a one-atom body. Round 1 is deduplicated — the
+/// frontier may mix node-ended and edge-ended paths, which the atom can
+/// extend to the same path — but later rounds cannot repeat a path: their
+/// input ends in the atom's kind, so every parent gains the same number of
+/// elements; children of parents with different uid lists differ, parents
+/// with equal uid lists differ in versions, whose intervals are disjoint
+/// and stay so in their children, and the children of one parent differ
+/// in the matched element or in a version pair.
+bool RoundNeedsDedup(const Step& loop, int round) {
+  if (loop.body.empty()) return true;
+  const Step& last = loop.body.back();
+  if (last.kind == Step::Kind::kUnion ||
+      (last.kind == Step::Kind::kLoop && last.min_rep >= 1)) {
+    return false;
+  }
+  return round == 1 || loop.body.size() > 1 ||
+         last.kind != Step::Kind::kAtom;
 }
 
 PathSet RunProgramCtx(storage::PathOperatorExecutor& exec,
@@ -619,8 +354,8 @@ PathSet RunStepCtx(storage::PathOperatorExecutor& exec, const Step& step,
                                    labels, shards, &before_dedup);
       if (record) {
         // The logical invocation: partition-invariant row counts. Wall
-        // time and shard counts — and a Loop's or Automaton's builds —
-        // were recorded by the slices themselves.
+        // time and shard counts — and a Loop's builds — were recorded by
+        // the slices themselves.
         obs::OpSample sample;
         sample.rows_in = rows_in;
         sample.rows_out = out.size();
@@ -655,34 +390,46 @@ PathSet RunStepCtx(storage::PathOperatorExecutor& exec, const Step& step,
     }
     case Step::Kind::kLoop: {
       // One round runs the body program over the previous round, which it
-      // reads in place; a goal-directed Loop then prunes the new round, and
-      // hands on only the paths its goal's Extend can accept. A one-atom
-      // body's rounds after the first need no dedup (RepeatRounds).
+      // reads in place, and is deduplicated once; a goal-directed Loop then
+      // prunes it, and hands on only the paths its goal's Extend can
+      // accept.
       int round = 0;
       std::function<bool(const PathState&)> keep;
       if (labels != nullptr) {
         keep = [labels](const PathState& p) { return labels->Collects(p); };
       }
-      const bool single_atom = step.body.size() == 1 &&
-                               step.body[0].kind == Step::Kind::kAtom;
+      // An open Loop over a general body may reach one path in several
+      // rounds. From round max(min_rep, 1) on, it skips the paths an
+      // earlier round at or past min_rep reached (round 0 when min_rep is
+      // 0): their continuations land in collected rounds all the same.
+      std::optional<PathMemo> memo;
+      if (step.max_rep == kUnboundedRep &&
+          !AsAtomAlternation(step.body).has_value()) {
+        memo.emplace();
+        if (step.min_rep == 0) {
+          for (const PathState& p : frontier) memo->Insert(p);
+        }
+      }
       storage::RoundCounts counts;
       out = storage::RepeatRounds(
           frontier, step.min_rep, step.max_rep,
           [&](const PathSet& current) {
             PathSet next =
                 RunProgramCtx(exec, step.body, current, dir, view, ctx);
-            if (labels != nullptr) labels->Prune(&next, ++round);
+            ++round;
+            if (memo && round >= step.min_rep) {
+              memo->Filter(&next);
+            } else if (RoundNeedsDedup(step, round)) {
+              storage::DedupPaths(&next);
+            }
+            if (labels != nullptr) labels->Prune(&next, round);
             return next;
           },
-          keep, &counts, single_atom);
+          keep, &counts);
       before_dedup = counts.collected;
       built = counts.built;
       break;
     }
-    case Step::Kind::kAutomaton:
-      out = RunAutomaton(exec, step, frontier, dir, view, ctx, &built);
-      before_dedup = out.size();
-      break;
   }
 
   if (record) {

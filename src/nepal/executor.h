@@ -1,5 +1,8 @@
 // Program evaluation: drives a backend's PathOperatorExecutor through the
-// step list of an anchored plan.
+// step list of an anchored plan. Every repetition is a Loop step whose
+// rounds the executor runs itself (storage::RepeatRounds), deduplicating
+// each round once; an open Loop over a body that is not an atom
+// alternation also skips the paths its earlier collected rounds reached.
 
 #ifndef NEPAL_NEPAL_EXECUTOR_H_
 #define NEPAL_NEPAL_EXECUTOR_H_

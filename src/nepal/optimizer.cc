@@ -441,11 +441,10 @@ constexpr int kOpenLoopRounds = 12;
 /// Loop hand on, from `rows` input rows. Each round re-costs the body from
 /// the previous round's fresh rows, as a bounded Loop does, and caps them
 /// by FrontierCap — the rows of the repeating rounds together, each
-/// mandatory round below min_rep alone — as an Automaton caps each state's
-/// arrivals. The walk stops at the first round that adds nothing, or after
-/// kOpenLoopRounds rounds past the mandatory ones, so the estimate is
-/// finite although the rounds are not numbered. round_est stays empty:
-/// goal depths are sized for bounded Loops only.
+/// mandatory round below min_rep alone. The walk stops at the first round
+/// that adds nothing, or after kOpenLoopRounds rounds past the mandatory
+/// ones, so the estimate is finite although the rounds are not numbered.
+/// round_est stays empty: goal depths are sized for bounded Loops only.
 double OpenLoopRows(Step* loop, double rows, Direction dir,
                     TraversalState* state, const CostEstimator& est) {
   loop->round_est.clear();
@@ -535,74 +534,6 @@ double AnnotateProgram(Program* program, double rows_in, Direction dir,
         }
         *state = bs;
         rows = total;
-        break;
-      }
-      case Step::Kind::kAutomaton: {
-        // Per-state mass propagation over the automaton. Each state's
-        // cumulative arrivals are capped by the cardinality of its
-        // frontier-class guess (history-scaled): the executor's memoized
-        // visitation never admits more distinct (state, node) pairs than
-        // that, which is what lets cyclic automata converge here instead
-        // of extrapolating fan-out geometrically per iteration.
-        if (step.nfa == nullptr || step.nfa->num_states() == 0 ||
-            step.nfa->start < 0) {
-          step.state_est.clear();
-          rows = 0;
-          break;
-        }
-        const Nfa& nfa = *step.nfa;
-        const size_t n = nfa.num_states();
-        const size_t nstart = static_cast<size_t>(nfa.start);
-        std::vector<double> arrivals(n, 0.0);
-        std::vector<double> cur(n, 0.0);
-        std::vector<TraversalState> scls(n, *state);
-        std::vector<bool> has_cls(n, false);
-        arrivals[nstart] = cur[nstart] = rows;
-        has_cls[nstart] = true;
-        double out_rows = nfa.accept[nstart] ? rows : 0.0;
-        // Bounded automata are DAGs of depth <= n; cyclic ones converge
-        // once every state saturates its cap, so n rounds suffice for the
-        // caps to bite and 2n+2 is a safe fixpoint bound.
-        const size_t max_rounds = 2 * n + 2;
-        for (size_t round = 0; round < max_rounds; ++round) {
-          std::vector<double> next(n, 0.0);
-          for (size_t s = 0; s < n; ++s) {
-            if (cur[s] <= 0) continue;
-            for (const NfaTransition& tr : nfa.states[s]) {
-              const size_t t = static_cast<size_t>(tr.target);
-              TraversalState ts = scls[s];
-              next[t] += AtomStepRows(cur[s], tr.atom, dir, &ts, est);
-              if (!has_cls[t]) {
-                scls[t] = ts;
-                has_cls[t] = true;
-              }
-            }
-          }
-          bool moved = false;
-          for (size_t t = 0; t < n; ++t) {
-            double room =
-                std::max(0.0, FrontierCap(scls[t], est) - arrivals[t]);
-            double fresh = std::min(next[t], room);
-            cur[t] = fresh;
-            if (fresh > 1e-9) {
-              arrivals[t] += fresh;
-              if (nfa.accept[t]) out_rows += fresh;
-              nested_work += fresh;
-              moved = true;
-            }
-          }
-          if (!moved) break;
-        }
-        step.state_est = std::move(arrivals);
-        // The frontier leaves through an accept state; prefer one with a
-        // class guess over keeping the incoming state unchanged.
-        for (size_t t = 0; t < n; ++t) {
-          if (nfa.accept[t] && has_cls[t] && t != nstart) {
-            *state = scls[t];
-            break;
-          }
-        }
-        rows = out_rows;
         break;
       }
     }

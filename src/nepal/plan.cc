@@ -8,7 +8,6 @@
 #include <thread>
 
 #include "nepal/optimizer.h"
-#include "obs/trace.h"
 
 namespace nepal::nql {
 
@@ -44,12 +43,6 @@ std::string Step::ToString() const {
       }
       return "Loop" + rep + "(" + ProgramToString(body) + ")";
     }
-    case Kind::kAutomaton:
-      return "Automaton" + RepSuffix(min_rep, max_rep) + "(" +
-             std::to_string(nfa == nullptr ? 0 : nfa->num_states()) +
-             " states, " +
-             std::to_string(nfa == nullptr ? 0 : nfa->num_transitions()) +
-             " transitions)";
   }
   return "?";
 }
@@ -74,39 +67,6 @@ std::string FormatEstimate(double rows) {
     std::snprintf(buf, sizeof(buf), "~%.2f", rows);
   }
   return buf;
-}
-
-/// Appends one indented state-table block per Automaton step found in
-/// `program` (recursing into Unions and Loops) for EXPLAIN output.
-void AppendAutomatonDetail(const Program& program, const std::string& label,
-                           std::string* out) {
-  for (const Step& step : program) {
-    switch (step.kind) {
-      case Step::Kind::kAtom:
-        break;
-      case Step::Kind::kUnion:
-        for (const Program& branch : step.branches) {
-          AppendAutomatonDetail(branch, label, out);
-        }
-        break;
-      case Step::Kind::kLoop:
-        AppendAutomatonDetail(step.body, label, out);
-        break;
-      case Step::Kind::kAutomaton: {
-        if (step.nfa == nullptr) break;
-        *out += "\n  automaton " + label + " " +
-                RepSuffix(step.min_rep, step.max_rep) + ":";
-        std::string body = step.nfa->ToString(
-            step.state_est.empty() ? nullptr : &step.state_est);
-        *out += "\n    ";
-        for (char c : body) {
-          *out += c;
-          if (c == '\n') *out += "    ";
-        }
-        break;
-      }
-    }
-  }
 }
 
 }  // namespace
@@ -136,11 +96,6 @@ Program ReverseProgram(const Program& program) {
       step.goal_depth = 0;  // its goal was the step after it
       step.open_goal = false;
       step.round_est.clear();
-    } else if (step.kind == Step::Kind::kAutomaton) {
-      if (step.nfa != nullptr) {
-        step.nfa = std::make_shared<const Nfa>(ReverseNfa(*step.nfa));
-      }
-      step.state_est.clear();  // stale: states were renumbered
     }
     out.push_back(std::move(step));
   }
@@ -166,6 +121,111 @@ std::optional<std::vector<storage::CompiledAtom>> AsAtomAlternation(
 }
 
 // ---- Physical emission (stage 3) ----
+
+namespace {
+
+bool Nullable(const Program& program);
+
+/// Whether `step` can match the empty sequence.
+bool Nullable(const Step& step) {
+  switch (step.kind) {
+    case Step::Kind::kAtom:
+      return false;
+    case Step::Kind::kUnion:
+      return std::any_of(step.branches.begin(), step.branches.end(),
+                         [](const Program& b) { return Nullable(b); });
+    case Step::Kind::kLoop:
+      return step.min_rep == 0 || Nullable(step.body);
+  }
+  return false;
+}
+
+bool Nullable(const Program& program) {
+  return std::all_of(program.begin(), program.end(),
+                     [](const Step& s) { return Nullable(s); });
+}
+
+/// `branches` as one program: nullopt for none, the branch itself for one,
+/// their Union otherwise.
+std::optional<Program> OneOf(std::vector<Program> branches) {
+  if (branches.empty()) return std::nullopt;
+  if (branches.size() == 1) return std::move(branches[0]);
+  Step alt;
+  alt.kind = Step::Kind::kUnion;
+  alt.branches = std::move(branches);
+  return Program{std::move(alt)};
+}
+
+std::optional<Program> NonEmpty(const Program& program);
+
+/// The program matching the non-empty matches of `step`; nullopt when its
+/// only match is ε. A Loop{i,j} over B becomes Loop{1,j} over B−ε (each
+/// of the i copies may match ε), and [B]{0,1} becomes B−ε itself.
+std::optional<Program> NonEmpty(const Step& step) {
+  if (!Nullable(step)) return Program{step};
+  switch (step.kind) {
+    case Step::Kind::kAtom:
+      break;
+    case Step::Kind::kUnion: {
+      std::vector<Program> branches;
+      for (const Program& branch : step.branches) {
+        if (std::optional<Program> part = NonEmpty(branch)) {
+          branches.push_back(std::move(*part));
+        }
+      }
+      return OneOf(std::move(branches));
+    }
+    case Step::Kind::kLoop: {
+      std::optional<Program> body = NonEmpty(step.body);
+      if (!body || step.max_rep == 0) return std::nullopt;
+      if (step.max_rep == 1) return body;
+      Step loop = step;
+      loop.min_rep = 1;
+      loop.body = std::move(*body);
+      return Program{std::move(loop)};
+    }
+  }
+  return std::nullopt;
+}
+
+/// The non-empty matches of `program`. When every step is nullable, such a
+/// match starts at its first step that consumes something: the Union over
+/// i of [s_i − ε, s_i+1, ..., s_n].
+std::optional<Program> NonEmpty(const Program& program) {
+  if (!Nullable(program)) return program;
+  std::vector<Program> branches;
+  for (size_t i = 0; i < program.size(); ++i) {
+    std::optional<Program> head = NonEmpty(program[i]);
+    if (!head) continue;
+    head->insert(head->end(),
+                 program.begin() + static_cast<std::ptrdiff_t>(i + 1),
+                 program.end());
+    branches.push_back(std::move(*head));
+  }
+  return OneOf(std::move(branches));
+}
+
+/// An open repetition's Loop, rewritten so that every round appends an
+/// element to every path it builds (see the header comment): a nullable
+/// body is replaced by its non-empty part with min_rep 0, or the whole
+/// repetition by the empty program when ε is the body's only match; then
+/// a body that is one Loop with min_rep 1 gives way to that Loop's body.
+Program OpenLoop(Step loop) {
+  if (Nullable(loop.body)) {
+    std::optional<Program> body = NonEmpty(loop.body);
+    if (!body) return {};
+    loop.body = std::move(*body);
+    loop.min_rep = 0;
+  }
+  while (loop.body.size() == 1 && loop.body[0].kind == Step::Kind::kLoop &&
+         loop.body[0].min_rep == 1) {
+    Program inner = std::move(loop.body[0].body);
+    loop.body = std::move(inner);
+  }
+  return {std::move(loop)};
+}
+
+}  // namespace
 
 Program EmitProgram(const LogicalNode& node) {
   switch (node.kind) {
@@ -208,16 +268,7 @@ Program EmitProgram(const LogicalNode& node) {
       step.min_rep = node.min_rep;
       step.max_rep = node.max_rep;
       step.body = EmitProgram(node.children[0]);
-      if (node.max_rep == kUnboundedRep &&
-          !AsAtomAlternation(step.body).has_value()) {
-        // Only an atom alternation lengthens every path in every round;
-        // any other open body (one may match the empty sequence) runs on
-        // the automaton, whose memoized traversal bounds its rounds.
-        obs::ScopedSpan span("nfa.build");
-        step.kind = Step::Kind::kAutomaton;
-        step.body.clear();
-        step.nfa = std::make_shared<const Nfa>(BuildNfa(node));
-      }
+      if (node.max_rep == kUnboundedRep) return OpenLoop(std::move(step));
       return {std::move(step)};
     }
   }
@@ -507,8 +558,6 @@ std::string MatchPlan::ToString() const {
            std::to_string(a.anchor_cost) + ")\n";
     out += "  forwards : " + ProgramToStringWithEstimates(a.suffix) + "\n";
     out += "  backwards: " + ProgramToStringWithEstimates(a.reversed_prefix);
-    AppendAutomatonDetail(a.suffix, "(forwards)", &out);
-    AppendAutomatonDetail(a.reversed_prefix, "(backwards)", &out);
   }
   return out;
 }

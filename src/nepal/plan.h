@@ -22,19 +22,23 @@
 //     (run backwards) and a suffix program (run forwards).
 //
 // Programs are linear step lists; Alternation compiles to a Union of
-// sub-programs. A repetition's plan follows from its shape alone:
-//  - a repetition whose body is one atom or an alternation of atoms is a
-//    Loop step, bounded ([r]{i,j}) or open ([r]*, [r]+, [r]{i,}); the
-//    executor runs its rounds itself. An open Loop ends on its own: every
-//    round appends at least one element to every path and no element
-//    repeats, so the rounds stop at the first empty one, after at most as
-//    many rounds as the view has visible elements;
-//  - any other bounded repetition is a Loop over its body program;
-//  - any other open repetition ([E()->A()]*, a nested repetition, an
-//    alternation with a pruned optional branch) is an Automaton step
-//    (nepal/nfa.h) evaluated as a graph × NFA product with memoized
-//    visitation: such a body need not lengthen every path in every round
-//    (it may match the empty sequence), so only the memo bounds its rounds.
+// sub-programs, and every repetition compiles to a Loop step, bounded
+// ([r]{i,j}) or open ([r]*, [r]+, [r]{i,}), whose rounds the executor runs
+// itself. An open Loop ends at its first empty round. Paths are simple, so
+// that round comes, at the latest, after as many rounds as the view has
+// visible elements, as long as every round appends at least one element to
+// every path. EmitProgram makes sure every open body does:
+//  - ε-removal: a nullable body r (one that can match the empty sequence)
+//    becomes its non-empty part r−ε and the minimum drops to 0, since
+//    r{i,} = (r−ε)* when each of the i copies may match ε; a body whose
+//    only match is ε makes the repetition the empty program;
+//  - flattening: a body that is one Loop{1,j} is replaced by that Loop's
+//    body, since [[r]{1,j}]{m,} = [r]{m,} (any count of r's at or past m
+//    splits into m or more blocks of 1..j).
+// A Loop whose body is one atom or an alternation of atoms is the paper's
+// ExtendBlock. An open Loop over any other body may reach one path in
+// several rounds (its matches differ in length), so it skips any path that
+// an earlier round at or past min_rep already reached.
 //
 // Goal-directed rounds: a top-level Loop whose body is an alternation of
 // edge atoms and whose next step is a node atom N can be goal-directed.
@@ -49,13 +53,11 @@
 #ifndef NEPAL_NEPAL_PLAN_H_
 #define NEPAL_NEPAL_PLAN_H_
 
-#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
 
 #include "nepal/logical_plan.h"
-#include "nepal/nfa.h"
 #include "nepal/rpe.h"
 #include "storage/backend.h"
 #include "storage/pathset.h"
@@ -66,14 +68,14 @@ struct Step;
 using Program = std::vector<Step>;
 
 struct Step {
-  enum class Kind { kAtom, kUnion, kLoop, kAutomaton };
+  enum class Kind { kAtom, kUnion, kLoop };
   Kind kind = Kind::kAtom;
 
   storage::CompiledAtom atom;      // kAtom
   std::vector<Program> branches;   // kUnion
   Program body;                    // kLoop
-  int min_rep = 1;                 // kLoop / kAutomaton
-  int max_rep = 1;                 // kLoop / kAutomaton (kUnboundedRep = open)
+  int min_rep = 1;                 // kLoop
+  int max_rep = 1;                 // kLoop (kUnboundedRep = open)
 
   /// Bounded kLoop: goal depth h (see the header comment). 0 runs every
   /// round unpruned; h > 0 requires the next step of the program to be a
@@ -92,14 +94,6 @@ struct Step {
   /// Whether a Loop labels its goal: a bounded one with goal_depth > 0 or
   /// an open one with open_goal.
   bool goal_directed() const { return goal_depth > 0 || open_goal; }
-
-  /// kAutomaton: the compiled regular-path automaton. Immutable and shared,
-  /// so copying a Step (program reversal, sharded execution) is cheap and
-  /// thread-safe.
-  std::shared_ptr<const Nfa> nfa;
-  /// kAutomaton: per-state arrival estimates (parallel to nfa->states),
-  /// filled in by AnnotateProgram and printed by EXPLAIN.
-  std::vector<double> state_est;
 
   /// Optimizer row estimate for this step's output (cardinality × expected
   /// fan-out); -1 when not annotated. Threaded into obs::QueryStats so

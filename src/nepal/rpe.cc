@@ -253,10 +253,10 @@ Status ResolveRpe(const schema::Schema& schema, int max_repetition,
             "repetition bounds {" + std::to_string(node->min_rep) + "," +
             std::to_string(node->max_rep) + "} are malformed");
       }
-      // An open maximum is exempt from the static length limit: the
-      // automaton evaluator bounds it dynamically (paths are simple, so
-      // traversal terminates regardless of the expression). The minimum is
-      // not, since the automaton holds one body copy per mandatory round.
+      // An open maximum is exempt from the static length limit: an open
+      // Loop ends at its first empty round (paths are simple, so its
+      // rounds end whatever the expression). The minimum is not: every
+      // match runs at least that many rounds.
       if (const int bound = node->max_rep == kUnboundedRep ? node->min_rep
                                                            : node->max_rep;
           bound > max_repetition) {

@@ -21,10 +21,9 @@
 // duplicates removed at that node and can differ for operators *nested
 // inside* a sharded step, where per-shard dedup sees only its slice.
 // `built` counts the paths an operator built before it handed on its
-// output: a Loop every round it built (after that round's dedup and
-// pruning), an Automaton every path it admitted, any other operator its
-// rows_out. A sharded Loop or Automaton sums its slices' counts, so like
-// `dedup_dropped` it reflects per-shard dedup.
+// output: a Loop every round it built (after that round's dedup, memo and
+// pruning), any other operator its rows_out. A sharded Loop sums its
+// slices' counts, so like `dedup_dropped` it reflects per-shard dedup.
 //
 // Threading contract: AddGroup is thread-safe; within one group, AddOp
 // calls are sequenced before any Record on that group (registration

@@ -327,7 +327,7 @@ void CanonicalizePaths(PathSet* paths) {
 PathSet RepeatRounds(const PathSet& frontier, int min_rep, int max_rep,
                      const std::function<PathSet(const PathSet&)>& round,
                      const std::function<bool(const PathState&)>& keep,
-                     RoundCounts* counts, bool single_atom) {
+                     RoundCounts* counts) {
   PathSet collected;
   RoundCounts tally;
   // By path length, the latest collected round holding one: a second round
@@ -353,7 +353,6 @@ PathSet RepeatRounds(const PathSet& frontier, int min_rep, int max_rep,
     const PathSet& previous = k == 1 ? frontier : current;
     if (previous.empty()) break;
     PathSet next = round(previous);
-    if (k == 1 || !single_atom) DedupPaths(&next);
     tally.built += next.size();
     // Round k-1 is finished once round k is built: move out what it hands
     // on, and free the rest with it.
@@ -380,6 +379,7 @@ PathSet PathOperatorExecutor::ExtendBlock(
       PathSet branch = ExtendAtom(current, atom, dir, view);
       AppendMoved(&branch, &next);
     }
+    DedupPaths(&next);
     return next;
   });
 }

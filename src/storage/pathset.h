@@ -3,9 +3,10 @@
 //
 // A query plan is a DAG of Select / Extend / Union / Loop operators over
 // *pathway states*; the executor (nepal/executor.h) runs a Loop's rounds
-// itself, one Extend per body atom per round (RepeatRounds below). A
-// PathState mirrors the paper's TEMP-table layout: `uids` is the uid_list, `concepts` the concept_list, and `frontier` the
-// curr_uid — the open node at the growing end of the path. Both execution
+// itself, its body program once per round (RepeatRounds below). A
+// PathState mirrors the paper's TEMP-table layout: `uids` is the uid_list,
+// `concepts` the concept_list, and `frontier` the curr_uid — the open node
+// at the growing end of the path. Both execution
 // backends implement PathOperatorExecutor: the graphstore with per-traverser
 // adjacency steps, the relational engine with bulk hash joins that also
 // render themselves to SQL.
@@ -166,39 +167,30 @@ void CanonicalizePaths(PathSet* paths);
 
 /// What one RepeatRounds call built and handed on.
 struct RoundCounts {
-  size_t built = 0;      // paths of rounds 1..max_rep, each deduplicated
+  size_t built = 0;      // paths of rounds 1..max_rep, as `round` built them
   size_t collected = 0;  // paths collected, before the union dedup
 };
 
 /// The round loop of a repetition {min_rep, max_rep}: round 0 is
-/// `frontier`, round k+1 is `round(round k)` deduplicated, and the loop
-/// stops after round max_rep or at the first empty round. Returns the paths
-/// of rounds min_rep..max_rep that `keep` accepts (all of them when `keep`
-/// is empty), in round order, deduplicated. Round k lives only until round
-/// k+1 is built: its kept paths then move to the output and the rest are
-/// freed; `frontier` is read in place, and copied only for the paths of
-/// round 0 that are kept. Each round is already deduplicated and a path's
-/// identity includes its uid list, so the union is deduplicated again only
-/// when two collected rounds hold paths of the same length.
+/// `frontier`, round k+1 is `round(round k)`, and the loop stops after
+/// round max_rep or at the first empty round. `round` deduplicates what it
+/// returns; RepeatRounds never deduplicates a round. Returns the paths of
+/// rounds min_rep..max_rep that `keep` accepts (all of them when `keep` is
+/// empty), in round order. Round k lives only until round k+1 is built: its
+/// kept paths then move to the output and the rest are freed; `frontier` is
+/// read in place, and copied only for the paths of round 0 that are kept.
+/// A path's identity includes its uid list, so two rounds can hold one
+/// path only when they hold paths of the same length: the union is
+/// deduplicated when two collected rounds do.
 ///
 /// An open repetition passes max_rep = kUnboundedRep (nepal/rpe.h). The
 /// loop then ends at the first empty round, which comes when `round`
 /// appends at least one element to every path it builds (every Extend does,
 /// and runs the cycle check).
-///
-/// `single_atom` says that `round` extends by one atom. Round 1 is then
-/// deduplicated as always — `frontier` may mix node-ended and edge-ended
-/// paths, which the atom can extend to the same path — but rounds 2 and
-/// later are not passed to DedupPaths, since they can hold no duplicate:
-/// their input ends in the atom's kind, so every parent gains the same
-/// number of elements; children of parents with different uid lists
-/// differ, parents with equal uid lists differ in versions, whose
-/// intervals are disjoint and stay so in their children, and the children
-/// of one parent differ in the matched element or in a version pair.
 PathSet RepeatRounds(const PathSet& frontier, int min_rep, int max_rep,
                      const std::function<PathSet(const PathSet&)>& round,
                      const std::function<bool(const PathState&)>& keep = {},
-                     RoundCounts* counts = nullptr, bool single_atom = false);
+                     RoundCounts* counts = nullptr);
 
 /// Open-addressing hash index that hands out dense ids 0, 1, 2, ... in
 /// insertion order, keyed by 64-bit hashes (PathState::IdentityHash). It
@@ -266,10 +258,10 @@ class PathOperatorExecutor {
   /// after k iterations for every k in [min, max] (including the input
   /// frontier when min == 0). The payload is restricted to an alternation
   /// of atoms, as in the paper's ExtendBlock. The default runs RepeatRounds
-  /// over ExtendAtom; no backend specializes it. The engine never calls
-  /// it — its Loop runs the same rounds itself so that it can prune each
-  /// one — and the virtual stays only because nepalbench's tracing
-  /// decorator overrides it.
+  /// over ExtendAtom, deduplicating each round; no backend specializes it.
+  /// The engine never calls it — its Loop runs the same rounds itself so
+  /// that it can prune each one — and the virtual stays only because
+  /// nepalbench's tracing decorator overrides it.
   virtual PathSet ExtendBlock(const PathSet& frontier,
                               const std::vector<CompiledAtom>& alternatives,
                               int min_rep, int max_rep, Direction dir,

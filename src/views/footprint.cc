@@ -30,15 +30,6 @@ void CollectProgram(const nql::Program& program,
       case nql::Step::Kind::kLoop:
         CollectProgram(step.body, classes);
         break;
-      case nql::Step::Kind::kAutomaton:
-        if (step.nfa != nullptr) {
-          for (const auto& out : step.nfa->states) {
-            for (const nql::NfaTransition& t : out) {
-              AddClass(classes, t.atom.cls);
-            }
-          }
-        }
-        break;
     }
   }
 }

@@ -4,8 +4,8 @@
 // decide, per view, whether the touched element can possibly appear in (or
 // create) a cached pathway. The footprint is computed once at registration
 // from the view's compiled MatchPlan: the classes of every CompiledAtom in
-// the anchor set and the physical programs (union branches, loop bodies and
-// NFA transitions included), plus two conservative flags for the elements
+// the anchor set and the physical programs (union branches and loop bodies
+// included), plus two conservative flags for the elements
 // pathway semantics materializes *implicitly*:
 //
 //  - consecutive node atoms traverse an implicit, unconstrained edge that

@@ -148,10 +148,11 @@ TEST_F(PlanTest, ProgramReversalIsInvolutive) {
 }
 
 TEST_F(PlanTest, RepetitionCompilesByShape) {
-  // The RPE alone picks a repetition's executor: a repetition whose body is
-  // one atom or an alternation of atoms is a Loop reported as one
-  // ExtendBlock, bounded or open; any other bounded repetition is a Loop
-  // over its body program, and any other open one an Automaton.
+  // Every repetition is a Loop. One whose body is one atom or an
+  // alternation of atoms is reported as one ExtendBlock, bounded or open;
+  // any other is a Loop over its body program. An open body that can
+  // match ε loses its empty match, and a body that is one Loop{1,j} is
+  // flattened, so [[E()]{0,2}]* is [E()]*.
   auto compiled = [&](const std::string& text) {
     Program program = CompileSeededProgram(
         Resolved(text), db_->backend(), storage::TimeView::Current(), -1);
@@ -204,10 +205,55 @@ TEST_F(PlanTest, RepetitionCompilesByShape) {
   EXPECT_NE(explain.find("total: 98 row(s)"), std::string::npos) << explain;
   EXPECT_EQ(explain.find("2147483647"), std::string::npos) << explain;
 
-  EXPECT_EQ(compiled("[E()->A()]*").kind, Step::Kind::kAutomaton);
+  const Step open_general = compiled("[E()->A()]*");
+  EXPECT_EQ(open_general.kind, Step::Kind::kLoop);
+  EXPECT_EQ(open_general.max_rep, kUnboundedRep);
+  EXPECT_EQ(ProgramToString(open_general.body), "Extend(E()) ; Extend(A())");
   explain = analyzed("[E()->A()]*");
-  EXPECT_NE(explain.find("Automaton*"), std::string::npos) << explain;
+  EXPECT_NE(explain.find("Loop*"), std::string::npos) << explain;
+  EXPECT_EQ(explain.find("ExtendBlock"), std::string::npos) << explain;
   EXPECT_NE(explain.find("total: 100 row(s)"), std::string::npos) << explain;
+
+  // The shape first: an open Loop over a body that can match ε would never
+  // reach an empty round.
+  const Step rewritten = compiled("[[E()]{0,2}]*");
+  ASSERT_EQ(rewritten.kind, Step::Kind::kLoop);
+  ASSERT_EQ(rewritten.min_rep, 0);
+  ASSERT_EQ(rewritten.max_rep, kUnboundedRep);
+  ASSERT_EQ(ProgramToString(rewritten.body), "Extend(E())");
+  explain = analyzed("[[E()]{0,2}]*");
+  EXPECT_NE(explain.find("ExtendBlock* E()"), std::string::npos) << explain;
+  EXPECT_NE(explain.find("total: 100 row(s)"), std::string::npos) << explain;
+}
+
+TEST_F(PlanTest, OpenLoopOverAMixedLengthBodyBuildsEachPathOnce) {
+  // [E()|E()->Node()->E()]+ reaches a k-edge path of the chain in every
+  // round from k/2 to k. Each path reached again is skipped, so the Loop
+  // builds the 99 paths from a0 once each, not the 2,549 its rounds would
+  // build without that memo.
+  const std::string rpe = "[E()|E()->Node()->E()]+";
+  const Step loop = CompileSeededProgram(Resolved(rpe), db_->backend(),
+                                         storage::TimeView::Current(), -1)[0];
+  ASSERT_EQ(loop.kind, Step::Kind::kLoop);
+  ASSERT_EQ(loop.max_rep, kUnboundedRep);
+  EngineOptions options;
+  options.plan.parallelism = 1;
+  QueryEngine engine(db_.get(), options);
+  auto result = engine.Run(
+      "EXPLAIN ANALYZE Retrieve P From PATHS P Where P MATCHES A(id=" +
+      std::to_string(a_[0]) + ")->" + rpe);
+  ASSERT_TRUE(result.ok()) << result.status();
+  const std::string& text = result->explain_text;
+  EXPECT_NE(text.find("total: 99 row(s)"), std::string::npos) << text;
+  int loops = 0;
+  for (const obs::OperatorStats& op : engine.LastQueryStats().operators) {
+    if (op.op != "Loop+") continue;
+    ++loops;
+    EXPECT_EQ(op.rows_in, 1u) << text;
+    EXPECT_EQ(op.built, 99u) << text;
+    EXPECT_EQ(op.rows_out, 99u) << text;
+  }
+  EXPECT_EQ(loops, 1) << text;
 }
 
 TEST_F(PlanTest, EstimateUsesStatistics) {

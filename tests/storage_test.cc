@@ -876,10 +876,11 @@ TEST(RepeatRoundsTest, UnionDedupRunsOnlyWhenRoundsShareALength) {
 }
 
 TEST(RepeatRoundsTest, SingleAtomRoundsDedupOnlyTheFirstRound) {
-  // A round that builds every child twice. Deduplicated, each round holds
-  // one path; with `single_atom` set, round 1 still is, and rounds 2 and 3
-  // keep what the round built: the caller vouches that a one-atom round
-  // over a deduplicated round builds no duplicate.
+  // RepeatRounds never deduplicates a round: `round` does. A round that
+  // builds every child twice keeps both copies; one that deduplicates only
+  // round 1, as a Loop over one atom does, keeps the copies of rounds 2
+  // and 3 — the Loop vouches that a one-atom round over a deduplicated
+  // round builds no duplicate.
   const PathSet seed = StatesOf({{1}});
   auto twice = [](const PathSet& current) {
     PathSet next;
@@ -894,9 +895,15 @@ TEST(RepeatRoundsTest, SingleAtomRoundsDedupOnlyTheFirstRound) {
   };
   storage::RoundCounts counts;
   PathSet out = storage::RepeatRounds(seed, 1, 3, twice, {}, &counts);
-  EXPECT_EQ(out.size(), 3u);
-  EXPECT_EQ(counts.built, 3u);
-  out = storage::RepeatRounds(seed, 1, 3, twice, {}, &counts, true);
+  EXPECT_EQ(out.size(), 2u + 4 + 8);
+  EXPECT_EQ(counts.built, 2u + 4 + 8);
+  int round = 0;
+  auto first_deduplicated = [&](const PathSet& current) {
+    PathSet next = twice(current);
+    if (++round == 1) storage::DedupPaths(&next);
+    return next;
+  };
+  out = storage::RepeatRounds(seed, 1, 3, first_deduplicated, {}, &counts);
   std::vector<size_t> lengths;
   for (const PathState& p : out) lengths.push_back(p.uids.size());
   EXPECT_EQ(lengths, (std::vector<size_t>{2, 3, 3, 4, 4, 4, 4}));
