@@ -244,6 +244,33 @@ struct InstanceSet {
   }
 };
 
+/// Times `set` on `engine` (over `backend`) under the BenchJson record
+/// `label`: one iteration runs every sampled instance once, so however
+/// many iterations google-benchmark picks, records over the same instances
+/// average the same mix, and records of one set on two engines do
+/// identical work. The "paths" counter is the mean row count per
+/// execution.
+inline void RunEveryInstance(benchmark::State& state, const std::string& label,
+                             const std::string& backend,
+                             const nql::QueryEngine& engine,
+                             const InstanceSet& set) {
+  if (set.queries.empty()) {
+    state.SkipWithError("no non-empty instances sampled");
+    return;
+  }
+  BenchJson::Instance().Begin(label, backend, set.queries.front());
+  size_t runs = 0;
+  size_t paths = 0;
+  for (auto _ : state) {
+    for (const std::string& query : set.queries) {
+      paths += MustRun(engine, query);
+    }
+    runs += set.queries.size();
+  }
+  state.counters["paths"] =
+      static_cast<double>(paths) / static_cast<double>(runs);
+}
+
 /// Keeps instances whose query returns at least one path, up to `want`.
 inline InstanceSet SampleNonEmpty(const nql::QueryEngine& engine,
                                   const std::vector<std::string>& candidates,

@@ -119,26 +119,8 @@ RaFixture& Fixture() {
 
 void RunInstances(benchmark::State& state, const char* label,
                   const InstanceSet& set) {
-  if (set.queries.empty()) {
-    state.SkipWithError("no non-empty instances sampled");
-    return;
-  }
-  const nql::QueryEngine& engine = *Fixture().engine;
-  BenchJson::Instance().Begin(label, Fixture().net.db->backend().name(),
-                              set.queries.front());
-  // One iteration runs every sampled instance once, so however many
-  // iterations google-benchmark picks, records over the same instances
-  // average the same mix.
-  size_t runs = 0;
-  size_t paths = 0;
-  for (auto _ : state) {
-    for (const std::string& query : set.queries) {
-      paths += MustRun(engine, query);
-    }
-    runs += set.queries.size();
-  }
-  state.counters["paths"] =
-      static_cast<double>(paths) / static_cast<double>(runs);
+  RunEveryInstance(state, label, Fixture().net.db->backend().name(),
+                   *Fixture().engine, set);
 }
 
 void BM_Depth2_Loop(benchmark::State& state) {

@@ -9,8 +9,10 @@
 //    label is a prefix of another exactly when the classes are in the
 //    subtree relation.)
 //  - traversal executes step-wise per traverser (storage::TraverserExecutor,
-//    storage/traverser_executor.h); a repetition block runs as one
-//    ExtendAtom call per body atom per round, driven by the executor's Loop
+//    storage/traverser_executor.h), the traversers of one Extend sharing
+//    one read of each frontier node's versions and incident edges
+//    (storage/frontier_reads.h); a repetition block runs as one ExtendAtom
+//    call per body atom per round, driven by the executor's Loop
 //    (nepal/executor.h), which can then prune each round against the goal.
 //
 // Adjacency is kept as edge-uid lists per node; version visibility is

@@ -540,6 +540,15 @@ PathSet RunFromSeeds(storage::PathOperatorExecutor& exec,
   }
   current = Finalize(exec, std::move(current), view, ctx.stats,
                      ids.finalize_tail);
+  // With no prefix to grow and every head already closed, the reversals
+  // cancel out and Finalize(head) passes the paths through: record that
+  // pass-through without reversing anything.
+  if (anchored.reversed_prefix.empty() &&
+      std::all_of(current.begin(), current.end(),
+                  [](const PathState& p) { return p.head_in_path; })) {
+    return RecordedCall(ctx.stats, ids.finalize_head, current.size(),
+                        [&] { return std::move(current); });
+  }
   ReverseAll(&current);
   if (!anchored.reversed_prefix.empty()) {
     current = RunProgramCtx(exec, anchored.reversed_prefix, current,

@@ -11,7 +11,6 @@ using storage::ExtendedState;
 using storage::PathSet;
 using storage::PathState;
 using storage::TimeView;
-using storage::TryAppendElement;
 
 namespace {
 
@@ -57,27 +56,20 @@ PathSet SqlBulkExecutor::SelectSeeds(const std::vector<Uid>& nodes,
 // intersection have passed on the parent state.
 
 void SqlBulkExecutor::MaterializeFrontiers(const PathSet& frontier,
-                                           const TimeView& view,
-                                           const CompiledAtom* node_atom,
+                                           storage::FrontierReads& reads,
+                                           bool keep_in_path,
                                            PathSet* out) const {
   for (const PathState& state : frontier) {
-    if (state.frontier_in_path) {
-      if (node_atom == nullptr) out->push_back(state);
-      continue;
+    if (!state.frontier_in_path) {
+      reads.AppendFrontierNode(state, out);
+    } else if (keep_in_path) {
+      out->push_back(state);
     }
-    store_->Get(state.frontier, view, [&](const ElementVersion& v) {
-      if (node_atom != nullptr && !node_atom->Matches(v)) return;
-      PathState next;
-      if (!TryAppendElement(state, v, &next)) return;
-      next.frontier = v.uid;
-      next.frontier_in_path = true;
-      out->push_back(std::move(next));
-    });
   }
 }
 
 std::vector<SqlBulkExecutor::JoinInput> SqlBulkExecutor::EdgeJoinInputs(
-    const PathSet& frontier, const TimeView& view) const {
+    const PathSet& frontier, storage::FrontierReads& reads) const {
   std::vector<JoinInput> inputs;
   inputs.reserve(frontier.size());
   for (size_t i = 0; i < frontier.size(); ++i) {
@@ -86,12 +78,13 @@ std::vector<SqlBulkExecutor::JoinInput> SqlBulkExecutor::EdgeJoinInputs(
       inputs.push_back({i, {}, state.valid});
       continue;
     }
-    store_->Get(state.frontier, view, [&](const ElementVersion& v) {
-      if (state.Contains(v.uid)) return;
+    if (state.Contains(state.frontier)) continue;
+    for (const storage::FrontierReads::NodeVersion& v :
+         reads.Versions(reads.Group(state.frontier))) {
       const Interval iv = state.valid.Intersect(v.valid);
-      if (iv.empty()) return;
-      inputs.push_back({i, {v.uid, v.cls}, iv});
-    });
+      if (iv.empty()) continue;
+      inputs.push_back({i, {state.frontier, v.cls}, iv});
+    }
   }
   return inputs;
 }
@@ -159,10 +152,11 @@ PathSet SqlBulkExecutor::ExtendAtom(const PathSet& frontier,
                                     const CompiledAtom& atom, Direction dir,
                                     const TimeView& view) {
   PathSet out;
+  storage::FrontierReads reads(*store_, &atom, dir, view);
   if (atom.is_edge()) {
     // One bulk edge join for the whole frontier; a state whose frontier is
     // not yet in its path gets the implicit node in the same copy.
-    EdgeJoin(frontier, EdgeJoinInputs(frontier, view), atom, dir, view,
+    EdgeJoin(frontier, EdgeJoinInputs(frontier, reads), atom, dir, view,
              [&](const JoinInput& input, const ElementVersion& e, Uid far,
                  const Interval& iv) {
                out.push_back(ExtendedState(frontier[input.state], input.node,
@@ -172,7 +166,7 @@ PathSet SqlBulkExecutor::ExtendAtom(const PathSet& frontier,
   }
 
   // Node atom. Post-edge states: the frontier node itself must match.
-  MaterializeFrontiers(frontier, view, &atom, &out);
+  MaterializeFrontiers(frontier, reads, /*keep_in_path=*/false, &out);
 
   // In-path states: implicit edge join, then node join on the far endpoint;
   // the edge and the node are appended in one copy.
@@ -197,15 +191,17 @@ PathSet SqlBulkExecutor::ExtendAtom(const PathSet& frontier,
                const Interval& iv) {
              hops.push_back({input.state, {e.uid, e.cls}, far, iv});
            });
-  // Node join: probe the uid registry / id index of the atom's subtree.
+  // Node join: probe the uid registry / id index of the atom's subtree,
+  // once per distinct far endpoint.
   for (const EdgeHop& hop : hops) {
-    store_->Get(hop.far, view, [&](const ElementVersion& v) {
-      if (!atom.Matches(v) || v.uid == hop.edge.uid) return;
+    if (hop.far == hop.edge.uid) continue;
+    for (const storage::FrontierReads::NodeVersion& v :
+         reads.Versions(reads.Group(hop.far))) {
       const Interval iv = hop.valid.Intersect(v.valid);
-      if (iv.empty()) return;
+      if (iv.empty()) continue;
       out.push_back(ExtendedState(frontier[hop.state], hop.edge,
-                                  {v.uid, v.cls}, iv, v.uid, true));
-    });
+                                  {hop.far, v.cls}, iv, hop.far, true));
+    }
   }
   return out;
 }
@@ -214,7 +210,8 @@ PathSet SqlBulkExecutor::FinalizeTail(const PathSet& frontier,
                                       const TimeView& view) {
   PathSet out;
   out.reserve(frontier.size());
-  MaterializeFrontiers(frontier, view, nullptr, &out);
+  storage::FrontierReads reads(*store_, nullptr, Direction::kOut, view);
+  MaterializeFrontiers(frontier, reads, /*keep_in_path=*/true, &out);
   return out;
 }
 

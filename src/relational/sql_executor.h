@@ -10,7 +10,11 @@
 // Join strategy per table: when the stored table is smaller than the
 // frontier, the executor scans the table and probes a hash built over the
 // frontier's curr_uid column; otherwise it probes the table's
-// source_id_/target_id_ hash index once per distinct frontier uid.
+// source_id_/target_id_ hash index once per distinct frontier uid. Node
+// lookups — the implicit node an edge join appends, the frontier node a
+// node atom or Finalize matches, the far endpoint of node·node — go
+// through the uid registry once per distinct node per call
+// (storage/frontier_reads.h), and every state checks against those reads.
 
 #ifndef NEPAL_RELATIONAL_SQL_EXECUTOR_H_
 #define NEPAL_RELATIONAL_SQL_EXECUTOR_H_
@@ -19,6 +23,7 @@
 #include <vector>
 
 #include "relational/relational_store.h"
+#include "storage/frontier_reads.h"
 #include "storage/pathset.h"
 
 namespace nepal::relational {
@@ -54,17 +59,17 @@ class SqlBulkExecutor : public storage::PathOperatorExecutor {
 
   /// The inputs of an edge atom over `frontier`: an in-path state joins as
   /// it is; any other state joins once per version of its frontier node
-  /// that passes the cycle check and the interval intersection.
+  /// that passes the cycle check and the interval intersection, each
+  /// distinct frontier node read once through `reads`.
   std::vector<JoinInput> EdgeJoinInputs(const storage::PathSet& frontier,
-                                        const storage::TimeView& view) const;
+                                        storage::FrontierReads& reads) const;
 
-  /// Appends each post-edge state extended by a version of its frontier
-  /// node (one that matches `node_atom`, when given) to `out`, so appended
-  /// states are in-path. In-path states pass through unchanged when
-  /// `node_atom` is null and are skipped otherwise.
+  /// Appends each post-edge state extended by each version of its frontier
+  /// node that `reads` admits to `out`, so appended states are in-path.
+  /// In-path states pass through unchanged when `keep_in_path` is set and
+  /// are skipped otherwise.
   void MaterializeFrontiers(const storage::PathSet& frontier,
-                            const storage::TimeView& view,
-                            const storage::CompiledAtom* node_atom,
+                            storage::FrontierReads& reads, bool keep_in_path,
                             storage::PathSet* out) const;
 
   /// Bulk join of `inputs` (over `frontier`) against the edge tables of

@@ -263,17 +263,8 @@ PathState ExtendedState(const PathState& state, const PathElement& implicit,
   return next;
 }
 
-bool TryAppendElement(const PathState& state, const ElementVersion& v,
-                      PathState* out) {
-  if (state.Contains(v.uid)) return false;
-  const Interval iv = state.valid.Intersect(v.valid);
-  if (iv.empty()) return false;
-  *out = ExtendedState(state, {}, {v.uid, v.cls}, iv, state.frontier,
-                       state.frontier_in_path);
-  return true;
-}
-
-PathIndex::PathIndex(size_t expected) {
+PathIndex::PathIndex(size_t expected, std::pmr::memory_resource* memory)
+    : slots_(memory), hashes_(memory) {
   size_t capacity = 16;
   while (capacity * 3 < expected * 4) capacity *= 2;
   slots_.assign(capacity, 0);
@@ -281,8 +272,10 @@ PathIndex::PathIndex(size_t expected) {
 }
 
 void PathIndex::Grow() {
-  std::vector<uint32_t> old_slots(slots_.size() * 2, 0);
-  std::vector<uint64_t> old_hashes(hashes_.size() * 2, 0);
+  std::pmr::vector<uint32_t> old_slots(slots_.size() * 2, 0,
+                                       slots_.get_allocator());
+  std::pmr::vector<uint64_t> old_hashes(hashes_.size() * 2, 0,
+                                        hashes_.get_allocator());
   old_slots.swap(slots_);
   old_hashes.swap(hashes_);
   const size_t mask = slots_.size() - 1;

@@ -6,10 +6,11 @@
 // itself, its body program once per round (RepeatRounds below). A
 // PathState mirrors the paper's TEMP-table layout: `uids` is the uid_list,
 // `concepts` the concept_list, and `frontier` the curr_uid — the open node
-// at the growing end of the path. Both execution
-// backends implement PathOperatorExecutor: the graphstore with per-traverser
-// adjacency steps, the relational engine with bulk hash joins that also
-// render themselves to SQL.
+// at the growing end of the path. Both execution backends implement
+// PathOperatorExecutor: the graphstore with per-traverser adjacency steps,
+// the relational engine with bulk hash joins that also render themselves
+// to SQL. Both read each distinct frontier node once per Extend
+// (storage/frontier_reads.h).
 //
 // Extension semantics (the paper's four-way concatenation, Section 3.3):
 //  - consuming a node atom right after a node atom traverses one *implicit,
@@ -25,6 +26,7 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <memory_resource>
 #include <string>
 #include <utility>
 #include <vector>
@@ -143,13 +145,6 @@ PathState ExtendedState(const PathState& state, const PathElement& implicit,
                         const PathElement& matched, const Interval& valid,
                         Uid frontier, bool frontier_in_path);
 
-/// Appends `v` to a copy of `state` if the cycle check and interval
-/// intersection admit it; returns false otherwise, having copied nothing.
-/// The frontier bookkeeping is `state`'s; the caller moves it. The
-/// one-element form of ExtendedState, shared by executors.
-bool TryAppendElement(const PathState& state, const ElementVersion& v,
-                      PathState* out);
-
 /// Removes states with the identity of an earlier state, keeping the first
 /// occurrence in input order. The surviving set is input-order
 /// independent; the output order is not.
@@ -198,7 +193,10 @@ PathSet RepeatRounds(const PathSet& frontier, int min_rep, int max_rep,
 /// hash match with its own equality test.
 class PathIndex {
  public:
-  explicit PathIndex(size_t expected = 0);
+  /// Sized for `expected` entries; the table lives in `memory`.
+  explicit PathIndex(
+      size_t expected = 0,
+      std::pmr::memory_resource* memory = std::pmr::get_default_resource());
 
   /// Returns {id, false} for an earlier entry with hash `hash` for which
   /// `same(id)` holds; otherwise records the next id under `hash` and
@@ -228,8 +226,8 @@ class PathIndex {
   }
   void Grow();
 
-  std::vector<uint32_t> slots_;  // id + 1; 0 marks an empty slot
-  std::vector<uint64_t> hashes_;
+  std::pmr::vector<uint32_t> slots_;  // id + 1; 0 marks an empty slot
+  std::pmr::vector<uint64_t> hashes_;
   size_t size_ = 0;
 };
 

@@ -2,6 +2,77 @@
 
 namespace nepal::storage {
 
+namespace {
+
+// Every extension below checks first and copies last (see ExtendedState):
+// a path is built only once all of its cycle checks and its interval
+// intersection have passed on the parent state.
+
+/// The edge-matching step from `state`'s frontier node over `edges`.
+/// `node` is that node when the step also appends it (the implicit node of
+/// edge·edge or of a seed), no element when it is already in the path;
+/// `valid` is `state.valid`, narrowed by `node`.
+void EdgeStep(const PathState& state, const PathElement& node,
+              const Interval& valid, std::span<const FrontierReads::Edge> edges,
+              PathSet* out) {
+  for (const FrontierReads::Edge& e : edges) {
+    // Neither the edge nor its far endpoint may already appear in the
+    // path; the endpoint is materialized by a later step, but the cycle is
+    // rejected here.
+    if (e.uid == node.uid || e.far == node.uid ||
+        state.ContainsAny(e.uid, e.far)) {
+      continue;
+    }
+    const Interval iv = valid.Intersect(e.valid);
+    if (iv.empty()) continue;
+    out->push_back(
+        ExtendedState(state, node, {e.uid, e.cls}, iv, e.far, false));
+  }
+}
+
+void ExtendByEdgeAtom(const PathState& state, FrontierReads& reads,
+                      PathSet* out) {
+  const uint32_t group = reads.Group(state.frontier);
+  if (state.frontier_in_path) {
+    EdgeStep(state, {}, state.valid, reads.Edges(group), out);
+    return;
+  }
+  // Edge atom right after an edge atom (or on a seed): the implicit,
+  // unconstrained node between them is appended with the edge.
+  if (state.Contains(state.frontier)) return;
+  for (const FrontierReads::NodeVersion& v : reads.Versions(group)) {
+    const Interval iv = state.valid.Intersect(v.valid);
+    if (iv.empty()) continue;
+    EdgeStep(state, {state.frontier, v.cls}, iv, reads.Edges(group), out);
+  }
+}
+
+void ExtendByNodeAtom(const PathState& state, FrontierReads& reads,
+                      PathSet* out) {
+  if (!state.frontier_in_path) {
+    // The frontier node itself must satisfy the atom.
+    reads.AppendFrontierNode(state, out);
+    return;
+  }
+  // Node atom right after a node atom: traverse one implicit,
+  // unconstrained edge, then match the far node; both are appended at once.
+  const uint32_t group = reads.Group(state.frontier);
+  for (const FrontierReads::Edge& e : reads.Edges(group)) {
+    if (state.ContainsAny(e.uid, e.far)) continue;
+    const Interval iv = state.valid.Intersect(e.valid);
+    if (iv.empty()) continue;
+    for (const FrontierReads::NodeVersion& v :
+         reads.Versions(reads.Group(e.far))) {
+      const Interval both = iv.Intersect(v.valid);
+      if (both.empty()) continue;
+      out->push_back(ExtendedState(state, {e.uid, e.cls}, {e.far, v.cls},
+                                   both, e.far, true));
+    }
+  }
+}
+
+}  // namespace
+
 PathSet TraverserExecutor::Select(const CompiledAtom& atom,
                                   const TimeView& view) {
   PathSet out;
@@ -21,113 +92,28 @@ PathSet TraverserExecutor::ExtendAtom(const PathSet& frontier,
                                       const CompiledAtom& atom, Direction dir,
                                       const TimeView& view) {
   PathSet out;
+  FrontierReads reads(*backend_, &atom, dir, view);
   for (const PathState& state : frontier) {
     if (atom.is_edge()) {
-      ExtendByEdgeAtom(state, atom, dir, view, &out);
+      ExtendByEdgeAtom(state, reads, &out);
     } else {
-      ExtendByNodeAtom(state, atom, dir, view, &out);
+      ExtendByNodeAtom(state, reads, &out);
     }
   }
   return out;
 }
 
-// Every extension below checks first and copies last (see ExtendedState):
-// a path is built only once all of its cycle checks and its interval
-// intersection have passed on the parent state.
-
-void TraverserExecutor::EdgeStep(const PathState& state,
-                                 const PathElement& node,
-                                 const Interval& valid,
-                                 const CompiledAtom& atom, Direction dir,
-                                 const TimeView& view, PathSet* out) {
-  backend_->IncidentEdges(
-      state.frontier, dir == Direction::kOut ? Direction::kOut : Direction::kIn,
-      atom.cls, view, [&](const ElementVersion& e) {
-        if (!atom.Matches(e)) return;
-        const Uid far = dir == Direction::kOut ? e.target : e.source;
-        // Neither the edge nor its far endpoint may already appear in the
-        // path; the endpoint is materialized by a later step, but the cycle
-        // is rejected here.
-        if (e.uid == node.uid || far == node.uid || far == e.uid ||
-            state.ContainsAny(e.uid, far)) {
-          return;
-        }
-        const Interval iv = valid.Intersect(e.valid);
-        if (iv.empty()) return;
-        out->push_back(
-            ExtendedState(state, node, {e.uid, e.cls}, iv, far, false));
-      });
-}
-
-void TraverserExecutor::ExtendByEdgeAtom(const PathState& state,
-                                         const CompiledAtom& atom,
-                                         Direction dir, const TimeView& view,
-                                         PathSet* out) {
-  if (state.frontier_in_path) {
-    EdgeStep(state, {}, state.valid, atom, dir, view, out);
-    return;
-  }
-  // Edge atom right after an edge atom (or on a seed): the implicit,
-  // unconstrained node between them is appended with the edge.
-  backend_->Get(state.frontier, view, [&](const ElementVersion& v) {
-    if (state.Contains(v.uid)) return;
-    const Interval iv = state.valid.Intersect(v.valid);
-    if (iv.empty()) return;
-    EdgeStep(state, {v.uid, v.cls}, iv, atom, dir, view, out);
-  });
-}
-
-void TraverserExecutor::ExtendByNodeAtom(const PathState& state,
-                                         const CompiledAtom& atom,
-                                         Direction dir, const TimeView& view,
-                                         PathSet* out) {
-  if (!state.frontier_in_path) {
-    // The frontier node itself must satisfy the atom.
-    backend_->Get(state.frontier, view, [&](const ElementVersion& v) {
-      if (!atom.Matches(v)) return;
-      PathState next;
-      if (!TryAppendElement(state, v, &next)) return;
-      next.frontier = v.uid;
-      next.frontier_in_path = true;
-      out->push_back(std::move(next));
-    });
-    return;
-  }
-  // Node atom right after a node atom: traverse one implicit,
-  // unconstrained edge, then match the far node; both are appended at once.
-  backend_->IncidentEdges(
-      state.frontier, dir == Direction::kOut ? Direction::kOut : Direction::kIn,
-      /*edge_cls=*/nullptr, view, [&](const ElementVersion& e) {
-        const Uid far = dir == Direction::kOut ? e.target : e.source;
-        if (far == e.uid || state.ContainsAny(e.uid, far)) return;
-        const Interval iv = state.valid.Intersect(e.valid);
-        if (iv.empty()) return;
-        backend_->Get(far, view, [&](const ElementVersion& v) {
-          if (!atom.Matches(v) || v.uid == e.uid) return;
-          const Interval both = iv.Intersect(v.valid);
-          if (both.empty()) return;
-          out->push_back(ExtendedState(state, {e.uid, e.cls}, {v.uid, v.cls},
-                                       both, far, true));
-        });
-      });
-}
-
 PathSet TraverserExecutor::FinalizeTail(const PathSet& frontier,
                                         const TimeView& view) {
   PathSet out;
+  // Materializes the implicit final node of every state not yet closed.
+  FrontierReads reads(*backend_, nullptr, Direction::kOut, view);
   for (const PathState& state : frontier) {
     if (state.frontier_in_path) {
       out.push_back(state);
-      continue;
+    } else {
+      reads.AppendFrontierNode(state, &out);
     }
-    // Materialize the implicit final node.
-    backend_->Get(state.frontier, view, [&](const ElementVersion& v) {
-      PathState next;
-      if (!TryAppendElement(state, v, &next)) return;
-      next.frontier = v.uid;
-      next.frontier_in_path = true;
-      out.push_back(std::move(next));
-    });
   }
   return out;
 }

@@ -2,7 +2,10 @@
 //
 // Evaluates Select/Extend over a StorageBackend one traverser (path state)
 // at a time, the way the paper's Gremlin target executes: each Extend step
-// walks adjacency from every frontier element. Backends with a bulk
+// walks adjacency from every frontier element. The traversers of one
+// Extend share its reads (storage/frontier_reads.h): each distinct frontier
+// node's versions and incident edges are read once per call, and each
+// traverser then extends against them in turn. Backends with a bulk
 // execution strategy (the relational engine) provide their own
 // PathOperatorExecutor instead.
 
@@ -10,6 +13,7 @@
 #define NEPAL_STORAGE_TRAVERSER_EXECUTOR_H_
 
 #include "storage/backend.h"
+#include "storage/frontier_reads.h"
 #include "storage/pathset.h"
 
 namespace nepal::storage {
@@ -28,18 +32,6 @@ class TraverserExecutor : public PathOperatorExecutor {
   PathSet FinalizeTail(const PathSet& frontier, const TimeView& view) override;
 
  private:
-  void ExtendByEdgeAtom(const PathState& state, const CompiledAtom& atom,
-                        Direction dir, const TimeView& view, PathSet* out);
-  void ExtendByNodeAtom(const PathState& state, const CompiledAtom& atom,
-                        Direction dir, const TimeView& view, PathSet* out);
-  /// Runs the edge-matching step from `state`'s frontier node. `node` is
-  /// that node when the step also appends it (the implicit node of
-  /// edge·edge or of a seed), no element when it is already in the path;
-  /// `valid` is `state.valid`, narrowed by `node`.
-  void EdgeStep(const PathState& state, const PathElement& node,
-                const Interval& valid, const CompiledAtom& atom,
-                Direction dir, const TimeView& view, PathSet* out);
-
   const StorageBackend* backend_;
 };
 

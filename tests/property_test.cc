@@ -1208,7 +1208,9 @@ TEST(PropertyTest, GoalLabelsHoldAcrossLoopShards) {
             if (op.op.rfind("ExtendBlock", 0) == 0) {
               // Sharded or not, the Loop reports the rounds it built.
               EXPECT_GE(op.built, op.rows_out);
-              if (lanes == 4) EXPECT_GT(op.shards, 1u);
+              if (lanes == 4) {
+                EXPECT_GT(op.shards, 1u);
+              }
             }
           }
         }

@@ -2,10 +2,13 @@
 // constraints, cascades, the transaction clock) and backend behaviour
 // (version chains, scans under time views, incident-edge lookups,
 // statistics), run against both backends; the path-identity properties
-// of DedupPaths, CanonicalizePaths and PathIndex; and the path extension
-// of both backends' executors and of RepeatRounds against references.
+// of DedupPaths, CanonicalizePaths and PathIndex; the path extension of
+// both backends' executors and of RepeatRounds against references; and
+// the backend reads one Extend call makes.
 
 #include <algorithm>
+#include <functional>
+#include <map>
 #include <set>
 #include <tuple>
 #include <unordered_map>
@@ -16,6 +19,7 @@
 #include "common/rng.h"
 #include "relational/relational_store.h"
 #include "storage/pathset.h"
+#include "storage/traverser_executor.h"
 #include "tests/testutil.h"
 
 namespace nepal {
@@ -807,6 +811,230 @@ TEST_P(PathExtensionTest, OneCopyExtensionMatchesTwoStepReference) {
 
 INSTANTIATE_TEST_SUITE_P(
     Backends, PathExtensionTest,
+    ::testing::Values(BackendKind::kGraphStore, BackendKind::kRelational),
+    [](const ::testing::TestParamInfo<BackendKind>& info) {
+      return nepal::testing::BackendName(info.param);
+    });
+
+// ---- Reads per Extend -----------------------------------------------------
+
+/// Forwards every read to `inner` and counts the Get and IncidentEdges calls
+/// made for each element. Writes are refused.
+class CountingBackend : public StorageBackend {
+ public:
+  explicit CountingBackend(const StorageBackend& inner) : inner_(inner) {}
+
+  std::string name() const override { return inner_.name(); }
+  Status InsertNode(Uid, const schema::ClassDef*, std::vector<Value>,
+                    Timestamp) override {
+    return ReadOnly();
+  }
+  Status InsertEdge(Uid, const schema::ClassDef*, std::vector<Value>, Uid,
+                    Uid, Timestamp) override {
+    return ReadOnly();
+  }
+  Status Update(Uid, const std::vector<std::pair<int, Value>>&,
+                Timestamp) override {
+    return ReadOnly();
+  }
+  Status Delete(Uid, Timestamp) override { return ReadOnly(); }
+  Status RestoreChain(Uid, std::vector<ElementVersion>) override {
+    return ReadOnly();
+  }
+
+  void Scan(const storage::ScanSpec& spec, const TimeView& view,
+            const storage::ElementSink& sink) const override {
+    inner_.Scan(spec, view, sink);
+  }
+  void Get(Uid uid, const TimeView& view,
+           const storage::ElementSink& sink) const override {
+    ++gets[uid];
+    inner_.Get(uid, view, sink);
+  }
+  void IncidentEdges(Uid node, Direction dir,
+                     const schema::ClassDef* edge_cls, const TimeView& view,
+                     const storage::ElementSink& sink) const override {
+    ++incident[node];
+    inner_.IncidentEdges(node, dir, edge_cls, view, sink);
+  }
+  bool Exists(Uid uid, const TimeView& view) const override {
+    return inner_.Exists(uid, view);
+  }
+  size_t CountClass(const schema::ClassDef* cls) const override {
+    return inner_.CountClass(cls);
+  }
+  size_t MemoryUsage() const override { return inner_.MemoryUsage(); }
+  size_t VersionCount() const override { return inner_.VersionCount(); }
+
+  /// Calls per element since the last Reset.
+  mutable std::map<Uid, int> gets, incident;
+
+  void Reset() {
+    gets.clear();
+    incident.clear();
+  }
+
+  /// The largest per-element count in `calls`, and their total.
+  static std::pair<int, int> MaxAndTotal(const std::map<Uid, int>& calls) {
+    int most = 0, total = 0;
+    for (const auto& [uid, n] : calls) {
+      most = std::max(most, n);
+      total += n;
+    }
+    return {most, total};
+  }
+
+ private:
+  static Status ReadOnly() { return Status::Unsupported("read-only"); }
+
+  const StorageBackend& inner_;
+};
+
+class ReadsPerExtendTest : public ::testing::TestWithParam<BackendKind> {};
+
+TEST_P(ReadsPerExtendTest, EachCallReadsEveryNodeOnceAndExtendsStateByState) {
+  // The step-wise executor over either store, counted: frontiers of many
+  // states over a few multi-version nodes, under Current, AsOf and Range
+  // views. One ExtendAtom or FinalizeTail call reads each node (frontier
+  // or, for node·node, far endpoint) at most once, and returns exactly
+  // what one call per state returns, concatenated in frontier order.
+  auto schema = schema::ParseSchemaDsl(R"(
+    node A : Node { val: int; }
+    node B : Node {}
+    edge E : Edge { w: int; }
+    edge F : E {}
+    allow E (Node -> Node);
+  )");
+  ASSERT_TRUE(schema.ok()) << schema.status();
+  auto atom = [&](const char* cls, const char* field = nullptr) {
+    CompiledAtom a;
+    a.cls = (*schema)->FindClass(cls);
+    if (field != nullptr) {
+      storage::FieldCondition cond;
+      cond.field_index = a.cls->FieldIndex(field);
+      cond.field_name = field;
+      cond.value = Value(1);
+      a.conditions.push_back(cond);
+    }
+    return a;
+  };
+  const std::vector<CompiledAtom> atoms = {
+      atom("Node"), atom("A"), atom("A", "val"), atom("B"),
+      atom("Edge"), atom("E"), atom("F"),        atom("E", "w")};
+
+  storage::GraphDb db(*schema,
+                      nepal::testing::MakeBackend(GetParam(), *schema));
+  const Timestamp t0 = db.Now();
+  std::vector<Uid> nodes;
+  for (const char* cls : {"A", "A", "A", "B"}) {
+    auto uid = std::string(cls) == "A"
+                   ? db.AddNode(cls, {{"val", Value(int64_t{0})}})
+                   : db.AddNode(cls, {});
+    ASSERT_TRUE(uid.ok()) << uid.status();
+    nodes.push_back(*uid);
+  }
+  // Every ordered pair of distinct nodes, alternating E and F, plus a
+  // self-loop: 2-cycles everywhere.
+  std::vector<Uid> edges;
+  for (size_t i = 0; i < nodes.size(); ++i) {
+    for (size_t j = 0; j < nodes.size(); ++j) {
+      if (i == j && i != 0) continue;
+      auto uid = db.AddEdge((i + j) % 2 == 0 ? "E" : "F", nodes[i], nodes[j],
+                            {{"w", Value(static_cast<int64_t>(j % 2))}});
+      ASSERT_TRUE(uid.ok()) << uid.status();
+      edges.push_back(*uid);
+    }
+  }
+  // Each A node gets a version per step, some edges a second version, and
+  // one edge goes away.
+  for (int step = 1; step <= 2; ++step) {
+    ASSERT_TRUE(db.SetTime(t0 + 10 * step).ok());
+    for (size_t i = 0; i < 3; ++i) {
+      const int64_t val = (step + static_cast<int64_t>(i)) % 2;
+      ASSERT_TRUE(db.UpdateElement(nodes[i], {{"val", Value(val)}}).ok());
+    }
+    ASSERT_TRUE(db.UpdateElement(edges[static_cast<size_t>(step)],
+                                 {{"w", Value(int64_t{1})}})
+                    .ok());
+  }
+  ASSERT_TRUE(db.RemoveElement(edges[5]).ok());
+  ASSERT_TRUE(db.SetTime(t0 + 30).ok());
+
+  CountingBackend counting(db.backend());
+  storage::TraverserExecutor exec(&counting);
+  size_t states = 0, extended = 0, grouped_reads = 0, per_state_reads = 0;
+  for (const TimeView& view :
+       {TimeView::Current(), TimeView::AsOf(t0 + 15),
+        TimeView::Range(t0 + 5, t0 + 25)}) {
+    // Anchor, seed, post-edge and in-path states, and the reverses of all
+    // of them, twice over: far more states than nodes.
+    PathSet frontier = exec.Select(atom("Node"), view);
+    for (const PathState& p : exec.Select(atom("Edge"), view)) {
+      frontier.push_back(p);
+    }
+    for (const PathState& p : storage::SeedStates(nodes)) {
+      frontier.push_back(p);
+    }
+    const PathSet once = exec.ExtendAtom(frontier, atom("E"), Direction::kOut,
+                                         view);
+    frontier.insert(frontier.end(), once.begin(), once.end());
+    for (const PathState& p :
+         exec.ExtendAtom(once, atom("Node"), Direction::kOut, view)) {
+      frontier.push_back(p);
+    }
+    for (size_t i = 0, n = frontier.size(); i < n; ++i) {
+      PathState reversed = frontier[i];
+      reversed.Reverse();
+      frontier.push_back(std::move(reversed));
+    }
+    for (size_t i = 0, n = frontier.size(); i < n; ++i) {
+      frontier.push_back(frontier[i]);
+    }
+    states += frontier.size();
+
+    auto check = [&](const std::string& context,
+                     const std::function<PathSet(const PathSet&)>& call) {
+      counting.Reset();
+      const PathSet got = call(frontier);
+      const auto [most_gets, gets] =
+          CountingBackend::MaxAndTotal(counting.gets);
+      const auto [most_incident, incident] =
+          CountingBackend::MaxAndTotal(counting.incident);
+      EXPECT_LE(most_gets, 1) << context;
+      EXPECT_LE(most_incident, 1) << context;
+      grouped_reads += static_cast<size_t>(gets + incident);
+      counting.Reset();
+      PathSet want;
+      for (const PathState& state : frontier) {
+        for (const PathState& p : call(PathSet{state})) want.push_back(p);
+      }
+      per_state_reads += static_cast<size_t>(
+          CountingBackend::MaxAndTotal(counting.gets).second +
+          CountingBackend::MaxAndTotal(counting.incident).second);
+      ExpectSamePaths(got, want, context);
+      extended += got.size();
+    };
+    for (const CompiledAtom& a : atoms) {
+      for (Direction dir : {Direction::kOut, Direction::kIn}) {
+        check(a.ToString() + (dir == Direction::kOut ? " out" : " in"),
+              [&](const PathSet& in) {
+                return exec.ExtendAtom(in, a, dir, view);
+              });
+      }
+    }
+    check("finalize",
+          [&](const PathSet& in) { return exec.FinalizeTail(in, view); });
+  }
+  // Not vacuous: many states and extensions, and one call per state would
+  // read many times more.
+  EXPECT_GT(states, 500u) << states;
+  EXPECT_GT(extended, 5000u) << extended;
+  EXPECT_GT(per_state_reads, 10 * grouped_reads)
+      << per_state_reads << " vs " << grouped_reads;
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Backends, ReadsPerExtendTest,
     ::testing::Values(BackendKind::kGraphStore, BackendKind::kRelational),
     [](const ::testing::TestParamInfo<BackendKind>& info) {
       return nepal::testing::BackendName(info.param);
