@@ -58,19 +58,8 @@ AnchorFixture& Fixture() {
 
 void RunInstances(benchmark::State& state, const char* label,
                   const InstanceSet& set) {
-  if (set.queries.empty()) {
-    state.SkipWithError("no non-empty instances sampled");
-    return;
-  }
-  BenchJson::Instance().Begin(label, Fixture().net.db->backend().name(),
-                              set.queries.front());
-  size_t i = 0;
-  size_t paths = 0;
-  for (auto _ : state) {
-    paths += MustRun(*Fixture().engine, set.Next(i++));
-  }
-  state.counters["paths"] =
-      static_cast<double>(paths) / static_cast<double>(i);
+  RunEveryInstance(state, label, Fixture().net.db->backend().name(),
+                   *Fixture().engine, set);
 }
 
 void BM_Anchor_BothEnds(benchmark::State& state) {

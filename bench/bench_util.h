@@ -233,15 +233,10 @@ inline std::string NameOf(const storage::GraphDb& db, Uid uid) {
   return v->fields[static_cast<size_t>(idx)].AsString();
 }
 
-/// A set of query instances of one type plus bookkeeping for cycling
-/// through them inside the benchmark loop.
+/// The sampled query instances of one type (RunEveryInstance runs them).
 struct InstanceSet {
   std::vector<std::string> queries;
   double avg_paths = 0;  // measured during sampling (zero-path skipped)
-
-  const std::string& Next(size_t iteration) const {
-    return queries[iteration % queries.size()];
-  }
 };
 
 /// Times `set` on `engine` (over `backend`) under the BenchJson record
@@ -300,6 +295,12 @@ inline InstanceSet SampleNonEmpty(const nql::QueryEngine& engine,
 /// "Time (hist)" columns).
 inline std::string OnHistory(const std::string& query, Timestamp t) {
   return "AT '" + FormatTimestamp(t) + "' " + query;
+}
+
+/// `set` with every query timesliced at `t`.
+inline InstanceSet OnHistory(InstanceSet set, Timestamp t) {
+  for (std::string& query : set.queries) query = OnHistory(query, t);
+  return set;
 }
 
 }  // namespace nepal::bench

@@ -44,17 +44,10 @@ DepthLoad& LoadFor(int days) {
 
 void BM_HistoryDepth_Snapshot(benchmark::State& state) {
   DepthLoad& load = LoadFor(static_cast<int>(state.range(0)));
-  if (load.topdown.queries.empty()) {
-    state.SkipWithError("no non-empty instances sampled");
-    return;
-  }
-  BenchJson::Instance().Begin(
-      "HistoryDepth_Snapshot/days:" + std::to_string(state.range(0)),
-      load.net.db->backend().name(), load.topdown.queries.front());
-  size_t i = 0;
-  for (auto _ : state) {
-    MustRun(*load.engine, load.topdown.Next(i++));
-  }
+  RunEveryInstance(state,
+                   "HistoryDepth_Snapshot/days:" +
+                       std::to_string(state.range(0)),
+                   load.net.db->backend().name(), *load.engine, load.topdown);
   state.counters["versions"] =
       static_cast<double>(load.net.db->backend().VersionCount());
 }
@@ -65,22 +58,15 @@ BENCHMARK(BM_HistoryDepth_Snapshot)
 
 void BM_HistoryDepth_Timeslice(benchmark::State& state) {
   DepthLoad& load = LoadFor(static_cast<int>(state.range(0)));
-  if (load.topdown.queries.empty()) {
-    state.SkipWithError("no non-empty instances sampled");
-    return;
-  }
   // Slice in the middle of the recorded history.
   Timestamp mid =
       load.net.snapshot_time +
       (load.net.end_time - load.net.snapshot_time) / 2;
-  BenchJson::Instance().Begin(
-      "HistoryDepth_Timeslice/days:" + std::to_string(state.range(0)),
-      load.net.db->backend().name(),
-      OnHistory(load.topdown.queries.front(), mid));
-  size_t i = 0;
-  for (auto _ : state) {
-    MustRun(*load.engine, OnHistory(load.topdown.Next(i++), mid));
-  }
+  RunEveryInstance(state,
+                   "HistoryDepth_Timeslice/days:" +
+                       std::to_string(state.range(0)),
+                   load.net.db->backend().name(), *load.engine,
+                   OnHistory(load.topdown, mid));
   state.counters["versions"] =
       static_cast<double>(load.net.db->backend().VersionCount());
 }

@@ -107,23 +107,8 @@ Table1Fixture& Fixture() {
 void RunInstances(benchmark::State& state, const char* label,
                   const InstanceSet& set, bool history) {
   Table1Fixture& fx = Fixture();
-  if (set.queries.empty()) {
-    state.SkipWithError("no non-empty instances sampled");
-    return;
-  }
-  BenchJson::Instance().Begin(
-      label, fx.net.db->backend().name(),
-      history ? OnHistory(set.queries.front(), fx.net.end_time)
-              : set.queries.front());
-  size_t i = 0;
-  size_t paths = 0;
-  for (auto _ : state) {
-    const std::string& q = set.Next(i++);
-    paths += MustRun(*fx.engine,
-                     history ? OnHistory(q, fx.net.end_time) : q);
-  }
-  state.counters["paths"] =
-      static_cast<double>(paths) / static_cast<double>(i);
+  RunEveryInstance(state, label, fx.net.db->backend().name(), *fx.engine,
+                   history ? OnHistory(set, fx.net.end_time) : set);
   state.counters["instances"] = static_cast<double>(set.queries.size());
 }
 

@@ -116,46 +116,32 @@ Table2Fixture& Fixture() {
 void RunInstances(benchmark::State& state, const char* label,
                   const InstanceSet& set, bool history) {
   Table2Fixture& fx = Fixture();
-  if (set.queries.empty()) {
-    state.SkipWithError("no non-empty instances sampled");
-    return;
-  }
-  BenchJson::Instance().Begin(
-      label, fx.net.db->backend().name(),
-      history ? OnHistory(set.queries.front(), fx.net.end_time)
-              : set.queries.front());
-  size_t i = 0;
-  size_t paths = 0;
-  for (auto _ : state) {
-    const std::string& q = set.Next(i++);
-    paths += MustRun(*fx.engine,
-                     history ? OnHistory(q, fx.net.end_time) : q);
-  }
-  state.counters["paths"] =
-      static_cast<double>(paths) / static_cast<double>(i);
+  RunEveryInstance(state, label, fx.net.db->backend().name(), *fx.engine,
+                   history ? OnHistory(set, fx.net.end_time) : set);
   state.counters["instances"] = static_cast<double>(set.queries.size());
 }
 
-#define TABLE2_BENCH(name, member, iters)                        \
+// One iteration runs every sampled instance once (RunEveryInstance).
+#define TABLE2_BENCH(name, member)                               \
   void BM_##name##_Snapshot(benchmark::State& state) {           \
     RunInstances(state, #name "_Snapshot", Fixture().member,     \
                  /*history=*/false);                             \
   }                                                              \
   BENCHMARK(BM_##name##_Snapshot)                                \
       ->Unit(benchmark::kMillisecond)                            \
-      ->Iterations(iters);                                       \
+      ->Iterations(1);                                           \
   void BM_##name##_History(benchmark::State& state) {            \
     RunInstances(state, #name "_History", Fixture().member,      \
                  /*history=*/true);                              \
   }                                                              \
   BENCHMARK(BM_##name##_History)                                 \
       ->Unit(benchmark::kMillisecond)                            \
-      ->Iterations(iters)
+      ->Iterations(1)
 
-TABLE2_BENCH(Table2_ServicePath, service_path, 50);
-TABLE2_BENCH(Table2_ReversePath, reverse_path, 4);
-TABLE2_BENCH(Table2_TopDown, topdown, 50);
-TABLE2_BENCH(Table2_BottomUp, bottomup, 50);
+TABLE2_BENCH(Table2_ServicePath, service_path);
+TABLE2_BENCH(Table2_ReversePath, reverse_path);
+TABLE2_BENCH(Table2_TopDown, topdown);
+TABLE2_BENCH(Table2_BottomUp, bottomup);
 
 }  // namespace
 }  // namespace nepal::bench

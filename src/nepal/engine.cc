@@ -4,6 +4,7 @@
 #include <cctype>
 #include <chrono>
 #include <functional>
+#include <optional>
 #include <shared_mutex>
 #include <thread>
 #include <unordered_map>
@@ -85,6 +86,13 @@ uint64_t HashFinish(uint64_t h) {
   h = (h ^ (h >> 30)) * 0xbf58476d1ce4e5b9ull;
   h = (h ^ (h >> 27)) * 0x94d049bb133111ebull;
   return h ^ (h >> 31);
+}
+
+/// A path's key: its uid sequence.
+uint64_t HashUids(const std::vector<Uid>& uids) {
+  uint64_t h = uids.size();
+  for (Uid u : uids) h = HashMix(h, u);
+  return HashFinish(h);
 }
 
 uint64_t HashValues(const std::vector<Value>& values) {
@@ -853,26 +861,36 @@ Result<QueryResult> QueryEngine::RunInternal(
       NEPAL_ASSIGN_OR_RETURN(
           MatchPlan view_plan,
           PlanMatchLocked(vs.db, *vs.view_rpe, options_.plan, vs.view));
-      PathSet view_paths = ExecuteMatch(*vs.exec, view_plan, vs.view,
-                                        options_.plan, vs.stats);
-      std::unordered_map<std::string, std::vector<const PathState*>> by_uids;
-      for (const PathState& state : view_paths) {
-        std::string key;
-        for (Uid u : state.uids) {
-          key.append(reinterpret_cast<const char*>(&u), sizeof(u));
+      const PathSet view_paths = ExecuteMatch(*vs.exec, view_plan, vs.view,
+                                              options_.plan, vs.stats);
+      // The view's paths grouped by uid sequence, each group in view order:
+      // `first` heads a group, `next` chains its members.
+      constexpr size_t kNone = static_cast<size_t>(-1);
+      storage::PathIndex index(view_paths.size());
+      std::vector<size_t> first, last;
+      std::vector<size_t> next(view_paths.size(), kNone);
+      for (size_t i = 0; i < view_paths.size(); ++i) {
+        const auto [id, fresh] =
+            index.Insert(HashUids(view_paths[i].uids), [&](uint32_t g) {
+              return view_paths[first[g]].uids == view_paths[i].uids;
+            });
+        if (fresh) {
+          first.push_back(i);
+          last.push_back(i);
+        } else {
+          next[last[id]] = i;
+          last[id] = i;
         }
-        by_uids[key].push_back(&state);
       }
       PathSet intersected;
       for (PathState& state : vs.paths) {
-        std::string key;
-        for (Uid u : state.uids) {
-          key.append(reinterpret_cast<const char*>(&u), sizeof(u));
-        }
-        auto it = by_uids.find(key);
-        if (it == by_uids.end()) continue;
-        for (const PathState* other : it->second) {
-          Interval overlap = state.valid.Intersect(other->valid);
+        const std::optional<uint32_t> id =
+            index.Find(HashUids(state.uids), [&](uint32_t g) {
+              return view_paths[first[g]].uids == state.uids;
+            });
+        if (!id) continue;
+        for (size_t i = first[*id]; i != kNone; i = next[i]) {
+          Interval overlap = state.valid.Intersect(view_paths[i].valid);
           if (overlap.empty()) continue;
           PathState keep = state;
           keep.valid = overlap;

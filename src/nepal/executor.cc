@@ -6,7 +6,6 @@
 #include <functional>
 #include <optional>
 #include <string>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -140,21 +139,22 @@ class PathMemo {
 
 /// Node distances to a goal-directed Loop's goal (Step::goal_depth): every
 /// node within goal_depth body hops of a goal match, hops taken in the
-/// Loop's direction, mapped to its fewest hops (an open Loop's goal depth
-/// is 0: the goal's matches alone). Built once per logical Loop invocation
-/// by a backward search from the goal's matches through the same operators
-/// and time view as the Loop itself, so a label is a lower bound on the
-/// hops any path from that node needs (simple-path and validity
-/// constraints only lengthen a path).
+/// Loop's direction, labelled with its fewest hops (an open Loop's goal
+/// depth is 0: the goal's matches alone) in a flat storage::GoalHops
+/// table. Built once per logical Loop invocation by a backward search from
+/// the goal's matches through the same operators and time view as the Loop
+/// itself, so a label is a lower bound on the hops any path from that node
+/// needs (simple-path and validity constraints only lengthen a path). Every
+/// shard of the invocation reads the one table through its RoundFilter.
 class GoalLabels {
  public:
   GoalLabels(storage::PathOperatorExecutor& exec, const Step& loop,
              const storage::CompiledAtom& goal, Direction dir,
              const TimeView& view)
-      : depth_(loop.goal_depth), max_rep_(loop.max_rep) {
+      : depth_(loop.goal_depth) {
     std::vector<Uid> level;
     for (const PathState& p : exec.Select(goal, view)) {
-      if (hops_.emplace(p.frontier, 0).second) level.push_back(p.frontier);
+      if (hops_.Insert(p.frontier, 0)) level.push_back(p.frontier);
     }
     targets_ = level.size();
     const Direction back =
@@ -166,9 +166,7 @@ class GoalLabels {
       level.clear();
       for (const storage::CompiledAtom& atom : atoms) {
         for (const PathState& p : exec.ExtendAtom(seeds, atom, back, view)) {
-          if (hops_.emplace(p.frontier, hop).second) {
-            level.push_back(p.frontier);
-          }
+          if (hops_.Insert(p.frontier, hop)) level.push_back(p.frontier);
         }
       }
     }
@@ -182,32 +180,34 @@ class GoalLabels {
   /// edge). A frontier with no version matching the goal in the view fails
   /// that Extend, so the Loop hands on only the paths this accepts.
   bool Collects(const PathState& p) const {
-    if (p.frontier_in_path) return true;
-    auto it = hops_.find(p.frontier);
-    return it != hops_.end() && it->second == 0;
+    return p.frontier_in_path || hops_.Find(p.frontier) == 0;
   }
 
-  /// Drops the paths of round `round` whose frontier cannot reach a goal
-  /// match in the rounds left — the paths the goal's Extend would drop —
-  /// keeping the others in order. Until the rounds left fall to the goal
-  /// depth, an unlabelled frontier may still be close enough: no-op. An
-  /// open Loop's rounds left (kUnboundedRep - round) never fall to its
-  /// depth 0: it is never pruned.
-  void Prune(PathSet* paths, int round) const {
-    const int left = max_rep_ - round;
-    if (left > depth_) return;
-    std::erase_if(*paths, [&](const PathState& p) {
-      auto it = hops_.find(p.frontier);
-      return it == hops_.end() || it->second > left;
-    });
+  /// A round filter over these labels for one invocation of `loop`, its
+  /// rounds left still to be set. Its edge Extends then build only the
+  /// children that pass the goal-distance test — the paths the goal's
+  /// Extend would drop never get copied — and that are goal matches or can
+  /// be extended by the next round. An open Loop's rounds left
+  /// (kUnboundedRep - round) never fall to its depth 0: it is never pruned,
+  /// only looked ahead for.
+  storage::RoundFilter Filter(const Step& loop) const {
+    return {&hops_, depth_, 0, *AsAtomAlternation(loop.body)};
   }
 
  private:
   int depth_;
-  int max_rep_;
   size_t targets_ = 0;
-  std::unordered_map<Uid, int> hops_;
+  storage::GoalHops hops_;
 };
+
+/// Points every atom of `program` at `filter`.
+void AttachFilter(Program* program, const storage::RoundFilter* filter) {
+  for (Step& step : *program) {
+    step.atom.round_filter = filter;
+    for (Program& branch : step.branches) AttachFilter(&branch, filter);
+    AttachFilter(&step.body, filter);
+  }
+}
 
 /// Registers one stats node per step (and one labelling node before each
 /// goal-directed Loop), recursing into union branches and general loop
@@ -390,14 +390,21 @@ PathSet RunStepCtx(storage::PathOperatorExecutor& exec, const Step& step,
     }
     case Step::Kind::kLoop: {
       // One round runs the body program over the previous round, which it
-      // reads in place, and is deduplicated once; a goal-directed Loop then
-      // prunes it, and hands on only the paths its goal's Extend can
-      // accept.
+      // reads in place, and is deduplicated once. A goal-directed Loop runs
+      // a copy of its body whose atoms carry its round filter, so that each
+      // round builds only the paths it can use, and hands on only the paths
+      // its goal's Extend can accept.
       int round = 0;
       std::function<bool(const PathState&)> keep;
+      std::optional<storage::RoundFilter> filter;
+      Program filtered_body;
       if (labels != nullptr) {
         keep = [labels](const PathState& p) { return labels->Collects(p); };
+        filter.emplace(labels->Filter(step));
+        filtered_body = step.body;
+        AttachFilter(&filtered_body, &*filter);
       }
+      const Program& body = filter ? filtered_body : step.body;
       // An open Loop over a general body may reach one path in several
       // rounds. From round max(min_rep, 1) on, it skips the paths an
       // earlier round at or past min_rep reached (round 0 when min_rep is
@@ -414,15 +421,14 @@ PathSet RunStepCtx(storage::PathOperatorExecutor& exec, const Step& step,
       out = storage::RepeatRounds(
           frontier, step.min_rep, step.max_rep,
           [&](const PathSet& current) {
-            PathSet next =
-                RunProgramCtx(exec, step.body, current, dir, view, ctx);
             ++round;
+            if (filter) filter->rounds_left = step.max_rep - round;
+            PathSet next = RunProgramCtx(exec, body, current, dir, view, ctx);
             if (memo && round >= step.min_rep) {
               memo->Filter(&next);
             } else if (RoundNeedsDedup(step, round)) {
               storage::DedupPaths(&next);
             }
-            if (labels != nullptr) labels->Prune(&next, round);
             return next;
           },
           keep, &counts);

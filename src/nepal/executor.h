@@ -3,6 +3,9 @@
 // rounds the executor runs itself (storage::RepeatRounds), deduplicating
 // each round once; an open Loop over a body that is not an atom
 // alternation also skips the paths its earlier collected rounds reached.
+// A goal-directed Loop runs a copy of its body whose atoms carry its
+// storage::RoundFilter, so that the backends build only the paths it can
+// extend or hand on.
 
 #ifndef NEPAL_NEPAL_EXECUTOR_H_
 #define NEPAL_NEPAL_EXECUTOR_H_

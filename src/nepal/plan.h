@@ -44,11 +44,13 @@
 // edge atoms and whose next step is a node atom N can be goal-directed.
 // A bounded one carries a goal depth h chosen at plan time
 // (Step::goal_depth). The executor then labels every node within h body
-// hops of N's matches — a backward search from them — and drops, after
-// each round, the paths whose frontier cannot reach a match in the rounds
-// left: exactly the paths the Extend of N would drop. An open one
-// (Step::open_goal) labels N's matches alone: it has no rounds left to
-// prune by. Either hands on only the paths the Extend of N can accept.
+// hops of N's matches — a backward search from them — and its round
+// filter keeps the backends from building, in each round, the paths whose
+// frontier cannot reach a match in the rounds left: exactly the paths the
+// Extend of N would drop. An open one (Step::open_goal) labels N's matches
+// alone: it has no rounds left to prune by. Either builds a path only if
+// it ends at a goal match or the next round can extend it, and hands on
+// only the paths the Extend of N can accept.
 
 #ifndef NEPAL_NEPAL_PLAN_H_
 #define NEPAL_NEPAL_PLAN_H_

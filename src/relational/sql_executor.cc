@@ -1,5 +1,7 @@
 #include "relational/sql_executor.h"
 
+#include <array>
+#include <optional>
 #include <unordered_map>
 
 namespace nepal::relational {
@@ -114,11 +116,10 @@ void SqlBulkExecutor::EdgeJoin(const PathSet& frontier,
       const Uid far = forward ? e.target : e.source;
       for (size_t input_idx : it->second) {
         const JoinInput& input = inputs[input_idx];
-        if (far == input.node.uid || e.uid == input.node.uid ||
-            frontier[input.state].ContainsAny(far, e.uid)) {
-          continue;
-        }
-        const Interval iv = input.valid.Intersect(e.valid);
+        const Interval iv =
+            storage::EdgeStepValid(frontier[input.state],
+                                   std::array{input.node.uid}, input.valid,
+                                   e.uid, far, e.valid);
         if (iv.empty()) continue;
         emit(input, e, far, iv);
       }
@@ -155,12 +156,23 @@ PathSet SqlBulkExecutor::ExtendAtom(const PathSet& frontier,
   storage::FrontierReads reads(*store_, &atom, dir, view);
   if (atom.is_edge()) {
     // One bulk edge join for the whole frontier; a state whose frontier is
-    // not yet in its path gets the implicit node in the same copy.
+    // not yet in its path gets the implicit node in the same copy. In a
+    // goal-directed Loop's round, `round` first drops the children the
+    // Loop cannot use.
+    std::optional<storage::RoundReads> round;
+    if (atom.round_filter != nullptr) {
+      round.emplace(*store_, *atom.round_filter, dir, view);
+    }
     EdgeJoin(frontier, EdgeJoinInputs(frontier, reads), atom, dir, view,
              [&](const JoinInput& input, const ElementVersion& e, Uid far,
                  const Interval& iv) {
-               out.push_back(ExtendedState(frontier[input.state], input.node,
-                                           {e.uid, e.cls}, iv, far, false));
+               const PathState& state = frontier[input.state];
+               if (round && !round->Keeps(state, input.node.uid, e.uid, far,
+                                          iv)) {
+                 return;
+               }
+               out.push_back(ExtendedState(state, input.node, {e.uid, e.cls},
+                                           iv, far, false));
              });
     return out;
   }

@@ -15,6 +15,9 @@
 // node atom or Finalize matches, the far endpoint of node·node — go
 // through the uid registry once per distinct node per call
 // (storage/frontier_reads.h), and every state checks against those reads.
+// In a goal-directed Loop's round, the edge join's emit applies the atom's
+// RoundFilter to every joined pair before the copy (storage::RoundReads),
+// so that round builds only the paths the Loop can extend or hand on.
 
 #ifndef NEPAL_RELATIONAL_SQL_EXECUTOR_H_
 #define NEPAL_RELATIONAL_SQL_EXECUTOR_H_
@@ -75,8 +78,9 @@ class SqlBulkExecutor : public storage::PathOperatorExecutor {
   /// Bulk join of `inputs` (over `frontier`) against the edge tables of
   /// `atom`'s subtree. Runs every check on the parent state — cycle checks
   /// of the implicit node, the edge and the far endpoint, and the interval
-  /// intersection — and calls emit(input, edge, far, valid) for each pair
-  /// that passes, in join order. Builds no path itself.
+  /// intersection (storage::EdgeStepValid) — and calls
+  /// emit(input, edge, far, valid) for each pair that passes, in join
+  /// order. Builds no path itself.
   template <typename Emit>
   void EdgeJoin(const storage::PathSet& frontier,
                 const std::vector<JoinInput>& inputs,

@@ -78,4 +78,42 @@ void FrontierReads::AppendFrontierNode(const PathState& state, PathSet* out) {
   }
 }
 
+RoundReads::RoundReads(const StorageBackend& backend,
+                       const RoundFilter& filter, Direction dir,
+                       const TimeView& view)
+    : filter_(filter) {
+  reads_.reserve(filter.atoms.size());
+  for (const CompiledAtom& atom : filter.atoms) {
+    reads_.push_back(
+        std::make_unique<FrontierReads>(backend, &atom, dir, view));
+  }
+}
+
+bool RoundReads::Keeps(const PathState& state, Uid node, Uid edge, Uid far,
+                       const Interval& valid) {
+  const int left = filter_.rounds_left;
+  const int hops = filter_.hops->Find(far);
+  if (hops == 0) return true;  // a goal match
+  if (left == 0) return false;
+  // The prune: unlabelled (-1) or farther than the rounds left.
+  if (left <= filter_.goal_depth && (hops < 0 || hops > left)) return false;
+  // The next round appends `far` (a version of it) as the implicit node,
+  // then one edge of a body atom.
+  const std::array<Uid, 3> pending{node, edge, far};
+  for (const std::unique_ptr<FrontierReads>& reads : reads_) {
+    const uint32_t group = reads->Group(far);
+    for (const FrontierReads::NodeVersion& v : reads->Versions(group)) {
+      const Interval at = valid.Intersect(v.valid);
+      if (at.empty()) continue;
+      for (const FrontierReads::Edge& e : reads->Edges(group)) {
+        if (!EdgeStepValid(state, pending, at, e.uid, e.far, e.valid)
+                 .empty()) {
+          return true;
+        }
+      }
+    }
+  }
+  return false;
+}
+
 }  // namespace nepal::storage

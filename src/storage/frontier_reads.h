@@ -10,6 +10,13 @@
 // group ids from a storage::PathIndex in first-use order. A FrontierReads
 // lives for one call, so an executor keeps no read state between calls,
 // and the parallel shards that share one executor share no reads.
+//
+// In the rounds of a goal-directed Loop, an edge Extend also applies the
+// Loop's RoundFilter (storage/pathset.h) through a RoundReads: it prunes
+// each child by the goal labels and looks one edge ahead from the child's
+// far node, both before the copy. Its own readers read each distinct far
+// node once per call. The look-ahead and the next round's Extend run the
+// one predicate, EdgeStepValid.
 
 #ifndef NEPAL_STORAGE_FRONTIER_READS_H_
 #define NEPAL_STORAGE_FRONTIER_READS_H_
@@ -17,6 +24,7 @@
 #include <array>
 #include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <memory_resource>
 #include <span>
 #include <vector>
@@ -103,6 +111,47 @@ class FrontierReads {
   std::pmr::vector<NodeGroup> groups_{&arena_};  // by group id
   std::pmr::vector<NodeVersion> versions_{&arena_};
   std::pmr::vector<Edge> edges_{&arena_};
+};
+
+/// The checks of one edge step, run on the parent before anything is
+/// copied: edge `edge` to `far` may extend the path made of `state`'s uids
+/// followed by `pending`, the elements the step appends ahead of the edge
+/// that `state` does not hold (kInvalidUid for none), when neither the edge
+/// nor `far` is in that path. Returns the child's interval, `valid`
+/// intersected with `edge_valid`; empty when the step is rejected.
+template <size_t N>
+Interval EdgeStepValid(const PathState& state,
+                       const std::array<Uid, N>& pending,
+                       const Interval& valid, Uid edge, Uid far,
+                       const Interval& edge_valid) {
+  for (Uid u : pending) {
+    if (u == edge || u == far) return Interval::None();
+  }
+  if (state.ContainsAny(edge, far)) return Interval::None();
+  return valid.Intersect(edge_valid);
+}
+
+/// A goal-directed Loop's RoundFilter as one edge Extend applies it.
+class RoundReads {
+ public:
+  /// `backend` and `filter` must outlive the reads.
+  RoundReads(const StorageBackend& backend, const RoundFilter& filter,
+             Direction dir, const TimeView& view);
+
+  /// Whether the child that an edge step builds from `state` — appending
+  /// `node` (the implicit node; kInvalidUid for none), then `edge`, and
+  /// moving to `far` over `valid` — is kept (see RoundFilter). The
+  /// look-ahead asks whether some edge of the body's atoms at `far`
+  /// passes, for the child and a version of `far`, the checks the next
+  /// round's Extend runs: EdgeStepValid.
+  bool Keeps(const PathState& state, Uid node, Uid edge, Uid far,
+             const Interval& valid);
+
+ private:
+  const RoundFilter& filter_;
+  // One reader per body atom, apart from the Extend's own: a span from a
+  // reader stays valid only until that reader's next Edges call.
+  std::vector<std::unique_ptr<FrontierReads>> reads_;
 };
 
 }  // namespace nepal::storage

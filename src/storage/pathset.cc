@@ -288,6 +288,30 @@ void PathIndex::Grow() {
   }
 }
 
+bool GoalHops::Insert(Uid node, int hops) {
+  if ((size_ + 1) * 2 > slots_.size()) {
+    // Keeps the load at most one half: double, then re-place every entry.
+    std::vector<Entry> old(slots_.size() * 2);
+    old.swap(slots_);
+    mask_ = slots_.size() - 1;
+    --shift_;
+    for (const Entry& e : old) {
+      if (e.node == kInvalidUid) continue;
+      size_t i = Slot(e.node);
+      while (slots_[i].node != kInvalidUid) i = (i + 1) & mask_;
+      slots_[i] = e;
+    }
+  }
+  for (size_t i = Slot(node);; i = (i + 1) & mask_) {
+    if (slots_[i].node == kInvalidUid) {
+      slots_[i] = {node, hops};
+      ++size_;
+      return true;
+    }
+    if (slots_[i].node == node) return false;
+  }
+}
+
 void DedupPaths(PathSet* paths) {
   PathSet& all = *paths;
   if (all.size() < 2) return;

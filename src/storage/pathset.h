@@ -12,6 +12,10 @@
 // to SQL. Both read each distinct frontier node once per Extend
 // (storage/frontier_reads.h).
 //
+// A goal-directed Loop (nepal/plan.h) runs a copy of its body whose atoms
+// carry a RoundFilter: both backends' edge Extends then drop, before the
+// copy, every child that the Loop would neither extend nor hand on.
+//
 // Extension semantics (the paper's four-way concatenation, Section 3.3):
 //  - consuming a node atom right after a node atom traverses one *implicit,
 //    unconstrained* edge (which is recorded in the path),
@@ -27,6 +31,7 @@
 #include <functional>
 #include <memory>
 #include <memory_resource>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -53,6 +58,8 @@ struct FieldCondition {
   std::string ToString() const;
 };
 
+struct RoundFilter;
+
 /// A resolved RPE atom: class (matched over its whole subtree) plus field
 /// conditions. E.g. VM(status='Green').
 struct CompiledAtom {
@@ -62,6 +69,10 @@ struct CompiledAtom {
   /// into the ScanSpec (predicate-pushdown rewrite). -1 keeps the default
   /// behaviour: the first pushable equality wins.
   int pushdown_condition = -1;
+  /// The filter of the round being built, on the edge atoms of the body
+  /// copy a goal-directed Loop runs; null everywhere else, plans included.
+  /// An edge Extend applies it to every child before the copy.
+  const RoundFilter* round_filter = nullptr;
 
   bool is_edge() const { return cls->is_edge(); }
   bool Matches(const ElementVersion& v) const;
@@ -218,6 +229,18 @@ class PathIndex {
     }
   }
 
+  /// The id of an earlier entry with hash `hash` for which `same(id)`
+  /// holds; nullopt when there is none.
+  template <typename Same>
+  std::optional<uint32_t> Find(uint64_t hash, const Same& same) const {
+    const size_t mask = slots_.size() - 1;
+    for (size_t i = static_cast<size_t>(hash) & mask;; i = (i + 1) & mask) {
+      const uint32_t slot = slots_[i];
+      if (slot == 0) return std::nullopt;
+      if (hashes_[i] == hash && same(slot_id(slot))) return slot_id(slot);
+    }
+  }
+
   size_t size() const { return size_; }
 
  private:
@@ -229,6 +252,56 @@ class PathIndex {
   std::pmr::vector<uint32_t> slots_;  // id + 1; 0 marks an empty slot
   std::pmr::vector<uint64_t> hashes_;
   size_t size_ = 0;
+};
+
+/// The goal labels of a goal-directed Loop: each labelled node's fewest
+/// hops to a goal match, in one flat open-addressing table keyed by uid.
+class GoalHops {
+ public:
+  /// Labels `node` with `hops` unless it is labelled; true if it was not.
+  bool Insert(Uid node, int hops);
+
+  /// The hops of `node`; -1 when it is unlabelled.
+  int Find(Uid node) const {
+    for (size_t i = Slot(node);; i = (i + 1) & mask_) {
+      if (slots_[i].node == kInvalidUid) return -1;
+      if (slots_[i].node == node) return slots_[i].hops;
+    }
+  }
+
+  size_t size() const { return size_; }
+
+ private:
+  struct Entry {
+    Uid node = kInvalidUid;  // kInvalidUid marks an empty slot
+    int hops = 0;
+  };
+  /// Fibonacci hashing: the top bits of uid × 2^64/φ.
+  size_t Slot(Uid node) const {
+    return static_cast<size_t>((node * 0x9e3779b97f4a7c15ull) >> shift_);
+  }
+
+  std::vector<Entry> slots_ = std::vector<Entry>(16);
+  size_t mask_ = 15;
+  int shift_ = 60;
+  size_t size_ = 0;
+};
+
+/// The round filter of a goal-directed Loop: its goal labels, the rounds
+/// left after the round being built, and the body's atoms. The executor
+/// keeps one per Loop invocation and updates it before each round; the
+/// edge Extends of that round read it (storage/frontier_reads.h,
+/// RoundReads). A child whose far node `far` has `left` rounds after it:
+///  - is pruned once `left` falls to the goal depth, unless `far` is
+///    labelled within `left` hops;
+///  - is kept when `far` is a goal match (hop 0): the Loop hands it on;
+///  - is kept otherwise only when the next round can extend it over one
+///    of `atoms`.
+struct RoundFilter {
+  const GoalHops* hops = nullptr;
+  int goal_depth = 0;   // 0 for an open Loop, whose rounds are never pruned
+  int rounds_left = 0;  // after the round being built
+  std::vector<CompiledAtom> atoms;  // the body's, without a filter
 };
 
 /// The retargetable operator set. One instance per (backend, query).

@@ -1,5 +1,8 @@
 #include "storage/traverser_executor.h"
 
+#include <array>
+#include <optional>
+
 namespace nepal::storage {
 
 namespace {
@@ -11,30 +14,31 @@ namespace {
 /// The edge-matching step from `state`'s frontier node over `edges`.
 /// `node` is that node when the step also appends it (the implicit node of
 /// edge·edge or of a seed), no element when it is already in the path;
-/// `valid` is `state.valid`, narrowed by `node`.
+/// `valid` is `state.valid`, narrowed by `node`. In a goal-directed Loop's
+/// round, `round` drops the children the Loop cannot use.
 void EdgeStep(const PathState& state, const PathElement& node,
               const Interval& valid, std::span<const FrontierReads::Edge> edges,
-              PathSet* out) {
+              RoundReads* round, PathSet* out) {
   for (const FrontierReads::Edge& e : edges) {
     // Neither the edge nor its far endpoint may already appear in the
     // path; the endpoint is materialized by a later step, but the cycle is
     // rejected here.
-    if (e.uid == node.uid || e.far == node.uid ||
-        state.ContainsAny(e.uid, e.far)) {
+    const Interval iv = EdgeStepValid(state, std::array{node.uid}, valid,
+                                      e.uid, e.far, e.valid);
+    if (iv.empty()) continue;
+    if (round != nullptr && !round->Keeps(state, node.uid, e.uid, e.far, iv)) {
       continue;
     }
-    const Interval iv = valid.Intersect(e.valid);
-    if (iv.empty()) continue;
     out->push_back(
         ExtendedState(state, node, {e.uid, e.cls}, iv, e.far, false));
   }
 }
 
 void ExtendByEdgeAtom(const PathState& state, FrontierReads& reads,
-                      PathSet* out) {
+                      RoundReads* round, PathSet* out) {
   const uint32_t group = reads.Group(state.frontier);
   if (state.frontier_in_path) {
-    EdgeStep(state, {}, state.valid, reads.Edges(group), out);
+    EdgeStep(state, {}, state.valid, reads.Edges(group), round, out);
     return;
   }
   // Edge atom right after an edge atom (or on a seed): the implicit,
@@ -43,7 +47,8 @@ void ExtendByEdgeAtom(const PathState& state, FrontierReads& reads,
   for (const FrontierReads::NodeVersion& v : reads.Versions(group)) {
     const Interval iv = state.valid.Intersect(v.valid);
     if (iv.empty()) continue;
-    EdgeStep(state, {state.frontier, v.cls}, iv, reads.Edges(group), out);
+    EdgeStep(state, {state.frontier, v.cls}, iv, reads.Edges(group), round,
+             out);
   }
 }
 
@@ -93,9 +98,13 @@ PathSet TraverserExecutor::ExtendAtom(const PathSet& frontier,
                                       const TimeView& view) {
   PathSet out;
   FrontierReads reads(*backend_, &atom, dir, view);
+  std::optional<RoundReads> round;
+  if (atom.round_filter != nullptr) {
+    round.emplace(*backend_, *atom.round_filter, dir, view);
+  }
   for (const PathState& state : frontier) {
     if (atom.is_edge()) {
-      ExtendByEdgeAtom(state, reads, &out);
+      ExtendByEdgeAtom(state, reads, round ? &*round : nullptr, &out);
     } else {
       ExtendByNodeAtom(state, reads, &out);
     }

@@ -5,9 +5,12 @@
 // walks adjacency from every frontier element. The traversers of one
 // Extend share its reads (storage/frontier_reads.h): each distinct frontier
 // node's versions and incident edges are read once per call, and each
-// traverser then extends against them in turn. Backends with a bulk
-// execution strategy (the relational engine) provide their own
-// PathOperatorExecutor instead.
+// traverser then extends against them in turn. In a goal-directed Loop's
+// round, the edge step applies the atom's RoundFilter to every child
+// before it copies the parent: it prunes by the goal labels and looks one
+// edge ahead from the child's far node. Backends with a bulk execution
+// strategy (the relational engine) provide their own PathOperatorExecutor
+// instead.
 
 #ifndef NEPAL_STORAGE_TRAVERSER_EXECUTOR_H_
 #define NEPAL_STORAGE_TRAVERSER_EXECUTOR_H_

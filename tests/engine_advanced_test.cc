@@ -542,6 +542,52 @@ TEST_P(EngineAdvancedTest, PathwayViews) {
   EXPECT_EQ(mixed.rows.size(), 3u);
 }
 
+TEST_P(EngineAdvancedTest, PathwayViewsUnderRange) {
+  // Under a Range view a pathway comes once per version it has, on both
+  // sides of a view intersection. vm2's status turns Red, then Green, so
+  // the view holds vnf1 -> vfc2 -> vm2 -> host2 in three versions; a
+  // MATCHES that wants vm2 Red holds it in one, and only its overlap with
+  // the view's Red version is not empty.
+  ASSERT_TRUE(engine_
+                  ->DefineView("IMPLEMENTATIONS",
+                               "VNF()->[Vertical()]{1,6}->Host()")
+                  .ok());
+  const Timestamp t0 = net_.db->Now();
+  ASSERT_TRUE(net_.db->SetTime(t0 + 1000).ok());
+  ASSERT_TRUE(
+      net_.db->UpdateElement(net_.vm2, {{"status", Value("Red")}}).ok());
+  ASSERT_TRUE(net_.db->SetTime(t0 + 2000).ok());
+  ASSERT_TRUE(
+      net_.db->UpdateElement(net_.vm2, {{"status", Value("Green")}}).ok());
+  const std::string at = "AT '" + FormatTimestamp(t0) + "' : '" +
+                         FormatTimestamp(t0 + 5000) + "' Retrieve P From ";
+  auto rows = [&](const std::string& query) {
+    std::vector<std::string> out;
+    for (const auto& row : Run(at + query).rows) {
+      out.push_back(row.paths[0].ToString() + " " +
+                    row.paths[0].valid.ToString());
+    }
+    return out;
+  };
+  const std::string red = " P Where P MATCHES VNF()->VFC()->VM(status='Red')";
+  const std::vector<std::string> narrowed = rows("IMPLEMENTATIONS" + red +
+                                                 "->Host()");
+  ASSERT_EQ(narrowed.size(), 1u);
+  EXPECT_EQ(narrowed, rows("PATHS" + red + "->Host()"));
+  const auto only = Run(at + "IMPLEMENTATIONS" + red + "->Host()");
+  ASSERT_EQ(only.rows.size(), 1u);
+  EXPECT_EQ(only.rows[0].paths[0].uids[4], net_.vm2);
+  EXPECT_EQ(only.rows[0].paths[0].valid, (Interval{t0 + 1000, t0 + 2000}));
+  // Three versions on each side: their overlaps coalesce back to the
+  // view's own rows into host2.
+  const std::string into_host2 =
+      "->[Vertical()]{1,6}->Host(id=" + std::to_string(net_.host2) + ")";
+  const std::vector<std::string> all =
+      rows("IMPLEMENTATIONS P Where P MATCHES Node()" + into_host2);
+  EXPECT_EQ(all.size(), 2u);
+  EXPECT_EQ(all, rows("PATHS P Where P MATCHES VNF()" + into_host2));
+}
+
 TEST_P(EngineAdvancedTest, ViewErrors) {
   EXPECT_FALSE(engine_->DefineView("PATHS", "VM()").ok());
   EXPECT_FALSE(engine_->DefineView("BAD", "VM(").ok());

@@ -2,6 +2,8 @@
 // RPE splitting around anchors, repetition compilation and program
 // reversal.
 
+#include <algorithm>
+
 #include <gtest/gtest.h>
 
 #include "graphstore/graph_store.h"
@@ -14,6 +16,7 @@
 #include "netmodel/virtualized.h"
 #include "schema/dsl_parser.h"
 #include "storage/graphdb.h"
+#include "tests/testutil.h"
 
 namespace nepal::nql {
 namespace {
@@ -366,11 +369,13 @@ TEST_F(GoalDepthTest, UnselectiveGoalsStayUnpruned) {
 TEST(GoalPruningTest, KeepsExactlyThePathsThatCanStillReachTheGoal) {
   // a0 -> a1 -> {a2, b}, a2 -> {b, a4}, a4 -> b, a0 -> a3 (a dead end).
   // A(id=a0)->[E()]{1,3}->B(id=b) runs with each goal depth forced: a path
-  // survives round k only if its frontier is labelled within 3 - k hops
-  // of b, or is unlabelled while 3 - k exceeds the depth. The Loop's
-  // `built` per depth pins the budget exactly. From depth 1 on, the Loop
-  // hands on only the paths that end at b (its rows_out); the rows never
-  // change.
+  // is built in round k only if its frontier is labelled within 3 - k hops
+  // of b, or is unlabelled while 3 - k exceeds the depth; and only if it
+  // ends at b or the next round can extend it. The Loop's `built` per
+  // depth pins the budget exactly: from depth 1 on, the dead end a0 -> a3
+  // is never built (depth 1 looks ahead from a3 and finds no edge; depth 2
+  // prunes it, a3 being unlabelled). From depth 1 on, the Loop hands on
+  // only the paths that end at b (its rows_out); the rows never change.
   auto s = schema::ParseSchemaDsl(R"(
     node A : Node {}
     node B : Node {}
@@ -406,7 +411,7 @@ TEST(GoalPruningTest, KeepsExactlyThePathsThatCanStillReachTheGoal) {
     const Program program = EmitProgram(BuildLogicalPlan(rpe).root);
     ASSERT_EQ(program.size(), 3u);
     LockedExecutor exec(&db, db.backend().CreateExecutor());
-    const uint64_t loop_built[] = {6, 5, 4, 4};  // by goal depth
+    const uint64_t loop_built[] = {6, 4, 4, 4};  // by goal depth
     const uint64_t loop_rows[] = {6, 2, 2, 2};
     for (int depth = 0; depth <= 3; ++depth) {
       MatchPlan plan;
@@ -424,6 +429,101 @@ TEST(GoalPruningTest, KeepsExactlyThePathsThatCanStillReachTheGoal) {
           EXPECT_EQ(op.built, loop_built[depth]) << "depth " << depth;
           EXPECT_EQ(op.rows_out, loop_rows[depth]) << "depth " << depth;
         }
+      }
+    }
+  }
+}
+
+TEST(GoalPruningTest, HubsAndDualHomedSpokesBuildOnlyUsablePaths) {
+  // A switching core in small: three meshed hubs h0..h2 and six spokes,
+  // spoke i dual-homed to hubs i mod 3 and (i + 1) mod 3; every link runs
+  // both ways. From spoke s0 to the goal spoke s3, most simple paths are
+  // leaves: a path that enters a spoke whose other hub it already holds
+  // can go nowhere. A goal-directed Loop builds only the paths it can
+  // extend or hand on, so its `built` falls far below the unfiltered
+  // Loop's; the rows stay the same (in engine order on the graphstore; the
+  // relational index join may reorder them). Pinned for a bounded Loop
+  // {1,5} at goal depth 2 and for an open Loop with its goal filter.
+  auto s = schema::ParseSchemaDsl(R"(
+    node H : Node {}
+    node S : Node {}
+    edge E : Edge {}
+    allow E (Node -> Node);
+  )");
+  ASSERT_TRUE(s.ok()) << s.status();
+  for (auto kind : {testing::BackendKind::kGraphStore,
+                    testing::BackendKind::kRelational}) {
+    const bool relational = kind == testing::BackendKind::kRelational;
+    storage::GraphDb db(*s, testing::MakeBackend(kind, *s));
+    std::vector<Uid> hubs, spokes;
+    for (int i = 0; i < 3; ++i) {
+      hubs.push_back(*db.AddNode("H", {{"name", Value("h" + std::to_string(i))}}));
+    }
+    for (int i = 0; i < 6; ++i) {
+      spokes.push_back(
+          *db.AddNode("S", {{"name", Value("s" + std::to_string(i))}}));
+    }
+    auto link = [&](Uid a, Uid b) {
+      ASSERT_TRUE(db.AddEdge("E", a, b, {}).ok());
+      ASSERT_TRUE(db.AddEdge("E", b, a, {}).ok());
+    };
+    link(hubs[0], hubs[1]);
+    link(hubs[1], hubs[2]);
+    link(hubs[2], hubs[0]);
+    for (int i = 0; i < 6; ++i) {
+      link(spokes[i], hubs[i % 3]);
+      link(spokes[i], hubs[(i + 1) % 3]);
+    }
+    LockedExecutor exec(&db, db.backend().CreateExecutor());
+    struct Case {
+      std::string rep;
+      int goal_depth;
+      bool open_goal;
+      uint64_t built;       // with the goal filter
+      uint64_t unfiltered;  // the same Loop without it
+    };
+    for (const Case& c : {Case{"{1,5}", 2, false, 50, 132},
+                          Case{"*", 0, true, 88, 160}}) {
+      auto parsed = ParseRpe("S(id=" + std::to_string(spokes[0]) + ")->[E()]" +
+                             c.rep + "->S(id=" + std::to_string(spokes[3]) +
+                             ")");
+      ASSERT_TRUE(parsed.ok()) << parsed.status();
+      RpeNode rpe = *parsed;
+      ASSERT_TRUE(ResolveRpe(**s, 32, &rpe).ok());
+      const Program program = EmitProgram(BuildLogicalPlan(rpe).root);
+      ASSERT_EQ(program.size(), 3u);
+      std::vector<std::string> unfiltered_rows;
+      for (bool goal : {false, true}) {
+        MatchPlan plan;
+        AnchoredPlan& anchored = plan.anchors.emplace_back();
+        anchored.anchor = program[0].atom;
+        anchored.suffix = {program[1], program[2]};
+        anchored.suffix[0].goal_depth = goal ? c.goal_depth : 0;
+        anchored.suffix[0].open_goal = goal && c.open_goal;
+        obs::QueryStatsBuilder builder;
+        const storage::PathSet paths =
+            ExecuteMatch(exec, plan, storage::TimeView::Current(),
+                         PlanOptions{1, 1}, builder.AddGroup("var P"));
+        std::vector<std::string> rows;
+        for (const storage::PathState& p : paths) rows.push_back(p.ToString());
+        if (relational) std::sort(rows.begin(), rows.end());
+        EXPECT_FALSE(rows.empty()) << c.rep;
+        if (!goal) {
+          unfiltered_rows = rows;
+        } else {
+          EXPECT_EQ(rows, unfiltered_rows)
+              << c.rep << " on " << testing::BackendName(kind);
+        }
+        bool saw_loop = false;
+        for (const obs::OperatorStats& op : builder.Snapshot().operators) {
+          if (op.op.rfind("ExtendBlock", 0) == 0) {
+            saw_loop = true;
+            EXPECT_EQ(op.built, goal ? c.built : c.unfiltered)
+                << c.rep << (goal ? " with" : " without") << " its goal on "
+                << testing::BackendName(kind);
+          }
+        }
+        EXPECT_TRUE(saw_loop) << c.rep;
       }
     }
   }

@@ -962,6 +962,82 @@ TEST(PropertyTest, RewrittenOpenBodiesAgreeWithSaturatedLoops) {
   EXPECT_GE(rewritten, 100);
 }
 
+/// One random temporal graph, loaded into both stores by one op stream
+/// (seeded by `seed`) a second apart from `base`: 10 nodes of A, A1 or B,
+/// `num_edges` E, E1 or F edges between random distinct nodes, then 12
+/// steps of churn that add edges or remove edges and nodes. `mid` is the
+/// time the churn starts. Random edges leave dead ends and close cycles.
+struct TemporalGraphPair {
+  std::unique_ptr<storage::GraphDb> dbs[2];  // by BackendKind
+  std::vector<Uid> nodes;
+  Timestamp mid = 0;
+};
+
+TemporalGraphPair MakeTemporalGraphPair(schema::SchemaPtr schema,
+                                        uint64_t seed, int num_edges,
+                                        Timestamp base) {
+  static const char* kNodeClasses[] = {"A", "A1", "B"};
+  TemporalGraphPair g;
+  for (auto kind : {nepal::testing::BackendKind::kGraphStore,
+                    nepal::testing::BackendKind::kRelational}) {
+    g.dbs[static_cast<int>(kind)] = std::make_unique<storage::GraphDb>(
+        schema, nepal::testing::MakeBackend(kind, schema));
+  }
+  Rng ops(seed);
+  std::vector<Uid> edges;
+  int step = 0;
+  auto apply = [&](const std::function<Result<Uid>(storage::GraphDb&)>& op)
+      -> std::optional<Uid> {
+    const Timestamp t = base + static_cast<Timestamp>(step++) * 1000000;
+    std::vector<Result<Uid>> results;
+    for (auto& db : g.dbs) {
+      EXPECT_TRUE(db->SetTime(t).ok());
+      results.push_back(op(*db));
+    }
+    EXPECT_EQ(results[0].ok(), results[1].ok());
+    if (!results[0].ok() || !results[1].ok()) return std::nullopt;
+    EXPECT_EQ(*results[0], *results[1]);
+    return *results[0];
+  };
+  for (int i = 0; i < 10; ++i) {
+    const char* cls = kNodeClasses[ops.Below(3)];
+    const int64_t val = static_cast<int64_t>(ops.Below(4));
+    auto uid = apply([&](storage::GraphDb& db) {
+      return db.AddNode(cls, {{"name", Value("n" + std::to_string(i))},
+                              {"val", Value(val)}});
+    });
+    if (uid) g.nodes.push_back(*uid);
+  }
+  auto add_edge = [&] {
+    const Uid s = g.nodes[ops.Below(g.nodes.size())];
+    const Uid t = g.nodes[ops.Below(g.nodes.size())];
+    const char* cls = ops.Chance(0.5) ? "E" : (ops.Chance(0.5) ? "E1" : "F");
+    const int64_t w = static_cast<int64_t>(ops.Below(4));
+    if (s == t) return;
+    auto uid = apply([&](storage::GraphDb& db) {
+      return db.AddEdge(cls, s, t, {{"w", Value(w)}});
+    });
+    if (uid) edges.push_back(*uid);
+  };
+  for (int i = 0; i < num_edges; ++i) add_edge();
+  g.mid = base + static_cast<Timestamp>(step) * 1000000;
+  for (int i = 0; i < 12; ++i) {
+    if (ops.Chance(0.4)) {
+      add_edge();
+    } else if (!edges.empty() || ops.Chance(0.2)) {
+      const Uid gone = ops.Chance(0.8) && !edges.empty()
+                           ? edges[ops.Below(edges.size())]
+                           : g.nodes[ops.Below(g.nodes.size())];
+      apply([&](storage::GraphDb& db) -> Result<Uid> {
+        Status st = db.RemoveElement(gone);
+        if (!st.ok()) return st;
+        return gone;
+      });
+    }
+  }
+  return g;
+}
+
 TEST(PropertyTest, GoalDirectedRepetitionsAgree) {
   // N(id=x)->[e()|f()]{i,j}->M(id=y) is a goal-directed Loop: whichever
   // end anchors, the other end is the goal each round is pruned against.
@@ -984,66 +1060,12 @@ TEST(PropertyTest, GoalDirectedRepetitionsAgree) {
   int anchored[2] = {0, 0};
   int labelled[2] = {0, 0};
   for (int round = 0; round < 30; ++round) {
-    std::unique_ptr<storage::GraphDb> dbs[2];
-    for (auto kind : {nepal::testing::BackendKind::kGraphStore,
-                      nepal::testing::BackendKind::kRelational}) {
-      dbs[static_cast<int>(kind)] = std::make_unique<storage::GraphDb>(
-          schema, nepal::testing::MakeBackend(kind, schema));
-    }
-    // One op stream into both databases: nodes, edges, then churn.
-    Rng ops(rng.Next());
-    std::vector<Uid> nodes, edges;
-    const int num_edges = round % 2 == 1 ? 36 : 18;
-    int step = 0;
-    auto apply = [&](const std::function<Result<Uid>(storage::GraphDb&)>& op)
-        -> std::optional<Uid> {
-      const Timestamp t = base + static_cast<Timestamp>(step++) * 1000000;
-      std::vector<Result<Uid>> results;
-      for (auto& db : dbs) {
-        EXPECT_TRUE(db->SetTime(t).ok());
-        results.push_back(op(*db));
-      }
-      EXPECT_EQ(results[0].ok(), results[1].ok());
-      if (!results[0].ok() || !results[1].ok()) return std::nullopt;
-      EXPECT_EQ(*results[0], *results[1]);
-      return *results[0];
-    };
-    for (int i = 0; i < 10; ++i) {
-      const char* cls = kNodeAtoms[ops.Below(3)];
-      const int64_t val = static_cast<int64_t>(ops.Below(4));
-      auto uid = apply([&](storage::GraphDb& db) {
-        return db.AddNode(cls, {{"name", Value("n" + std::to_string(i))},
-                                {"val", Value(val)}});
-      });
-      if (uid) nodes.push_back(*uid);
-    }
-    auto add_edge = [&] {
-      const Uid s = nodes[ops.Below(nodes.size())];
-      const Uid t = nodes[ops.Below(nodes.size())];
-      const char* cls = ops.Chance(0.5) ? "E" : (ops.Chance(0.5) ? "E1" : "F");
-      const int64_t w = static_cast<int64_t>(ops.Below(4));
-      if (s == t) return;
-      auto uid = apply([&](storage::GraphDb& db) {
-        return db.AddEdge(cls, s, t, {{"w", Value(w)}});
-      });
-      if (uid) edges.push_back(*uid);
-    };
-    for (int i = 0; i < num_edges; ++i) add_edge();
-    const Timestamp mid = base + static_cast<Timestamp>(step) * 1000000;
-    for (int i = 0; i < 12; ++i) {
-      if (ops.Chance(0.4)) {
-        add_edge();
-      } else if (!edges.empty() || ops.Chance(0.2)) {
-        const Uid gone = ops.Chance(0.8) && !edges.empty()
-                             ? edges[ops.Below(edges.size())]
-                             : nodes[ops.Below(nodes.size())];
-        apply([&](storage::GraphDb& db) -> Result<Uid> {
-          Status st = db.RemoveElement(gone);
-          if (!st.ok()) return st;
-          return gone;
-        });
-      }
-    }
+    TemporalGraphPair graph =
+        MakeTemporalGraphPair(schema, rng.Next(), round % 2 == 1 ? 36 : 18,
+                              base);
+    auto& dbs = graph.dbs;
+    const std::vector<Uid>& nodes = graph.nodes;
+    const Timestamp mid = graph.mid;
     const std::string asof = "AT '" + FormatTimestamp(mid) + "' ";
     const std::string range = "AT '" + FormatTimestamp(base + 5000000) +
                               "' : '" + FormatTimestamp(mid + 8000000) + "' ";
@@ -1218,6 +1240,179 @@ TEST(PropertyTest, GoalLabelsHoldAcrossLoopShards) {
     }
     EXPECT_GE(nonempty, 2);
   }
+}
+
+/// Sets the goal of every Loop of `program` that can have one — a body of
+/// edge atoms followed by a node atom — and returns how many it set: a
+/// bounded Loop gets goal depth `depth` (at most its max_rep), an open one
+/// its goal filter. With `depth` 0 it strips every Loop's goal instead.
+int ForceGoals(nql::Program* program, int depth) {
+  int set = 0;
+  for (size_t i = 0; i < program->size(); ++i) {
+    nql::Step& step = (*program)[i];
+    if (step.kind != nql::Step::Kind::kLoop) continue;
+    step.goal_depth = 0;
+    step.open_goal = false;
+    if (depth == 0 || i + 1 == program->size()) continue;
+    const nql::Step& next = (*program)[i + 1];
+    if (next.kind != nql::Step::Kind::kAtom || next.atom.is_edge()) continue;
+    const auto atoms = nql::AsAtomAlternation(step.body);
+    if (!atoms || std::any_of(atoms->begin(), atoms->end(),
+                              [](const storage::CompiledAtom& atom) {
+                                return !atom.is_edge();
+                              })) {
+      continue;
+    }
+    if (step.max_rep == nql::kUnboundedRep) {
+      step.open_goal = true;
+    } else {
+      step.goal_depth = std::min(depth, step.max_rep);
+    }
+    ++set;
+  }
+  return set;
+}
+
+TEST(PropertyTest, GoalRoundFiltersKeepEveryRow) {
+  // A goal-directed Loop runs each round through its round filter: both
+  // backends' edge Extends prune by the goal labels and look one edge
+  // ahead before they copy a child. On the random temporal graphs of
+  // GoalDirectedRepetitionsAgree (dead ends and cycles included), goal-
+  // directed {0,j}, {1,j}, {2,j}, * and + Loops over one-atom and
+  // alternation bodies must return the rows of the same plan with goal
+  // direction stripped, validity intervals included, under Current, AsOf
+  // and Range views, on both backends, at parallelism 1 and 4: the
+  // graphstore in engine order, the relational sorted (its index join may
+  // order the rows of a smaller frontier differently). No Loop may build
+  // more paths than its stripped twin. The Loop sits after the anchor
+  // (side 0), before it, run reversed in kIn (side 1), or after an edge
+  // atom anchored at all its matches (side 2): each round then appends the
+  // implicit node before the edge, and at parallelism 4 the Loop's input
+  // shards.
+  schema::SchemaPtr schema = *schema::ParseSchemaDsl(kPropertySchema);
+  Rng rng(20261019);
+  const Timestamp base = *ParseTimestamp("2017-04-01 00:00:00");
+  static const char* kNodeAtoms[] = {"A", "A1", "B", "Node"};
+  static const char* kEdgeAtoms[] = {"E()", "E1()", "F()", "Edge()",
+                                     "E(w<2)", "F(w<>1)"};
+  int checked = 0, nonempty = 0, fell = 0;
+  int open = 0, in_prefix = 0, sharded = 0;
+  for (int round = 0; round < 16; ++round) {
+    TemporalGraphPair graph =
+        MakeTemporalGraphPair(schema, rng.Next(), round % 2 == 1 ? 36 : 18,
+                              base);
+    const storage::TimeView views[] = {
+        storage::TimeView::Current(), storage::TimeView::AsOf(graph.mid),
+        storage::TimeView::Range(base + 5000000, graph.mid + 8000000)};
+    for (int q = 0; q < 10; ++q) {
+      // One draw per statement, so the sequence does not depend on the
+      // compiler's operand evaluation order.
+      const Uid x = graph.nodes[rng.Below(graph.nodes.size())];
+      const char* n = kNodeAtoms[rng.Below(4)];
+      const char* e = kEdgeAtoms[rng.Below(6)];
+      const char* f = kEdgeAtoms[rng.Below(6)];
+      const bool alternation = rng.Chance(0.5);
+      const int kind = static_cast<int>(rng.Below(5));  // {0,j} .. {2,j}, *, +
+      const int max_rep = (kind == 2 ? 2 : 1) + static_cast<int>(rng.Below(3));
+      const int depth = 1 + static_cast<int>(rng.Below(3));
+      const int side = static_cast<int>(rng.Below(3));
+      const std::string rep =
+          kind == 3   ? "*"
+          : kind == 4 ? "+"
+                      : "{" + std::to_string(kind) + "," +
+                            std::to_string(max_rep) + "}";
+      const std::string loop = "->[" + std::string(e) +
+                               (alternation ? "|" + std::string(f) : "") +
+                               "]" + rep + "->";
+      const std::string anchor = "Node(id=" + std::to_string(x) + ")";
+      const std::string text = side == 0   ? anchor + loop + n + "()"
+                               : side == 1 ? std::string(n) + "()" + loop +
+                                                 anchor
+                                           : "Edge()" + loop + anchor;
+      auto parsed = nql::ParseRpe(text);
+      ASSERT_TRUE(parsed.ok()) << parsed.status() << "\n" << text;
+      nql::RpeNode resolved = nql::Normalize(*parsed);
+      ASSERT_TRUE(nql::ResolveRpe(*schema, 8, &resolved).ok()) << text;
+      const nql::Program program =
+          nql::EmitProgram(nql::BuildLogicalPlan(resolved).root);
+      if (side == 2 && program.size() != 3) continue;
+      for (int b = 0; b < 2; ++b) {
+        storage::GraphDb& db = *graph.dbs[b];
+        nql::LockedExecutor exec(&db, db.backend().CreateExecutor());
+        for (const storage::TimeView& view : views) {
+          nql::MatchPlan plan;
+          if (side == 2) {
+            nql::AnchoredPlan& anchored = plan.anchors.emplace_back();
+            anchored.anchor = program[0].atom;
+            anchored.suffix = {program[1], program[2]};
+          } else {
+            auto planned = nql::PlanMatch(resolved, db.backend(),
+                                          nql::PlanOptions{}, view);
+            ASSERT_TRUE(planned.ok()) << planned.status() << "\n" << text;
+            plan = *planned;
+          }
+          nql::MatchPlan stripped = plan;
+          int goals = 0, reversed = 0;
+          for (size_t a = 0; a < plan.anchors.size(); ++a) {
+            reversed += ForceGoals(&plan.anchors[a].reversed_prefix, depth);
+            goals += ForceGoals(&plan.anchors[a].suffix, depth);
+            ForceGoals(&stripped.anchors[a].suffix, 0);
+            ForceGoals(&stripped.anchors[a].reversed_prefix, 0);
+          }
+          goals += reversed;
+          if (goals == 0) continue;
+          for (int lanes : {1, 4}) {
+            nql::PlanOptions options;
+            options.parallelism = lanes;
+            std::vector<std::string> rows[2];
+            std::vector<uint64_t> built[2];
+            for (int goal = 0; goal < 2; ++goal) {
+              nql::MatchPlan run = goal ? plan : stripped;
+              obs::QueryStatsBuilder builder;
+              const storage::PathSet paths = nql::ExecuteMatch(
+                  exec, run, view, options, builder.AddGroup("var P"));
+              for (const storage::PathState& p : paths) {
+                rows[goal].push_back(p.ToString() + " " + p.valid.ToString());
+              }
+              if (b == 1) std::sort(rows[goal].begin(), rows[goal].end());
+              for (const obs::OperatorStats& op :
+                   builder.Snapshot().operators) {
+                if (op.op.rfind("ExtendBlock", 0) == 0) {
+                  built[goal].push_back(op.built);
+                  if (goal && op.shards > 1) ++sharded;
+                }
+              }
+            }
+            const std::string where = text + " backend " +
+                                      std::to_string(b) + " lanes " +
+                                      std::to_string(lanes) + " view " +
+                                      std::to_string(static_cast<int>(
+                                          view.kind()));
+            EXPECT_EQ(rows[1], rows[0]) << where;
+            ASSERT_EQ(built[1].size(), built[0].size()) << where;
+            bool less = false;
+            for (size_t i = 0; i < built[0].size(); ++i) {
+              EXPECT_LE(built[1][i], built[0][i]) << where;
+              less = less || built[1][i] < built[0][i];
+            }
+            ++checked;
+            if (!rows[0].empty()) ++nonempty;
+            if (less) ++fell;
+            if (kind >= 3) ++open;
+            if (reversed > 0) ++in_prefix;
+          }
+        }
+      }
+    }
+  }
+  // Not vacuous: most checks return rows and most filters cut the Loop's
+  // builds; open Loops, reversed Loops and sharded Loops all ran.
+  EXPECT_GT(checked, 1400);
+  EXPECT_GT(nonempty, 800);
+  EXPECT_GT(fell, 650);
+  EXPECT_GT(open, 500);
+  EXPECT_GT(in_prefix, 400);
+  EXPECT_GT(sharded, 120);
 }
 
 TEST(PropertyTest, TimesliceEqualsRebuiltSnapshot) {
