@@ -163,7 +163,7 @@ void BM_SnapshotReadUnderWriter(benchmark::State& state) {
     }
   }
 
-  nql::QueryEngine engine(&db);
+  nql::QueryEngine engine(&db, SerialEngineOptions());
   const std::string query =
       "Retrieve P From PATHS P Where P MATCHES VM()->OnServer()->Host()";
 

@@ -11,6 +11,12 @@
 #ifndef NEPAL_BENCH_BENCH_UTIL_H_
 #define NEPAL_BENCH_BENCH_UTIL_H_
 
+// The build type every BENCH_<name>.json is stamped with (bench/CMakeLists.txt
+// defines it from CMAKE_BUILD_TYPE).
+#ifndef NEPAL_BENCH_BUILD_TYPE
+#define NEPAL_BENCH_BUILD_TYPE "unknown"
+#endif
+
 #include <algorithm>
 #include <chrono>
 #include <cmath>
@@ -21,6 +27,8 @@
 #include <mutex>
 #include <string>
 #include <vector>
+
+#include <unistd.h>
 
 #include <benchmark/benchmark.h>
 
@@ -67,7 +75,8 @@ inline netmodel::BackendFactory GraphStoreFactory() {
 /// without a query loop record plain Counter values instead. The
 /// NEPAL_BENCH_MAIN macro writes the accumulated records to
 /// BENCH_<bench_name>.json in the working directory — the file the CI
-/// bench-smoke step validates and archives.
+/// bench-smoke step validates and archives — stamped with the online core
+/// count (`nproc`) and the build type.
 class BenchJson {
  public:
   static BenchJson& Instance() {
@@ -112,6 +121,10 @@ class BenchJson {
   void WriteFile(const std::string& bench_name) {
     std::lock_guard<std::mutex> lock(mu_);
     std::string out = "{\"bench\":\"" + obs::JsonEscape(bench_name) +
+                      "\",\"nproc\":" +
+                      std::to_string(sysconf(_SC_NPROCESSORS_ONLN)) +
+                      ",\"build_type\":\"" +
+                      obs::JsonEscape(NEPAL_BENCH_BUILD_TYPE) +
                       "\",\"records\":[";
     bool first = true;
     for (const std::string& name : order_) {

@@ -159,7 +159,7 @@ void BM_ReadScaling(benchmark::State& state) {
       }
     }
 
-    nql::EngineOptions options;
+    nql::EngineOptions options = SerialEngineOptions();
     options.routing.policy = nql::ReadPolicy::kRoundRobin;
     options.routing.max_lag_ms = 60000;
     nql::QueryEngine engine(&(*primary)->db(), options);

@@ -8,7 +8,8 @@
 //
 // Results land in BENCH_view_serving.json as one counter record per
 // backend: served_qps, cold_qps, speedup, repairs, rebuilds and repair
-// latency quantiles. The CI bench-smoke step asserts speedup >= 5.
+// latency quantiles. The CI bench-smoke step asserts speedup >= 5. Both
+// engines and the view catalog run at one lane (SerialEngineOptions).
 //
 // Topology: a few complete VNF->VFC->VM->Host chains (the cached rows the
 // writer churns) inside a much larger inventory of idle elements — VNFs
@@ -177,7 +178,8 @@ void BM_ViewServing(benchmark::State& state) {
       }
     }
 
-    auto catalog = views::ViewCatalog::Open(store->get());
+    auto catalog =
+        views::ViewCatalog::Open(store->get(), SerialEngineOptions().plan);
     if (!catalog.ok()) {
       state.SkipWithError(catalog.status().ToString().c_str());
       return;
@@ -206,9 +208,9 @@ void BM_ViewServing(benchmark::State& state) {
       }
     });
 
-    nql::QueryEngine served_engine(&db);
+    nql::QueryEngine served_engine(&db, SerialEngineOptions());
     served_engine.set_view_provider(catalog->get());
-    nql::QueryEngine cold_engine(&db);
+    nql::QueryEngine cold_engine(&db, SerialEngineOptions());
 
     BenchJson::Instance().Begin("served_" + backend, backend, kHotQuery);
     const double served_qps = MeasureQps(served_engine, NumQueries());

@@ -6,8 +6,8 @@
 #include <functional>
 #include <optional>
 #include <shared_mutex>
+#include <span>
 #include <thread>
-#include <unordered_map>
 #include <unordered_set>
 
 #include "common/thread_pool.h"
@@ -45,37 +45,6 @@ Pathway ToPathway(const PathState& state) {
   return p;
 }
 
-/// Groups states with identical uid sequences and re-emits them with
-/// maximal validity intervals (coalescing adjacent version intervals).
-void CoalescePathSet(PathSet* paths) {
-  std::unordered_map<std::string, std::vector<size_t>> groups;
-  for (size_t i = 0; i < paths->size(); ++i) {
-    const PathState& s = (*paths)[i];
-    std::string key;
-    key.reserve(s.uids.size() * sizeof(Uid));
-    for (Uid u : s.uids) {
-      key.append(reinterpret_cast<const char*>(&u), sizeof(u));
-    }
-    groups[key].push_back(i);
-  }
-  PathSet out;
-  out.reserve(groups.size());
-  for (auto& [key, indexes] : groups) {
-    if (indexes.size() == 1) {
-      out.push_back(std::move((*paths)[indexes[0]]));
-      continue;
-    }
-    IntervalSet merged;
-    for (size_t i : indexes) merged.Add((*paths)[i].valid);
-    for (const Interval& iv : merged.intervals()) {
-      PathState state = (*paths)[indexes[0]];
-      state.valid = iv;
-      out.push_back(std::move(state));
-    }
-  }
-  *paths = std::move(out);
-}
-
 uint64_t HashMix(uint64_t h, uint64_t v) {
   return h ^ (v + 0x9e3779b97f4a7c15ull + (h << 6) + (h >> 2));
 }
@@ -95,29 +64,110 @@ uint64_t HashUids(const std::vector<Uid>& uids) {
   return HashFinish(h);
 }
 
-uint64_t HashValues(const std::vector<Value>& values) {
+uint64_t HashValues(std::span<const Value> values) {
   uint64_t h = values.size();
   for (const Value& v : values) h = HashMix(h, v.Hash());
   return HashFinish(h);
 }
 
-/// Groups keys 0..n-1 in first-seen order, returning each group's members
-/// in input order. `hash(i)` is key i's hash and `same(i, j)` its equality.
-/// Result keys are typed — values compare by Value::Compare (so 1 and 1.0
-/// are one key, as in a comparison, and distinct values never merge
-/// however they render), path columns by uid sequence.
-template <typename Hash, typename Same>
-std::vector<std::vector<size_t>> GroupKeys(size_t n, const Hash& hash,
-                                           const Same& same) {
-  storage::PathIndex index(n);
-  std::vector<std::vector<size_t>> groups;
-  for (size_t i = 0; i < n; ++i) {
-    auto [id, inserted] = index.Insert(
-        hash(i), [&](uint32_t g) { return same(groups[g].front(), i); });
-    if (inserted) groups.emplace_back();
-    groups[id].push_back(i);
+/// The one grouping of the result stage (Coalesce, Group By,
+/// count(distinct), the hash join's buckets, the named-view intersection
+/// and Range-view coalescing). Keys 0..n-1 get dense group ids through a
+/// storage::PathIndex, numbered in first-seen order; `hash(i)` is key i's
+/// hash and `same(i, j)` its equality. Result keys are typed — values
+/// compare by Value::Compare (so 1 and 1.0 are one key, as in a
+/// comparison, and distinct values never merge however they render), path
+/// columns by uid sequence. Grouping allocates a fixed number of flat
+/// arrays, whatever the number of groups; the member lists, when a caller
+/// needs them, are one more pair (BuildMembers).
+class KeyGroups {
+ public:
+  template <typename Hash, typename Same>
+  KeyGroups(size_t n, const Hash& hash, const Same& same) : index_(n) {
+    group_.reserve(n);
+    first_.reserve(n);
+    for (size_t i = 0; i < n; ++i) {
+      const auto [id, fresh] = index_.Insert(
+          hash(i), [&](uint32_t g) { return same(first_[g], i); });
+      if (fresh) first_.push_back(static_cast<uint32_t>(i));
+      group_.push_back(id);
+    }
   }
-  return groups;
+
+  /// The number of groups.
+  size_t size() const { return first_.size(); }
+
+  /// The group whose keys `same(first key)` accepts, if any.
+  template <typename Same>
+  std::optional<uint32_t> Find(uint64_t hash, const Same& same) const {
+    return index_.Find(hash, [&](uint32_t g) { return same(first_[g]); });
+  }
+
+  /// Lays out every group's keys, in input order, as offsets into one
+  /// array (CSR); Members reads them.
+  void BuildMembers() {
+    // Count each group at its end, turn the counts into group starts, fill
+    // each group through its start (which moves it to the group's end),
+    // then shift the ends back into starts.
+    offsets_.assign(first_.size() + 1, 0);
+    for (uint32_t g : group_) ++offsets_[g + 1];
+    for (size_t g = 0; g < first_.size(); ++g) offsets_[g + 1] += offsets_[g];
+    members_.resize(group_.size());
+    for (size_t i = 0; i < group_.size(); ++i) {
+      members_[offsets_[group_[i]]++] = static_cast<uint32_t>(i);
+    }
+    for (size_t g = first_.size(); g > 0; --g) offsets_[g] = offsets_[g - 1];
+    offsets_[0] = 0;
+  }
+  std::span<const uint32_t> Members(uint32_t g) const {
+    return {members_.data() + offsets_[g], offsets_[g + 1] - offsets_[g]};
+  }
+
+ private:
+  storage::PathIndex index_;
+  std::vector<uint32_t> group_;  // key -> group
+  std::vector<uint32_t> first_;  // group -> first key
+  std::vector<uint32_t> offsets_, members_;
+};
+
+/// Coalesces `items` by key (KeyGroups' `hash` and `same`), keys in
+/// first-occurrence order. A key held once keeps its item. A repeated key
+/// keeps its first item; with `merge`, that item comes once per maximal
+/// interval of the union of the key's `valid` intervals, each copy given
+/// its interval by `set_valid`. Leaves `items` as they are when no key
+/// repeats.
+template <typename T, typename Hash, typename Same, typename SetValid>
+void CoalesceByKey(std::vector<T>* items, const Hash& hash, const Same& same,
+                   bool merge, const SetValid& set_valid) {
+  KeyGroups groups(items->size(), hash, same);
+  if (groups.size() == items->size()) return;
+  groups.BuildMembers();
+  std::vector<T> out;
+  out.reserve(groups.size());
+  for (uint32_t g = 0; g < groups.size(); ++g) {
+    const std::span<const uint32_t> members = groups.Members(g);
+    if (members.size() == 1 || !merge) {
+      out.push_back(std::move((*items)[members[0]]));
+      continue;
+    }
+    IntervalSet merged;
+    for (uint32_t i : members) merged.Add((*items)[i].valid);
+    for (const Interval& iv : merged.intervals()) {
+      T item = (*items)[members[0]];
+      set_valid(item, iv);
+      out.push_back(std::move(item));
+    }
+  }
+  *items = std::move(out);
+}
+
+/// Groups states with identical uid sequences and re-emits them with
+/// maximal validity intervals (coalescing adjacent version intervals).
+void CoalescePathSet(PathSet* paths) {
+  CoalesceByKey(
+      paths, [&](size_t i) { return HashUids((*paths)[i].uids); },
+      [&](size_t a, size_t b) { return (*paths)[a].uids == (*paths)[b].uids; },
+      /*merge=*/true, [](PathState& s, const Interval& iv) { s.valid = iv; });
 }
 
 /// A result row's key: each path column's uid sequence, then its values.
@@ -481,7 +531,12 @@ struct VarState {
   /// it and ExecuteMatch runs it. Unset without a structural anchor.
   std::optional<MatchPlan> plan;
   bool evaluated = false;
-  PathSet paths;
+  /// The variable's paths once evaluated: `owned`, unless the view cache
+  /// served them. A served set is the cache's immutable snapshot, read in
+  /// place: Materialize copies from it and moves only from `owned`.
+  PathSet owned;
+  std::shared_ptr<const PathSet> served;
+  const PathSet& paths() const { return served != nullptr ? *served : owned; }
   /// Operator-stats group for this variable (null when not collected).
   /// Pre-created in declaration order so snapshots are deterministic even
   /// when variables evaluate as a parallel batch.
@@ -605,6 +660,33 @@ uint64_t EpochFor(const std::map<storage::GraphDb*, uint64_t>& epochs,
   auto it = epochs.find(db);
   return it != epochs.end() ? it->second : db->commit_epoch();
 }
+
+/// Joined rows, row-major: row r binds the first `width` variables of the
+/// evaluation order, each to the index of one of its paths, in
+/// slots[r * width, (r + 1) * width). A join appends a column into a new
+/// array; a filter compacts the rows in place.
+struct JoinedRows {
+  size_t width = 0;
+  std::vector<uint32_t> slots;
+
+  size_t size() const { return width == 0 ? 0 : slots.size() / width; }
+  std::span<const uint32_t> operator[](size_t r) const {
+    return {slots.data() + r * width, width};
+  }
+  /// Appends `row` (one column narrower) joined with path `p`.
+  void Append(std::span<const uint32_t> row, size_t p) {
+    slots.insert(slots.end(), row.begin(), row.end());
+    slots.push_back(static_cast<uint32_t>(p));
+  }
+  /// Moves row r to row `kept` <= r, the step of an in-place filter.
+  void Keep(size_t r, size_t kept) {
+    if (r != kept) {
+      std::copy_n(slots.begin() + static_cast<ptrdiff_t>(r * width), width,
+                  slots.begin() + static_cast<ptrdiff_t>(kept * width));
+    }
+  }
+  void Truncate(size_t n) { slots.resize(n * width); }
+};
 
 }  // namespace
 
@@ -782,7 +864,7 @@ Result<QueryResult> QueryEngine::RunInternal(
   // the variable is pre-evaluated and skips planning entirely.
   if (served.has_value()) {
     VarState& vs = vars[0];
-    vs.paths = *served->paths;  // copy: downstream phases mutate in place
+    vs.served = served->paths;
     vs.evaluated = true;
     vs.view_rpe.reset();
     if (explain != nullptr) {
@@ -793,8 +875,8 @@ Result<QueryResult> QueryEngine::RunInternal(
     if (vs.stats != nullptr) {
       vs.stats->Record(
           vs.stats->AddOp("ServeView(" + served->name + ")",
-                          static_cast<double>(vs.paths.size())),
-          obs::OpSample::Invocation(0, vs.paths.size()));
+                          static_cast<double>(vs.paths().size())),
+          obs::OpSample::Invocation(0, vs.paths().size()));
     }
     obs::MetricsRegistry::Global().GetCounter("nepal.views.served")->Add(1);
   }
@@ -831,7 +913,7 @@ Result<QueryResult> QueryEngine::RunInternal(
           if (it != var_index.end()) {
             const VarState& ovs = vars[it->second];
             if (!ovs.evaluated || ovs.db != vars[vi].db) continue;
-            for (const PathState& s : ovs.paths) {
+            for (const PathState& s : ovs.paths()) {
               uids.insert(EndpointOf(s, other.kind));
             }
           } else {
@@ -863,33 +945,22 @@ Result<QueryResult> QueryEngine::RunInternal(
           PlanMatchLocked(vs.db, *vs.view_rpe, options_.plan, vs.view));
       const PathSet view_paths = ExecuteMatch(*vs.exec, view_plan, vs.view,
                                               options_.plan, vs.stats);
-      // The view's paths grouped by uid sequence, each group in view order:
-      // `first` heads a group, `next` chains its members.
-      constexpr size_t kNone = static_cast<size_t>(-1);
-      storage::PathIndex index(view_paths.size());
-      std::vector<size_t> first, last;
-      std::vector<size_t> next(view_paths.size(), kNone);
-      for (size_t i = 0; i < view_paths.size(); ++i) {
-        const auto [id, fresh] =
-            index.Insert(HashUids(view_paths[i].uids), [&](uint32_t g) {
-              return view_paths[first[g]].uids == view_paths[i].uids;
-            });
-        if (fresh) {
-          first.push_back(i);
-          last.push_back(i);
-        } else {
-          next[last[id]] = i;
-          last[id] = i;
-        }
-      }
+      // The view's paths grouped by uid sequence, each group in view order.
+      KeyGroups groups(
+          view_paths.size(),
+          [&](size_t i) { return HashUids(view_paths[i].uids); },
+          [&](size_t a, size_t b) {
+            return view_paths[a].uids == view_paths[b].uids;
+          });
+      groups.BuildMembers();
       PathSet intersected;
-      for (PathState& state : vs.paths) {
+      for (PathState& state : vs.owned) {
         const std::optional<uint32_t> id =
-            index.Find(HashUids(state.uids), [&](uint32_t g) {
-              return view_paths[first[g]].uids == state.uids;
+            groups.Find(HashUids(state.uids), [&](size_t first) {
+              return view_paths[first].uids == state.uids;
             });
         if (!id) continue;
-        for (size_t i = first[*id]; i != kNone; i = next[i]) {
+        for (uint32_t i : groups.Members(*id)) {
           Interval overlap = state.valid.Intersect(view_paths[i].valid);
           if (overlap.empty()) continue;
           PathState keep = state;
@@ -898,10 +969,10 @@ Result<QueryResult> QueryEngine::RunInternal(
         }
       }
       storage::DedupPaths(&intersected);
-      vs.paths = std::move(intersected);
+      vs.owned = std::move(intersected);
     }
     if (vs.view.kind() == TimeView::Kind::kRange) {
-      CoalescePathSet(&vs.paths);
+      CoalescePathSet(&vs.owned);
     }
     return Status::OK();
   };
@@ -948,7 +1019,7 @@ Result<QueryResult> QueryEngine::RunInternal(
           VarState& vs = vars[batch[k]];
           Status& status = statuses[k];
           tasks.push_back([this, &vs, &status, &finish_var] {
-            vs.paths = ExecuteMatch(*vs.exec, *vs.plan, vs.view,
+            vs.owned = ExecuteMatch(*vs.exec, *vs.plan, vs.view,
                                     options_.plan, vs.stats);
             status = finish_var(vs);
           });
@@ -1015,14 +1086,14 @@ Result<QueryResult> QueryEngine::RunInternal(
         seeded = PlanMatchSeeded(vs.rpe, vs.db->backend(), best_seeds.size(),
                                  best_side, vs.view);
       }
-      vs.paths = ExecuteMatchSeeded(*vs.exec, *seeded, best_seeds, vs.view,
+      vs.owned = ExecuteMatchSeeded(*vs.exec, *seeded, best_seeds, vs.view,
                                     options_.plan, vs.stats);
     } else {
       if (explain != nullptr) {
         explain->push_back("var " + vs.decl->name + ":\n" +
                            vs.plan->ToString());
       }
-      vs.paths = ExecuteMatch(*vs.exec, *vs.plan, vs.view, options_.plan,
+      vs.owned = ExecuteMatch(*vs.exec, *vs.plan, vs.view, options_.plan,
                               vs.stats);
       if (stats != nullptr) stats->AddPlanCost(vs.structural_cost());
     }
@@ -1032,7 +1103,7 @@ Result<QueryResult> QueryEngine::RunInternal(
     --remaining;
     if (explain != nullptr) {
       explain->push_back("var " + vs.decl->name + ": " +
-                         std::to_string(vs.paths.size()) + " pathway(s)");
+                         std::to_string(vs.owned.size()) + " pathway(s)");
       if (capture.verbose) {
         PlanSql sql(*vs.exec, vs.view);
         for (const std::string& line :
@@ -1044,23 +1115,24 @@ Result<QueryResult> QueryEngine::RunInternal(
   }
 
   // ---- Expression evaluation over a joined row ----
-  // `row` maps var index -> path index. Outer bindings resolve by name.
-  using JoinedRow = std::vector<size_t>;  // parallel to eval_order
-  auto pathway_for = [&](const JoinedRow& row, const std::string& name,
+  // A row binds the first row.size() variables of eval_order, each to the
+  // index of one of its paths (JoinedRows); `slot_of[vi]` is variable vi's
+  // position there. Outer bindings resolve by name.
+  std::vector<size_t> slot_of(vars.size());
+  for (size_t k = 0; k < eval_order.size(); ++k) slot_of[eval_order[k]] = k;
+  using Row = std::span<const uint32_t>;
+  auto pathway_for = [&](Row row, const std::string& name,
                          storage::GraphDb** db_out) -> const PathState* {
     auto it = var_index.find(name);
     if (it == var_index.end()) return nullptr;
-    for (size_t k = 0; k < eval_order.size() && k < row.size(); ++k) {
-      if (eval_order[k] == it->second) {
-        *db_out = vars[it->second].db;
-        return &vars[it->second].paths[row[k]];
-      }
-    }
-    return nullptr;
+    const size_t k = slot_of[it->second];
+    if (k >= row.size()) return nullptr;
+    *db_out = vars[it->second].db;
+    return &vars[it->second].paths()[row[k]];
   };
 
-  std::function<Result<Value>(const PathExpr&, const JoinedRow&)> eval_expr =
-      [&](const PathExpr& e, const JoinedRow& row) -> Result<Value> {
+  std::function<Result<Value>(const PathExpr&, Row)> eval_expr =
+      [&](const PathExpr& e, Row row) -> Result<Value> {
     switch (e.kind) {
       case PathExpr::Kind::kLiteral:
         return e.literal;
@@ -1133,8 +1205,7 @@ Result<QueryResult> QueryEngine::RunInternal(
     return true;
   };
 
-  auto eval_compare = [&](const Predicate& pred,
-                          const JoinedRow& row) -> Result<bool> {
+  auto eval_compare = [&](const Predicate& pred, Row row) -> Result<bool> {
     NEPAL_ASSIGN_OR_RETURN(Value lhs, eval_expr(pred.lhs, row));
     NEPAL_ASSIGN_OR_RETURN(Value rhs, eval_expr(pred.rhs, row));
     bool eq = lhs == rhs;
@@ -1142,20 +1213,25 @@ Result<QueryResult> QueryEngine::RunInternal(
   };
 
   // ---- Join phase ----
-  // The join runs after every variable has finished evaluating, so op
-  // registration and recording are strictly sequential here.
+  // Variables join in evaluation order, one column each: `Init` makes one
+  // row per path of the first, and each later variable either joins by a
+  // hash of the equated endpoint (its paths grouped by that endpoint) or
+  // forms the product. Predicates filter as soon as their variables are
+  // bound, compacting the rows in place. The join runs after every
+  // variable has finished evaluating, so op registration and recording are
+  // strictly sequential here.
   obs::QueryStatsGroup* join_stats =
       stats != nullptr ? stats->AddGroup("join") : nullptr;
-  std::vector<JoinedRow> rows;
+  JoinedRows rows;
   {
     std::unordered_set<size_t> bound;
     std::unordered_set<const Predicate*> applied;
     for (size_t k = 0; k < eval_order.size(); ++k) {
       size_t vi = eval_order[k];
       bound.insert(vi);
+      const PathSet& paths = vars[vi].paths();
       const uint64_t join_start = join_stats != nullptr ? NowNs() : 0;
-      const size_t join_rows_in = k == 0 ? vars[vi].paths.size()
-                                         : rows.size();
+      const size_t join_rows_in = k == 0 ? paths.size() : rows.size();
       std::vector<const Predicate*> now_evaluable;
       for (const Predicate* pred : compare_preds) {
         if (applied.count(pred)) continue;
@@ -1189,60 +1265,55 @@ Result<QueryResult> QueryEngine::RunInternal(
         if (hash_pred != nullptr) break;
       }
 
-      std::vector<JoinedRow> next;
-      const PathSet& paths = vars[vi].paths;
+      JoinedRows next;
+      next.width = k + 1;
       if (k == 0) {
-        next.reserve(paths.size());
-        for (size_t p = 0; p < paths.size(); ++p) next.push_back({p});
-      } else if (hash_pred != nullptr) {
-        std::unordered_map<Uid, std::vector<size_t>> buckets;
-        buckets.reserve(paths.size());
+        next.slots.resize(paths.size());
         for (size_t p = 0; p < paths.size(); ++p) {
-          buckets[EndpointOf(paths[p], vi_side)].push_back(p);
+          next.slots[p] = static_cast<uint32_t>(p);
         }
-        for (const JoinedRow& row : rows) {
+      } else if (hash_pred != nullptr) {
+        auto endpoint = [&](size_t p) { return EndpointOf(paths[p], vi_side); };
+        KeyGroups buckets(
+            paths.size(), [&](size_t p) { return HashFinish(endpoint(p)); },
+            [&](size_t a, size_t b) { return endpoint(a) == endpoint(b); });
+        buckets.BuildMembers();
+        for (size_t r = 0; r < rows.size(); ++r) {
           Uid key = kInvalidUid;
           storage::GraphDb* other_db = nullptr;
           if (const PathState* state =
-                  pathway_for(row, other_side->var, &other_db)) {
+                  pathway_for(rows[r], other_side->var, &other_db)) {
             key = EndpointOf(*state, other_side->kind);
           } else {
             auto oit = outer.find(other_side->var);
             if (oit == outer.end()) continue;
             key = EndpointOf(*oit->second.path, other_side->kind);
           }
-          auto bucket = buckets.find(key);
-          if (bucket == buckets.end()) continue;
-          for (size_t p : bucket->second) {
-            JoinedRow candidate = row;
-            candidate.push_back(p);
-            next.push_back(std::move(candidate));
-          }
+          const std::optional<uint32_t> bucket = buckets.Find(
+              HashFinish(key), [&](size_t p) { return endpoint(p) == key; });
+          if (!bucket) continue;
+          for (uint32_t p : buckets.Members(*bucket)) next.Append(rows[r], p);
         }
       } else {
-        for (const JoinedRow& row : rows) {
-          for (size_t p = 0; p < paths.size(); ++p) {
-            JoinedRow candidate = row;
-            candidate.push_back(p);
-            next.push_back(std::move(candidate));
-          }
+        next.slots.reserve(rows.size() * paths.size() * next.width);
+        for (size_t r = 0; r < rows.size(); ++r) {
+          for (size_t p = 0; p < paths.size(); ++p) next.Append(rows[r], p);
         }
       }
       if (!now_evaluable.empty()) {
-        std::vector<JoinedRow> filtered;
-        filtered.reserve(next.size());
-        for (JoinedRow& row : next) {
+        size_t kept = 0;
+        for (size_t r = 0; r < next.size(); ++r) {
           bool keep = true;
           for (const Predicate* pred : now_evaluable) {
-            NEPAL_ASSIGN_OR_RETURN(bool pass, eval_compare(*pred, row));
+            NEPAL_ASSIGN_OR_RETURN(bool pass, eval_compare(*pred, next[r]));
             if (!pass) {
               keep = false;
               break;
             }
           }
-          if (keep) filtered.push_back(std::move(row));
+          if (keep) next.Keep(r, kept++);
         }
-        next = std::move(filtered);
+        next.Truncate(kept);
       }
       rows = std::move(next);
       if (join_stats != nullptr) {
@@ -1257,7 +1328,7 @@ Result<QueryResult> QueryEngine::RunInternal(
                            obs::OpSample::Invocation(join_rows_in, rows.size(),
                                                      NowNs() - join_start));
       }
-      if (rows.empty()) break;
+      if (rows.size() == 0) break;
     }
     // Any compare predicate never applied references unknown variables.
     for (const Predicate* pred : compare_preds) {
@@ -1274,18 +1345,16 @@ Result<QueryResult> QueryEngine::RunInternal(
   for (const Predicate* pred : exists_preds) {
     const uint64_t exists_start = join_stats != nullptr ? NowNs() : 0;
     const size_t exists_rows_in = rows.size();
-    std::vector<JoinedRow> kept;
-    for (const JoinedRow& row : rows) {
+    // The row's pathways, bound for correlation; they outlive each
+    // recursive call.
+    std::vector<Pathway> bindings(rows.width);
+    size_t kept = 0;
+    for (size_t r = 0; r < rows.size(); ++r) {
       OuterEnv env = outer;
-      // Bind the row's pathways for correlation. Pathways must outlive the
-      // recursive call; materialize them.
-      std::vector<std::unique_ptr<Pathway>> owned;
-      for (size_t k = 0; k < eval_order.size(); ++k) {
-        size_t vi = eval_order[k];
-        owned.push_back(std::make_unique<Pathway>(
-            ToPathway(vars[vi].paths[row[k]])));
-        env[vars[vi].decl->name] = OuterBinding{owned.back().get(),
-                                                vars[vi].db};
+      for (size_t k = 0; k < rows.width; ++k) {
+        const VarState& vs = vars[eval_order[k]];
+        bindings[k] = ToPathway(vs.paths()[rows[r][k]]);
+        env[vs.decl->name] = OuterBinding{&bindings[k], vs.db};
       }
       // Subqueries are not instrumented: their per-row operator stats
       // would swamp the outer query's table.
@@ -1294,9 +1363,9 @@ Result<QueryResult> QueryEngine::RunInternal(
           RunInternal(*pred->subquery, env, ExplainCapture{}, nullptr,
                       &epochs, run_db));
       bool exists = !sub.rows.empty();
-      if (exists != pred->negate_exists) kept.push_back(row);
+      if (exists != pred->negate_exists) rows.Keep(r, kept++);
     }
-    rows = std::move(kept);
+    rows.Truncate(kept);
     if (join_stats != nullptr) {
       join_stats->Record(
           join_stats->AddOp(std::string(pred->negate_exists ? "Not " : "") +
@@ -1318,13 +1387,17 @@ Result<QueryResult> QueryEngine::RunInternal(
   // ---- Materialize result rows ----
   QueryResult result;
   result.agg = query.agg;
+  // Each Retrieve column's slot in the joined rows.
+  std::vector<size_t> column_slots;
   if (!query.is_select) {
     for (const std::string& name : query.retrieve_vars) {
-      if (!var_index.count(name)) {
+      auto it = var_index.find(name);
+      if (it == var_index.end()) {
         return Status::InvalidArgument("Retrieve references unknown range "
                                        "variable '" + name + "'");
       }
       result.path_columns.push_back(name);
+      column_slots.push_back(slot_of[it->second]);
     }
   } else {
     for (const SelectItem& item : query.select_items) {
@@ -1360,17 +1433,28 @@ Result<QueryResult> QueryEngine::RunInternal(
             "' must appear in Group By when aggregates are used");
       }
     }
-    std::vector<std::vector<Value>> keys(rows.size());
+    // Each row's grouping values, row-major.
+    const size_t width = query.group_by.size();
+    std::vector<Value> keys;
+    keys.reserve(rows.size() * width);
     for (size_t r = 0; r < rows.size(); ++r) {
       for (const PathExpr& g : query.group_by) {
         NEPAL_ASSIGN_OR_RETURN(Value v, eval_expr(g, rows[r]));
-        keys[r].push_back(std::move(v));
+        keys.push_back(std::move(v));
       }
     }
-    const std::vector<std::vector<size_t>> groups = GroupKeys(
-        rows.size(), [&](size_t i) { return HashValues(keys[i]); },
-        [&](size_t a, size_t b) { return keys[a] == keys[b]; });
-    for (const std::vector<size_t>& members : groups) {
+    auto key = [&](size_t r) {
+      return std::span<const Value>(keys.data() + r * width, width);
+    };
+    KeyGroups groups(
+        rows.size(), [&](size_t i) { return HashValues(key(i)); },
+        [&](size_t a, size_t b) {
+          return std::equal(key(a).begin(), key(a).end(), key(b).begin());
+        });
+    groups.BuildMembers();
+    std::vector<Value> seen;  // count(distinct)'s values, one group's
+    for (uint32_t g = 0; g < groups.size(); ++g) {
+      const std::span<const uint32_t> members = groups.Members(g);
       ResultRow out_row;
       for (const SelectItem& item : query.select_items) {
         switch (item.agg) {
@@ -1385,13 +1469,13 @@ Result<QueryResult> QueryEngine::RunInternal(
                 Value(static_cast<int64_t>(members.size())));
             break;
           case SelectItem::Agg::kCountDistinct: {
-            std::vector<Value> seen;
-            for (size_t m : members) {
+            seen.clear();
+            for (uint32_t m : members) {
               NEPAL_ASSIGN_OR_RETURN(Value v, eval_expr(item.expr, rows[m]));
               seen.push_back(std::move(v));
             }
             const size_t distinct =
-                GroupKeys(
+                KeyGroups(
                     seen.size(),
                     [&](size_t i) { return HashFinish(seen[i].Hash()); },
                     [&](size_t a, size_t b) { return seen[a] == seen[b]; })
@@ -1402,7 +1486,7 @@ Result<QueryResult> QueryEngine::RunInternal(
           case SelectItem::Agg::kMin:
           case SelectItem::Agg::kMax: {
             std::optional<Value> best;
-            for (size_t m : members) {
+            for (uint32_t m : members) {
               NEPAL_ASSIGN_OR_RETURN(Value v, eval_expr(item.expr, rows[m]));
               if (v.is_null()) continue;
               if (!best ||
@@ -1418,7 +1502,7 @@ Result<QueryResult> QueryEngine::RunInternal(
             int64_t int_sum = 0;
             double dbl_sum = 0;
             bool any_double = false, any = false;
-            for (size_t m : members) {
+            for (uint32_t m : members) {
               NEPAL_ASSIGN_OR_RETURN(Value v, eval_expr(item.expr, rows[m]));
               if (v.kind() == ValueKind::kInt) {
                 int_sum += v.AsInt();
@@ -1463,30 +1547,48 @@ Result<QueryResult> QueryEngine::RunInternal(
       stats != nullptr ? stats->AddGroup("result") : nullptr;
   const uint64_t materialize_start = result_stats != nullptr ? NowNs() : 0;
   const size_t materialize_rows_in = rows.size();
-  for (const JoinedRow& row : rows) {
+  // A path moves into the last row that references it, and is copied into
+  // every earlier one. `uses[k][p]` counts the references to path p of slot
+  // k's variable still to come, one per Retrieve column naming it in each
+  // row; a served variable's paths are never moved, so are not counted.
+  // Rows that are skipped or cut by max_rows never take their references,
+  // so the paths they name are copied, never moved early.
+  std::vector<std::vector<uint32_t>> uses(rows.width);
+  for (size_t k : column_slots) {
+    const VarState& vs = vars[eval_order[k]];
+    if (vs.served != nullptr || rows.size() == 0) continue;
+    uses[k].resize(vs.owned.size());
+    for (size_t r = 0; r < rows.size(); ++r) ++uses[k][rows[r][k]];
+  }
+  result.rows.reserve(options_.max_rows != 0
+                          ? std::min(rows.size(), options_.max_rows)
+                          : rows.size());
+  for (size_t r = 0; r < rows.size(); ++r) {
+    const Row row = rows[r];
     ResultRow out_row;
     Interval joint = Interval::All();
-    for (size_t k = 0; k < eval_order.size(); ++k) {
-      joint = joint.Intersect(vars[eval_order[k]].paths[row[k]].valid);
+    for (size_t k = 0; k < row.size(); ++k) {
+      joint = joint.Intersect(vars[eval_order[k]].paths()[row[k]].valid);
     }
     if (shared_view) {
       if (joint.empty()) continue;  // pathways never coexisted
       out_row.valid = joint;
     }
     if (!query.is_select) {
-      for (const std::string& name : query.retrieve_vars) {
-        size_t vi = var_index[name];
-        for (size_t k = 0; k < eval_order.size(); ++k) {
-          if (eval_order[k] == vi) {
-            Pathway p = ToPathway(vars[vi].paths[row[k]]);
-            if (!shared_view) {
-              // keep per-path interval
-            } else {
-              p.valid = out_row.valid;
-            }
-            out_row.paths.push_back(std::move(p));
-          }
+      out_row.paths.reserve(column_slots.size());
+      for (size_t k : column_slots) {
+        VarState& vs = vars[eval_order[k]];
+        const uint32_t p = row[k];
+        Pathway& out = out_row.paths.emplace_back();
+        if (!uses[k].empty() && --uses[k][p] == 0) {
+          out.uids = std::move(vs.owned[p].uids);
+          out.concepts = std::move(vs.owned[p].concepts);
+        } else {
+          out.uids = vs.paths()[p].uids;
+          out.concepts = vs.paths()[p].concepts;
         }
+        // Per-variable @ bindings keep each path's own interval.
+        out.valid = shared_view ? out_row.valid : vs.paths()[p].valid;
       }
     } else {
       for (const SelectItem& item : query.select_items) {
@@ -1507,34 +1609,23 @@ Result<QueryResult> QueryEngine::RunInternal(
   }
 
   // ---- Row-level dedup / coalescing ----
+  // One grouping of the rows by key; when no key repeats the rows stay
+  // where they are. Otherwise each key keeps its first row, and under a
+  // shared view the rows of one key merge their joint intervals: one row
+  // per maximal interval, in place of the key's first row.
   {
     const uint64_t coalesce_start = result_stats != nullptr ? NowNs() : 0;
     const size_t coalesce_rows_in = result.rows.size();
-    const std::vector<std::vector<size_t>> groups = GroupKeys(
-        result.rows.size(),
-        [&](size_t i) { return HashRow(result.rows[i]); },
+    CoalesceByKey(
+        &result.rows, [&](size_t i) { return HashRow(result.rows[i]); },
         [&](size_t a, size_t b) {
           return SameRowKey(result.rows[a], result.rows[b]);
+        },
+        shared_view,
+        [](ResultRow& row, const Interval& iv) {
+          row.valid = iv;
+          for (Pathway& p : row.paths) p.valid = iv;
         });
-    std::vector<ResultRow> coalesced;
-    coalesced.reserve(groups.size());
-    for (const std::vector<size_t>& indexes : groups) {
-      if (indexes.size() == 1 || !shared_view) {
-        // Distinct rows (or rows whose intervals are per-path): keep the
-        // first occurrence of each identical row.
-        coalesced.push_back(std::move(result.rows[indexes[0]]));
-        continue;
-      }
-      IntervalSet merged;
-      for (size_t i : indexes) merged.Add(result.rows[i].valid);
-      for (const Interval& iv : merged.intervals()) {
-        ResultRow row = result.rows[indexes[0]];
-        row.valid = iv;
-        for (Pathway& p : row.paths) p.valid = iv;
-        coalesced.push_back(std::move(row));
-      }
-    }
-    result.rows = std::move(coalesced);
     if (result_stats != nullptr) {
       obs::OpSample sample = obs::OpSample::Invocation(
           coalesce_rows_in, result.rows.size(), NowNs() - coalesce_start);

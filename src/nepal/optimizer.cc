@@ -98,12 +98,12 @@ void ApplyPushdown(LogicalNode* node, const CostEstimator& est,
     for (size_t i = 0; i < atom.conditions.size(); ++i) {
       if (!PushableEq(atom.conditions[i])) continue;
       if (first_pushable < 0) first_pushable = static_cast<int>(i);
-      auto exact = est.stats().EqCount(atom.cls, atom.conditions[i].field_index,
+      auto count = est.stats().EqCount(atom.cls, atom.conditions[i].field_index,
                                        atom.conditions[i].value);
-      if (!exact) continue;  // untracked: selectivity unknown
-      if (best < 0 || *exact < best_count) {
+      if (!count) continue;  // untracked: selectivity unknown
+      if (best < 0 || *count < best_count) {
         best = static_cast<int>(i);
-        best_count = *exact;
+        best_count = *count;
       }
     }
     if (best >= 0 && best != first_pushable) {
@@ -269,8 +269,8 @@ double CostEstimator::ConditionSelectivity(const CompiledAtom& atom) const {
       // `id` pseudo-field.
       s = cond.op == storage::FieldCondition::Op::kEq ? 1.0 / card : 1.0 / 3.0;
     } else if (PushableEq(cond)) {
-      auto exact = stats().EqCount(atom.cls, cond.field_index, cond.value);
-      s = exact ? *exact / card : 0.1;
+      auto count = stats().EqCount(atom.cls, cond.field_index, cond.value);
+      s = count ? *count / card : 0.1;
     } else if (cond.op == storage::FieldCondition::Op::kNe) {
       s = 0.9;
     } else {

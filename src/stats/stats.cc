@@ -75,9 +75,9 @@ void GraphStats::CountValue(const schema::ClassDef* cls, int field_index,
     uint64_t& n = c->counts[v];
     n += static_cast<uint64_t>(delta);
     if (c->counts.size() > kMaxDistinctValues) {
-      // Too many distinct values to track exactly; degrade this field to the
-      // schema-hint selectivity for good (re-counting existing rows is not
-      // possible from here).
+      // Too many distinct values to track exactly; degrade this field to
+      // cardinality / kMaxDistinctValues for good (re-counting existing
+      // rows is not possible from here).
       c->saturated = true;
       c->counts.clear();
     }
@@ -184,16 +184,23 @@ std::optional<double> GraphStats::EqCount(const schema::ClassDef* cls,
   if (schema_ == nullptr || cls == nullptr) return std::nullopt;
   if (!Trackable(v)) return std::nullopt;
   uint64_t total = 0;
+  double total_estimate = 0;
   size_t end = std::min(static_cast<size_t>(cls->subtree_end()), num_orders_);
   for (size_t o = static_cast<size_t>(cls->order()); o < end; ++o) {
     const FieldCounter* c =
         CounterFor(static_cast<int>(o), field_index);
     if (c == nullptr) continue;  // no non-null value of this field here
-    if (c->saturated) return std::nullopt;
+    if (c->saturated) {
+      // More than kMaxDistinctValues distinct values: on average no value
+      // holds more than this share of the class.
+      total_estimate += static_cast<double>(current_[o]) /
+                        static_cast<double>(kMaxDistinctValues);
+      continue;
+    }
     auto it = c->counts.find(v);
     if (it != c->counts.end()) total += it->second;
   }
-  return static_cast<double>(total);
+  return static_cast<double>(total) + total_estimate;
 }
 
 uint64_t GraphStats::EdgeCount(const schema::ClassDef* node_cls, DegreeDir dir,

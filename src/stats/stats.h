@@ -8,8 +8,8 @@
 //   - per-(node class, direction, edge class) edge totals, giving average
 //     and maximum degree (traversal fan-out),
 //   - exact per-value counters for scalar fields (predicate selectivity),
-//     bounded per field and degraded to a schema hint once a field exceeds
-//     the distinct-value cap,
+//     bounded per field and degraded to cardinality / cap once a field
+//     exceeds the distinct-value cap,
 //   - version counts per class (history depth: how much wider a historical
 //     scan is than a current-snapshot scan).
 //
@@ -43,7 +43,8 @@ enum class DegreeDir { kOut = 0, kIn = 1 };
 class GraphStats {
  public:
   /// Distinct values tracked per (class, field) before the counter saturates
-  /// and the field permanently falls back to the schema-hint selectivity.
+  /// and the field's equality estimate permanently falls back to
+  /// cardinality / kMaxDistinctValues (see EqCount).
   static constexpr size_t kMaxDistinctValues = 1024;
 
   GraphStats() = default;
@@ -72,9 +73,14 @@ class GraphStats {
   /// Current-snapshot cardinality of the class subtree.
   double Cardinality(const schema::ClassDef* cls) const;
 
-  /// Exact number of current rows in the `cls` subtree whose field
-  /// `field_index` equals `v`, or nullopt when the statistic is unavailable
-  /// (no schema bound, counter saturated, or `v` is not a trackable scalar).
+  /// The equality estimate: the number of current rows in the `cls`
+  /// subtree whose field `field_index` equals `v`. Exact for every class
+  /// whose counter tracks the field; a class whose counter saturated holds
+  /// more than kMaxDistinctValues distinct values, so it adds its
+  /// cardinality / kMaxDistinctValues. Nullopt when the statistic is
+  /// unavailable (no schema bound, or `v` is not a trackable scalar). The
+  /// optimizer's selectivities and pushdown choice and the backends' scan
+  /// estimates all read this one figure.
   std::optional<double> EqCount(const schema::ClassDef* cls, int field_index,
                                 const Value& v) const;
 

@@ -15,14 +15,16 @@ double StorageBackend::EstimateScan(const ScanSpec& spec) const {
     const schema::FieldDef& field =
         spec.cls->fields()[static_cast<size_t>(spec.eq->first)];
     if (field.unique) return 1.0;
-    // Exact per-value counter maintained by the stats subsystem.
+    // The stats subsystem's equality estimate: exact per value, or
+    // cardinality / kMaxDistinctValues once the field's counter saturated.
     if (auto exact =
             stats().EqCount(spec.cls, spec.eq->first, spec.eq->second)) {
       return *exact;
     }
-    // Schema hint: an equality predicate on a non-unique field is assumed to
-    // select ~10% of the class (matches the paper's fallback of using schema
-    // hints when statistics are unavailable).
+    // Schema hint, without statistics: an equality predicate on a
+    // non-unique field is assumed to select ~10% of the class (matches the
+    // paper's fallback of using schema hints when statistics are
+    // unavailable).
     return count / 10.0 + 1.0;
   }
   return count;

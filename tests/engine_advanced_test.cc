@@ -1,13 +1,21 @@
 // Advanced engine behaviour: plan explanation and SQL rendering, join
 // ordering and anchor import, subquery nesting, projection edge cases,
-// result limits, and error reporting.
+// result limits, rows that share a path, Range-view coalescing, and error
+// reporting.
 
+#include <algorithm>
 #include <map>
+#include <memory>
 #include <set>
 
 #include <gtest/gtest.h>
 
 #include "nepal/engine.h"
+#include "nepal/executor.h"
+#include "nepal/plan.h"
+#include "nepal/view_provider.h"
+#include "obs/metrics.h"
+#include "storage/pathset.h"
 #include "tests/testutil.h"
 
 namespace nepal {
@@ -609,6 +617,321 @@ TEST_P(EngineAdvancedTest, DeterministicResultsAcrossRuns) {
   for (const auto& row : r2.rows) s2.insert(row.paths[0].ToString());
   EXPECT_EQ(s1, s2);
 }
+
+// ---- Rows that share a path ----
+// The result stage moves a path into the last row that references it and
+// copies it into every earlier one. These tests pin rows in engine order
+// against references built from each variable's single-variable result.
+
+/// A row as text: each path column's elements and interval, then each
+/// value, then the row's interval.
+std::string RowText(const nql::ResultRow& row) {
+  std::string out;
+  for (const nql::Pathway& p : row.paths) out += p.ToString() + " | ";
+  for (const Value& v : row.values) out += v.ToString() + " | ";
+  return out + row.valid.ToString();
+}
+
+/// The reference row of `paths` under a shared (query-level) view: every
+/// path carries the joint interval of them all.
+std::string JointRowText(const std::vector<const nql::Pathway*>& paths) {
+  nql::ResultRow row;
+  for (const nql::Pathway* p : paths) row.valid = row.valid.Intersect(p->valid);
+  for (const nql::Pathway* p : paths) {
+    row.paths.push_back(*p);
+    row.paths.back().valid = row.valid;
+  }
+  return RowText(row);
+}
+
+std::vector<std::string> RowTexts(const nql::QueryResult& result) {
+  std::vector<std::string> out;
+  for (const nql::ResultRow& row : result.rows) out.push_back(RowText(row));
+  return out;
+}
+
+class SharedPathRowsTest : public EngineAdvancedTest {
+ protected:
+  /// The single-variable result of `rpe`, in engine order.
+  std::vector<nql::Pathway> PathsOf(const std::string& rpe,
+                                    const std::string& source = "") {
+    std::vector<nql::Pathway> out;
+    for (const nql::ResultRow& row :
+         Run("Retrieve P From PATHS P" + source + " Where P MATCHES " + rpe)
+             .rows) {
+      out.push_back(row.paths[0]);
+    }
+    EXPECT_FALSE(out.empty()) << rpe;
+    return out;
+  }
+
+  /// The variable the last query's join started from.
+  std::string InitVar() {
+    for (const obs::OperatorStats& op : engine_->LastQueryStats().operators) {
+      if (op.group == "join" && op.op.rfind("Init ", 0) == 0) {
+        return op.op.substr(5);
+      }
+    }
+    ADD_FAILURE() << "no Init operator in the last query's stats";
+    return "";
+  }
+
+  /// Reference rows of `Retrieve P, Q` joined in engine order: the first
+  /// evaluated variable's paths outermost, `match(p, q)` filtering pairs.
+  template <typename Match>
+  std::vector<std::string> JoinReference(const std::vector<nql::Pathway>& ps,
+                                         const std::vector<nql::Pathway>& qs,
+                                         const Match& match) {
+    std::vector<std::string> out;
+    const bool p_first = InitVar() == "P";
+    const auto& outer = p_first ? ps : qs;
+    const auto& inner = p_first ? qs : ps;
+    for (const nql::Pathway& a : outer) {
+      for (const nql::Pathway& b : inner) {
+        const nql::Pathway& p = p_first ? a : b;
+        const nql::Pathway& q = p_first ? b : a;
+        if (match(p, q)) out.push_back(JointRowText({&p, &q}));
+      }
+    }
+    return out;
+  }
+};
+
+TEST_P(SharedPathRowsTest, ProductJoinRowsShareEveryPath) {
+  // Three paths each: every path of either variable is in three rows.
+  const std::vector<nql::Pathway> ps = PathsOf("VM()->Host()");
+  const std::vector<nql::Pathway> qs = PathsOf("VFC()->VM()");
+  ASSERT_EQ(ps.size(), 3u);
+  ASSERT_EQ(qs.size(), 3u);
+  const std::string from =
+      " From PATHS P, PATHS Q Where P MATCHES VM()->Host() "
+      "And Q MATCHES VFC()->VM()";
+  const nql::QueryResult pq = Run("Retrieve P, Q" + from);
+  const std::vector<std::string> want =
+      JoinReference(ps, qs, [](const auto&, const auto&) { return true; });
+  ASSERT_EQ(want.size(), 9u);
+  EXPECT_EQ(RowTexts(pq), want);
+  // A variable named twice is referenced twice per row.
+  const nql::QueryResult pqp = Run("Retrieve P, Q, P" + from);
+  ASSERT_EQ(pqp.rows.size(), want.size());
+  for (size_t r = 0; r < pqp.rows.size(); ++r) {
+    ASSERT_EQ(pqp.rows[r].paths.size(), 3u);
+    nql::ResultRow two = pqp.rows[r];
+    EXPECT_EQ(two.paths[2].uids, two.paths[0].uids);
+    EXPECT_EQ(two.paths[2].concepts, two.paths[0].concepts);
+    EXPECT_EQ(two.paths[2].valid, two.paths[0].valid);
+    two.paths.pop_back();
+    EXPECT_EQ(RowText(two), want[r]);
+  }
+}
+
+TEST_P(SharedPathRowsTest, EndpointHashJoinRowsShareAPath) {
+  // The same network again as a second source: a join across sources is
+  // never seeded, so each side keeps its single-variable order, and the
+  // two copies agree on uids. host2's path is in two rows, one per VM on
+  // it.
+  TinyNetwork twin = MakeTinyNetwork(GetParam());
+  ASSERT_EQ(twin.host2, net_.host2);
+  nql::SourceDescriptor desc;
+  desc.db = twin.db.get();
+  ASSERT_TRUE(engine_->catalog().Register("twin", desc).ok());
+  const std::vector<nql::Pathway> ps = PathsOf("Host()");
+  const std::vector<nql::Pathway> qs =
+      PathsOf("VFC()->VM()->Host()", " In 'twin'");
+  const nql::QueryResult result = Run(
+      "Retrieve P, Q From PATHS P, PATHS Q In 'twin' "
+      "Where P MATCHES Host() And Q MATCHES VFC()->VM()->Host() "
+      "And source(P) = target(Q)");
+  bool hashed = false;
+  for (const obs::OperatorStats& op : engine_->LastQueryStats().operators) {
+    if (op.op.find("(hash)") != std::string::npos) hashed = true;
+  }
+  EXPECT_TRUE(hashed);
+  const std::vector<std::string> want =
+      JoinReference(ps, qs, [](const nql::Pathway& p, const nql::Pathway& q) {
+        return p.source_uid() == q.target_uid();
+      });
+  ASSERT_EQ(want.size(), 3u);
+  EXPECT_EQ(RowTexts(result), want);
+}
+
+TEST_P(SharedPathRowsTest, RetrieveOneVariableTwice) {
+  const std::string rpe = "VNF()->[Vertical()]{1,6}->Host()";
+  const std::vector<nql::Pathway> ps = PathsOf(rpe);
+  const nql::QueryResult result =
+      Run("Retrieve P, P From PATHS P Where P MATCHES " + rpe);
+  std::vector<std::string> want;
+  for (const nql::Pathway& p : ps) want.push_back(JointRowText({&p, &p}));
+  EXPECT_EQ(RowTexts(result), want);
+}
+
+/// Serves one fixed snapshot under one view name.
+class FixedViewProvider : public nql::PathwayViewProvider {
+ public:
+  explicit FixedViewProvider(nql::ServedView view) : view_(std::move(view)) {}
+  std::optional<nql::ServedView> Match(
+      const storage::GraphDb*, const std::string&,
+      const std::optional<Timestamp>&) const override {
+    return std::nullopt;
+  }
+  std::optional<nql::ServedView> Serve(const std::string& name) const override {
+    if (name != view_.name) return std::nullopt;
+    return view_;
+  }
+
+ private:
+  nql::ServedView view_;
+};
+
+TEST_P(SharedPathRowsTest, ServedViewCorrelatedWithAColdVariable) {
+  // A served variable is read in place from the cache's snapshot, so its
+  // paths are copied into rows, never moved. Serving answers
+  // single-variable queries; here a cold variable is joined to it through
+  // a correlated subquery, and the served variable is retrieved twice.
+  auto rpe = nql::ParseRpe("VM()->Host()");
+  ASSERT_TRUE(rpe.ok());
+  nql::RpeNode resolved = *rpe;
+  ASSERT_TRUE(nql::ResolveRpe(net_.db->schema(), 32, &resolved).ok());
+  auto plan = nql::PlanMatch(resolved, net_.db->backend(), nql::PlanOptions{});
+  ASSERT_TRUE(plan.ok()) << plan.status();
+  auto exec = net_.db->backend().CreateExecutor();
+  storage::PathSet cached = nql::ExecuteMatch(
+      *exec, *plan, storage::TimeView::Current(), nql::PlanOptions{});
+  storage::CanonicalizePaths(&cached);
+  ASSERT_EQ(cached.size(), 3u);
+  nql::ServedView view;
+  view.name = "HOT";
+  view.db = net_.db.get();
+  view.epoch = net_.db->commit_epoch();
+  view.paths = std::make_shared<const storage::PathSet>(cached);
+  FixedViewProvider provider(view);
+  engine_->set_view_provider(&provider);
+
+  const std::vector<nql::Pathway> qs = PathsOf("VFC(name='vfc3')->VM()");
+  std::vector<std::string> want;
+  for (const storage::PathState& s : cached) {
+    bool exists = false;
+    for (const nql::Pathway& q : qs) exists |= q.target_uid() == s.uids[0];
+    if (exists) continue;  // NOT EXISTS
+    nql::Pathway p;
+    p.uids = s.uids;
+    p.concepts = s.concepts;
+    p.valid = s.valid;
+    want.push_back(JointRowText({&p, &p}));
+  }
+  ASSERT_EQ(want.size(), 2u);
+  const std::string query =
+      "Retrieve P, P From HOT P Where NOT EXISTS( Retrieve Q From PATHS Q "
+      "Where Q MATCHES VFC(name='vfc3')->VM() And target(Q) = source(P) )";
+  const uint64_t served_before =
+      obs::MetricsRegistry::Global().GetCounter("nepal.views.served")->Value();
+  for (int run = 0; run < 2; ++run) {
+    EXPECT_EQ(RowTexts(Run(query)), want) << "run " << run;
+  }
+  EXPECT_EQ(
+      obs::MetricsRegistry::Global().GetCounter("nepal.views.served")->Value(),
+      served_before + 2);
+  // The snapshot is untouched.
+  ASSERT_EQ(view.paths->size(), cached.size());
+  for (size_t i = 0; i < cached.size(); ++i) {
+    EXPECT_TRUE((*view.paths)[i].SameIdentity(cached[i]));
+    EXPECT_EQ((*view.paths)[i].concepts, cached[i].concepts);
+  }
+  engine_->set_view_provider(nullptr);
+}
+
+TEST_P(SharedPathRowsTest, GroupByAndCountDistinctWithRepeatedKeys) {
+  // Every path between two of host1, sw1, sw2, rt1, host2: sources and
+  // targets repeat, within and across groups.
+  const std::string rpe = "Node()->[Connects()]{1,4}->Node()";
+  const std::vector<nql::Pathway> ps = PathsOf(rpe);
+  struct Group {
+    Uid source;
+    int64_t count = 0;
+    std::vector<Uid> targets;  // distinct
+  };
+  std::vector<Group> groups;  // first-seen order
+  for (const nql::Pathway& p : ps) {
+    auto g = std::find_if(groups.begin(), groups.end(), [&](const Group& x) {
+      return x.source == p.source_uid();
+    });
+    if (g == groups.end()) {
+      g = groups.insert(groups.end(), Group{p.source_uid(), 0, {}});
+    }
+    ++g->count;
+    if (std::find(g->targets.begin(), g->targets.end(), p.target_uid()) ==
+        g->targets.end()) {
+      g->targets.push_back(p.target_uid());
+    }
+  }
+  ASSERT_LT(groups.size(), ps.size());
+  std::vector<std::string> want;
+  for (const Group& g : groups) {
+    nql::ResultRow row;
+    row.values = {Value(static_cast<int64_t>(g.source)), Value(g.count),
+                  Value(static_cast<int64_t>(g.targets.size()))};
+    want.push_back(RowText(row));
+  }
+  const nql::QueryResult result =
+      Run("Select source(P), count(P), count(distinct target(P)) "
+          "From PATHS P Where P MATCHES " + rpe + " Group By source(P)");
+  EXPECT_EQ(RowTexts(result), want);
+}
+
+TEST_P(EngineAdvancedTest, RangeViewCoalescesVersionsInFirstOccurrenceOrder) {
+  // Under a Range view vm1 and vm3 have three versions each, with adjacent
+  // intervals, and vm2 two: each VFC -> VM path comes once per version and
+  // coalesces back into one row, rows in the order the paths first occur.
+  // The Red versions of vm1 and vm3 overlap; joined to one VFC path, their
+  // joint intervals merge into one row per maximal interval.
+  const Timestamp t0 = net_.db->Now();
+  auto update = [&](Timestamp t, Uid vm, const char* status) {
+    ASSERT_TRUE(net_.db->SetTime(t).ok());
+    ASSERT_TRUE(net_.db->UpdateElement(vm, {{"status", Value(status)}}).ok());
+  };
+  update(t0 + 1000, net_.vm1, "Red");
+  update(t0 + 1500, net_.vm3, "Red");
+  update(t0 + 2000, net_.vm1, "Green");
+  update(t0 + 2500, net_.vm3, "Green");
+  update(t0 + 3000, net_.vm2, "Red");
+  const std::string at = "AT '" + FormatTimestamp(t0) + "' : '" +
+                         FormatTimestamp(t0 + 5000) + "' ";
+  auto rows = [&](const std::string& query) {
+    std::vector<std::pair<std::vector<Uid>, Interval>> out;
+    for (const nql::ResultRow& row : Run(at + query).rows) {
+      out.emplace_back(row.paths[0].uids, row.paths[0].valid);
+      EXPECT_EQ(row.valid, row.paths[0].valid);
+    }
+    return out;
+  };
+  auto path_from = [&](Uid vfc) {
+    const nql::QueryResult current =
+        Run("Retrieve P From PATHS P Where P MATCHES VFC(id=" +
+            std::to_string(vfc) + ")->VM()");
+    EXPECT_EQ(current.rows.size(), 1u);
+    return current.rows.empty() ? std::vector<Uid>{}
+                                : current.rows[0].paths[0].uids;
+  };
+  const std::vector<Uid> vfc_vm1 = path_from(net_.vfc1);
+  const std::vector<Uid> vfc_vm2 = path_from(net_.vfc2);
+  const std::vector<Uid> vfc_vm3 = path_from(net_.vfc3);
+  const Interval always{t0, kTimestampMax};
+  using Rows = std::vector<std::pair<std::vector<Uid>, Interval>>;
+  EXPECT_EQ(rows("Retrieve P From PATHS P Where P MATCHES VFC()->VM()"),
+            (Rows{{vfc_vm1, always}, {vfc_vm2, always}, {vfc_vm3, always}}));
+  EXPECT_EQ(rows("Retrieve P From PATHS P, PATHS Q "
+                 "Where P MATCHES VFC(id=" + std::to_string(net_.vfc1) +
+                 ")->VM() And Q MATCHES VM(status='Red')"),
+            (Rows{{vfc_vm1, Interval{t0 + 1000, t0 + 2500}},
+                  {vfc_vm1, Interval{t0 + 3000, kTimestampMax}}}));
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Backends, SharedPathRowsTest,
+    ::testing::Values(BackendKind::kGraphStore, BackendKind::kRelational),
+    [](const ::testing::TestParamInfo<BackendKind>& info) {
+      return nepal::testing::BackendName(info.param);
+    });
 
 INSTANTIATE_TEST_SUITE_P(
     Backends, EngineAdvancedTest,

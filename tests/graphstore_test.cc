@@ -135,13 +135,14 @@ TEST_F(GraphStoreTest, EstimateScanUsesIndexStatistics) {
   spec.eq = std::make_pair(spec.cls->FieldIndex("status"), Value("x"));
   EXPECT_DOUBLE_EQ(db_->backend().EstimateScan(spec), 0.0);
   // Past kMaxDistinctValues distinct values the counter saturates and the
-  // estimate degrades to the schema hint (count/10 + 1).
+  // estimate degrades to count / kMaxDistinctValues: no value can hold
+  // more than that share on average.
   for (int i = 0; i < 1100; ++i) {
     ASSERT_TRUE(
         db_->AddNode("VM", {{"name", Value("u" + std::to_string(i))}}).ok());
   }
   spec.eq = std::make_pair(spec.cls->FieldIndex("name"), Value("dup"));
-  EXPECT_DOUBLE_EQ(db_->backend().EstimateScan(spec), 1121.0 / 10.0 + 1.0);
+  EXPECT_DOUBLE_EQ(db_->backend().EstimateScan(spec), 1121.0 / 1024.0);
 }
 
 TEST_F(GraphStoreTest, VersionCountTracksEveryWrite) {

@@ -4,6 +4,7 @@
 // statistics-driven predicate pushdown.
 
 #include <memory>
+#include <shared_mutex>
 #include <string>
 #include <vector>
 
@@ -155,6 +156,45 @@ TEST_P(OptimizerTest, PushdownPicksTheRarestEqualityByCounters) {
             "name");
   // The scan estimate reflects the pushed equality: exactly one row.
   EXPECT_DOUBLE_EQ(plan->total_cost, 1.0);
+}
+
+TEST_P(OptimizerTest, SaturatedEqualityIsEstimatedAndPushedDown) {
+  // 2,000 distinct names saturate the name counter (more than
+  // kMaxDistinctValues values); status stays tracked exactly.
+  auto db = MakeDb();
+  constexpr int kVms = 2000;
+  for (int i = 0; i < kVms; ++i) {
+    *db->AddNode("VMWare", {{"name", Value("vm" + std::to_string(i))},
+                            {"status", Value(i % 100 == 0 ? "Red" : "Green")}});
+  }
+  const schema::ClassDef* vm = schema_->FindClass("VM");
+  const double per_name =
+      static_cast<double>(kVms) / stats::GraphStats::kMaxDistinctValues;
+  {
+    std::shared_lock<std::shared_mutex> lock(db->mutex());
+    const stats::GraphStats& stats = db->backend().stats();
+    EXPECT_DOUBLE_EQ(*stats.EqCount(vm, vm->FieldIndex("name"), Value("vm7")),
+                     per_name);
+    EXPECT_DOUBLE_EQ(
+        *stats.EqCount(vm, vm->FieldIndex("status"), Value("Green")), 1980.0);
+  }
+  // status='Green' (1,980 rows) is listed first; the saturated name is
+  // estimated at 2,000 / 1,024 rows, so the scan goes by name.
+  nql::RpeNode rpe = Resolved(*db, "VM(status='Green',name='vm7')");
+  auto plan = nql::PlanMatch(rpe, db->backend(), nql::PlanOptions{});
+  ASSERT_TRUE(plan.ok()) << plan.status();
+  ASSERT_EQ(plan->anchors.size(), 1u);
+  const storage::CompiledAtom& anchor = plan->anchors[0].anchor;
+  ASSERT_GE(anchor.pushdown_condition, 0);
+  EXPECT_EQ(anchor.conditions[static_cast<size_t>(anchor.pushdown_condition)]
+                .field_name,
+            "name");
+  EXPECT_DOUBLE_EQ(plan->total_cost, per_name);
+  nql::QueryEngine engine(db.get());
+  auto result = engine.Run(
+      "Retrieve P From PATHS P Where P MATCHES VM(status='Green',name='vm7')");
+  ASSERT_TRUE(result.ok()) << result.status();
+  EXPECT_EQ(result->rows.size(), 1u);
 }
 
 INSTANTIATE_TEST_SUITE_P(
